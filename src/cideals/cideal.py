@@ -26,6 +26,7 @@ from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
 from .linalg import Subspace, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, quotient_algebra
 from .lattice import DEFAULT_BUDGET, core, enum_ideals
+from .structure import frattini, frattini_of_subalgebra, upper_central_series
 
 YES = "yes"
 NO = "no"
@@ -64,11 +65,19 @@ class CIdealVerdict:
 
 
 def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
-    """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B)."""
+    """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B).
+
+    With C an ideal the last condition holds exactly when B ∩ C is an
+    ideal: an ideal inside B lies in core(B), and conversely
+    B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
+    ideals.  So no core is computed.
+    """
+    if not l.is_subalgebra(b):
+        raise NotSubalgebra("certificates are checked for subalgebras")
     return (
         l.is_ideal(c)
         and (b + c).dim == l.dim
-        and (b & c) <= core(l, b)
+        and l.is_ideal(b & c)
     )
 
 
@@ -176,14 +185,7 @@ def characteristic_ideals(l: LieAlgebra, cap: int = 256) -> tuple:
     seeds = set()
     seeds.update(l.derived_series().terms)
     seeds.update(l.lower_central_series().terms)
-    z = l.zero_space()
-    upper = [z]
-    while True:
-        nxt = l.transporter(l.full_space(), upper[-1])
-        if nxt == upper[-1]:
-            break
-        upper.append(nxt)
-    seeds.update(upper)
+    seeds.update(upper_central_series(l))
     for s in list(seeds):
         seeds.add(l.centralizer(s))
     found.update(seeds)
@@ -201,8 +203,8 @@ def characteristic_ideals(l: LieAlgebra, cap: int = 256) -> tuple:
             if len(found) >= cap:
                 break
             found.add(w)
-    for u in found:
-        assert l.is_ideal(u)
+    if not all(l.is_ideal(u) for u in found):
+        raise AssertionError("internal error: characteristic_ideals produced a non-ideal")
     return tuple(sorted(found, key=Subspace.sort_key))
 
 
@@ -243,8 +245,6 @@ def frattini_consequence_check(
     PreconditionUnmet otherwise).  Finite fields only, since Frattini
     subalgebras come from maximal-subalgebra enumeration.
     """
-    from .structure import frattini, frattini_of_subalgebra
-
     if not l.is_subalgebra(b):
         raise NotSubalgebra("b must be a subalgebra")
     if not l.is_subalgebra(c_sub):

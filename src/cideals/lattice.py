@@ -15,8 +15,8 @@ import itertools
 from functools import lru_cache
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
-from .fields import Field, Scalar, poly_roots_in_field
-from .linalg import Matrix, Subspace, char_poly, eigenspace, standard_vector
+from .fields import Field, poly_roots_in_field
+from .linalg import Matrix, Subspace, char_poly, eigenspace
 from .liealg import LieAlgebra, is_nilpotent, restricted_algebra
 
 DEFAULT_BUDGET = 10**6
@@ -240,19 +240,6 @@ def projective_points(field: Field, n: int):
             yield head + tail
 
 
-def _spans_ideal(l: LieAlgebra, x: tuple) -> bool:
-    # x is nonzero; [e_j, x] must be a multiple of x for every j.
-    lead = next(k for k, c in enumerate(x) if c)
-    inv = x[lead].inverse()
-    for j in range(l.dim):
-        w = l.bracket(l.basis_vector(j), x)
-        ratio = w[lead] * inv
-        for a, b in zip(w, x):
-            if a != ratio * b:
-                return False
-    return True
-
-
 @lru_cache(maxsize=256)
 def ideal_line_families(l: LieAlgebra) -> tuple:
     """Maximal joint-eigenspace subspaces of the adjoint maps.
@@ -285,26 +272,24 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
 
 
 def one_dim_ideals(l: LieAlgebra) -> tuple:
-    """All lines Fx that are ideals of L.
+    """Lines Fx that are ideals of L, sorted by :meth:`Subspace.sort_key`.
 
-    Over a finite field this is a complete projective scan.  Over Q the
-    lines spanned by the canonical basis vectors of each joint
-    eigenspace family are returned: when a family has dimension >= 2 it
-    contains infinitely many such lines, so the list is a deterministic
-    set of representatives (complete exactly when every family is a
-    line); the families themselves come from
-    :func:`ideal_line_families`.
+    Read off the joint eigenspace families of
+    :func:`ideal_line_families`, whose nonzero vectors are exactly the
+    spanning vectors of one-dimensional ideals.  Over a finite field
+    every line of every family is listed, one per projective point of
+    the family's own coordinates, so the list is complete.  Over Q a
+    family of dimension >= 2 holds infinitely many lines, so only the
+    lines of its canonical basis vectors are listed: a deterministic set
+    of representatives, complete exactly when every family is a line.
     """
     field = l.field
-    if field.p is not None:
-        lines = [
-            Subspace.from_vectors(field, l.dim, [x])
-            for x in projective_points(field, l.dim)
-            if _spans_ideal(l, x)
-        ]
-    else:
-        lines = []
-        for fam in ideal_line_families(l):
-            for v in fam.vectors():
-                lines.append(Subspace.from_vectors(field, l.dim, [v]))
-    return tuple(sorted(set(lines), key=Subspace.sort_key))
+    lines = []
+    for fam in ideal_line_families(l):
+        if field.p is None:
+            vecs = fam.vectors()
+        else:
+            to_ambient = fam.basis.transpose()
+            vecs = (to_ambient.mul_vector(c) for c in projective_points(field, fam.dim))
+        lines.extend(Subspace.from_vectors(field, l.dim, [v]) for v in vecs)
+    return tuple(sorted(lines, key=Subspace.sort_key))

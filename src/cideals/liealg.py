@@ -41,13 +41,11 @@ class SeriesResult:
     """A strictly descending series that has reached its fixed point.
 
     ``terms[0]`` is the starting subalgebra and ``terms[-1]`` equals the
-    next step applied to itself, so ``stabilized`` is always True; it is
-    kept explicit because callers branch on it.
+    next step applied to itself.
     """
 
     kind: str
     terms: tuple
-    stabilized: bool
 
 
 class LieAlgebra:
@@ -228,7 +226,7 @@ class LieAlgebra:
                 break
             terms.append(nxt)
             cur = nxt
-        return SeriesResult(kind, tuple(terms), True)
+        return SeriesResult(kind, tuple(terms))
 
     def derived_series(self, start: Subspace | None = None) -> SeriesResult:
         return self.series("derived", start)

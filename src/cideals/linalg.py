@@ -16,7 +16,7 @@ from .errors import (
     FieldMismatch,
     NotSquare,
 )
-from .fields import Field, Q, Scalar
+from .fields import Field, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +41,6 @@ def add_vectors(u: tuple, v: tuple) -> tuple:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vectors(u: tuple, v: tuple) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def scale_vector(c: Scalar, v: tuple) -> tuple:
@@ -120,9 +114,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return self.entries[j :: self.cols]
-
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         flat = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
@@ -271,33 +262,44 @@ def char_poly(m: Matrix) -> tuple[Scalar, ...]:
     """Monic characteristic polynomial of a square matrix.
 
     Coefficients are returned ascending: index k holds the coefficient
-    of t**k, and the top coefficient is 1.  Computed exactly over Q by
-    the Faddeev-LeVerrier recurrence; a GF(p) matrix is lifted to the
-    integers first and the (integral) coefficients reduced mod p, which
-    keeps the recurrence's divisions away from small characteristics.
+    of t**k, and the top coefficient is 1.  The matrix is reduced to
+    upper Hessenberg form H by similarity, then the polynomials p_k of
+    the leading k x k blocks of H follow from the Hessenberg recurrence.
+    The only divisions are by nonzero pivots, so one path serves Q and
+    every GF(p), whatever the characteristic.
     """
     if m.rows != m.cols:
         raise NotSquare(f"characteristic polynomial of {m.rows}x{m.cols} matrix")
-    field = m.field
-    if field.p is not None:
-        lifted = Matrix(Q, m.rows, m.cols, tuple(Q.scalar(int(s.value)) for s in m.entries))
-        rational = char_poly(lifted)
-        out = []
-        for c in rational:
-            assert c.value.denominator == 1
-            out.append(field.scalar(int(c.value)))
-        return tuple(out)
     n = m.rows
-    one = field.one()
-    if n == 0:
-        return (one,)
-    ident = Matrix.identity(field, n)
-    acc = Matrix.zeros(field, n, n)
-    desc = [one]
-    for k in range(1, n + 1):
-        acc = m @ (acc + ident.scale(desc[-1]))
-        desc.append(-(acc.trace()) / field.scalar(k))
-    return tuple(reversed(desc))
+    h = [list(m.row(i)) for i in range(n)]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        h[piv], h[j + 1] = h[j + 1], h[piv]
+        for row in h:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = h[j + 1][j].inverse()
+        for k in range(j + 2, n):
+            u = h[k][j] * inv
+            if u:  # row k -= u * row j+1, undone by column j+1 += u * column k
+                h[k] = [a - u * b for a, b in zip(h[k], h[j + 1])]
+                for row in h:
+                    row[j + 1] = row[j + 1] + u * row[k]
+    zero, one = m.field.zero(), m.field.one()
+    polys = [[one]]
+    for k in range(n):
+        # p_{k+1} = t p_k - sum_{i<=k} H[i][k] H[i+1][i] ... H[k][k-1] p_i
+        acc = [zero] + polys[k]
+        sub = one
+        for i in range(k, -1, -1):
+            f = h[i][k] * sub
+            for d, a in enumerate(polys[i]):
+                acc[d] = acc[d] - f * a
+            if i:
+                sub = sub * h[i][i - 1]
+        polys.append(acc)
+    return tuple(polys[-1])
 
 
 def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
@@ -306,7 +308,9 @@ def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
         raise NotSquare("eigenspace of a non-square matrix")
     if lam.field != m.field:
         raise FieldMismatch("eigenvalue from a different field")
-    return nullspace(m - Matrix.identity(m.field, m.rows).scale(lam))
+    step = m.rows + 1
+    shifted = tuple(a - lam if k % step == 0 else a for k, a in enumerate(m.entries))
+    return nullspace(Matrix(m.field, m.rows, m.cols, shifted))
 
 
 # ---------------------------------------------------------------------------

@@ -88,28 +88,31 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     """A complete flag of ideals 0 = I_0 < I_1 < ... < I_n = L, or None.
 
     Nilpotent algebras are refined through the ascending central
-    series.  Otherwise the search recurses: for each line ideal, take
-    the quotient and try to finish there, backtracking across the
-    candidate lines.  Over Q the candidate lines come from the joint
-    eigenspace families, which is exactly the set available to a
-    rational structure; a None over Q means the rational form has no
-    such flag.
+    series.  Otherwise the first line ideal I of :func:`one_dim_ideals`
+    decides: every quotient of a supersolvable algebra is supersolvable,
+    so L has a flag exactly when L/I has one, and the flag of L/I lifts
+    through I.  No line ideal means no flag.  Over Q the lines come
+    from the joint eigenspace families, which is exactly the set
+    available to a rational structure; a None over Q means the rational
+    form has no such flag.
     """
     if l.dim == 0:
         return (l.zero_space(),)
     if is_nilpotent(l):
         return _nilpotent_flag(l)
-    for line in one_dim_ideals(l):
-        reduced, project, lift = l.quotient(line)
-        rest = supersolvable_flag(reduced)
-        if rest is None:
-            continue
-        flag = [l.zero_space()]
-        for w in rest:
-            vecs = [lift(v) for v in w.vectors()] + list(line.vectors())
-            flag.append(Subspace.from_vectors(l.field, l.dim, vecs))
-        return tuple(flag)
-    return None
+    lines = one_dim_ideals(l)
+    if not lines:
+        return None
+    line = lines[0]
+    reduced, _, lift = l.quotient(line)
+    rest = supersolvable_flag(reduced)
+    if rest is None:
+        return None
+    flag = [l.zero_space()]
+    for w in rest:
+        vecs = [lift(v) for v in w.vectors()] + list(line.vectors())
+        flag.append(Subspace.from_vectors(l.field, l.dim, vecs))
+    return tuple(flag)
 
 
 def is_supersolvable(l: LieAlgebra) -> bool:
@@ -197,7 +200,11 @@ def almost_abelian_witness(l: LieAlgebra):
         return None
     if l.span_product(squared, squared).dim != 0:
         return None
-    w = squared.complement_reps()[0]
+    return _scaling_vector(l, squared.complement_reps()[0], squared)
+
+
+def _scaling_vector(l: LieAlgebra, w: tuple, squared: Subspace):
+    # The multiple x of w with [x, y] = y for every y in squared, or None.
     rows = squared.vectors()
     lam = l.bracket(w, rows[0])[squared.pivots[0]]
     if not lam:
@@ -263,17 +270,11 @@ def classify_line_cideals(l: LieAlgebra) -> LineClassification:
     fixed = centre + squared
     if l.dim - fixed.dim != 1:
         return LineClassification(CASE_NEITHER)
-    w = fixed.complement_reps()[0]
-    rows = squared.vectors()
-    lam = l.bracket(w, rows[0])[squared.pivots[0]]
-    if not lam:
+    x = _scaling_vector(l, fixed.complement_reps()[0], squared)
+    if x is None:
         return LineClassification(CASE_NEITHER)
-    for b in rows:
-        if l.bracket(w, b) != scale_vector(lam, b):
-            return LineClassification(CASE_NEITHER)
-    x = scale_vector(lam.inverse(), w)
     a_part = centre
-    b_part = Subspace.from_vectors(l.field, l.dim, rows + (x,))
+    b_part = Subspace.from_vectors(l.field, l.dim, squared.vectors() + (x,))
     split_ok = (
         l.is_ideal(a_part)
         and l.is_ideal(b_part)

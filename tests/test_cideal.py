@@ -14,6 +14,7 @@ from cideals import (
     builtin,
     catalog_algebras,
     characteristic_ideals,
+    enum_ideals,
     enum_subalgebras,
     frattini,
     frattini_consequence_check,
@@ -23,7 +24,7 @@ from cideals import (
     verify_certificate,
 )
 
-from oracles import oracle_cideal
+from oracles import oracle_cideal, oracle_core
 
 
 def vec(field, coords):
@@ -57,6 +58,22 @@ class TestVerifyCertificate:
         # L itself is an ideal with full sum, but meets the Borel outside
         # its core (which is zero in a simple algebra)
         assert not verify_certificate(sl2_gf5, borel, full)
+
+    def test_matches_core_definition(self, h3_gf2, sl2_gf5):
+        # The check never computes a core; compare it with the definition
+        # B ∩ C <= core(B), core taken from the enumeration oracle.
+        for l in (h3_gf2, builtin("t", GF(3), 2), sl2_gf5):
+            ideals = enum_ideals(l)
+            for b in enum_subalgebras(l):
+                hull = oracle_core(l, b)
+                for c in ideals:
+                    expected = (b + c).dim == l.dim and (b & c) <= hull
+                    assert verify_certificate(l, b, c) == expected
+
+    def test_requires_subalgebra(self, sl2_q):
+        ef = span(sl2_q, [1, 0, 0], [0, 1, 0])
+        with pytest.raises(NotSubalgebra):
+            verify_certificate(sl2_q, ef, sl2_q.full_space())
 
 
 class TestLineRule:

@@ -20,6 +20,7 @@ from cideals import (
     normalizer,
     one_dim_ideals,
     projective_points,
+    random_solvable,
     subspace_count,
 )
 
@@ -211,7 +212,16 @@ class TestLines:
         assert list(projective_points(GF(2), 0)) == []
 
     def test_one_dim_ideals_gf_matches_filter(self, h3_gf2, t2_gf2, sl2_gf5):
-        for l in (h3_gf2, t2_gf2, sl2_gf5):
+        # Families of dimension >= 2 (abelian(3), the centre of
+        # heisenberg(3)+abelian(1), t(2)+abelian(1)) list every line.
+        algebras = [h3_gf2, t2_gf2, sl2_gf5]
+        for p in (2, 3, 5):
+            for name in ("abelian(3)", "heisenberg(3)+abelian(1)", "t(2)+abelian(1)"):
+                algebras.append(builtin(name, GF(p)))
+        for seed in range(4):
+            algebras.append(random_solvable(seed, GF(2), 3, 4))
+            algebras.append(random_solvable(seed, GF(3), 3, 3))
+        for l in algebras:
             direct = sorted(
                 (s for s in enum_subspaces(l, dims=(1,)) if l.is_ideal(s)),
                 key=Subspace.sort_key,

@@ -145,7 +145,6 @@ class TestSpansAndSeries:
     def test_derived_series_h3(self, h3_q):
         s = h3_q.derived_series()
         assert s.kind == "derived"
-        assert s.stabilized
         assert [t.dim for t in s.terms] == [3, 1, 0]
 
     def test_lower_central_series_t2(self, t2_q):

@@ -146,10 +146,10 @@ class TestCharPoly:
             assert char_poly(m) == oracle_char_poly(m)
 
     def test_matches_oracle_random_gf(self):
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 101):
             rng = random.Random(100 + p)
             for _ in range(25):
-                n = rng.randrange(1, 5)
+                n = rng.randrange(1, 7)
                 m = mat(GF(p), [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
                 assert char_poly(m) == oracle_char_poly(m)
 

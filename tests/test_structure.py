@@ -22,6 +22,7 @@ from cideals import (
     abelian_socle,
     almost_abelian_witness,
     nilpotency_class,
+    one_dim_ideals,
     radicals,
     restricted_algebra,
     structure_profile,
@@ -90,6 +91,14 @@ class TestSupersolvable:
         for field in (GF(2), GF(3)):
             for _, l in catalog_algebras(field, max_dim=4):
                 assert is_supersolvable(l) == oracle_supersolvable(l)
+        # Not supersolvable, with 4 and 6 line ideals (the abelian(2)
+        # summand): the first line's quotient must decide alone.
+        for field in (GF(3), GF(5)):
+            l = builtin("sl2+abelian(2)", field)
+            assert len(one_dim_ideals(l)) == field.p + 1
+            assert not is_supersolvable(l)
+            assert not oracle_supersolvable(l)
+        assert not is_supersolvable(builtin("sl2+abelian(2)", Q))
 
     def test_non_nilpotent_recursion_gf(self):
         l = builtin("t", GF(3), 3)
