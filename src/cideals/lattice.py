@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, poly_roots_in_field
-from .linalg import Matrix, Subspace, char_poly, eigenspace
+from .linalg import Subspace, _box, char_poly, eigenspace
 from .liealg import LieAlgebra, is_nilpotent, restricted_algebra
 
 DEFAULT_BUDGET = 10**6
@@ -79,8 +79,7 @@ def enum_subspaces(l: LieAlgebra, dims=None, budget: int = DEFAULT_BUDGET):
 
 
 def _subspace_iter(field: Field, n: int, dims):
-    elements = field.elements()
-    zero, one = elements[0], field.one()
+    p = field.p
     for k in dims:
         if k == 0:
             yield Subspace.zero(field, n)
@@ -93,32 +92,25 @@ def _subspace_iter(field: Field, n: int, dims):
                 for c in range(pivots[r] + 1, n)
                 if c not in pivot_set
             ]
-            for assignment in itertools.product(elements, repeat=len(free)):
-                rows = [[zero] * n for _ in range(k)]
+            for assignment in itertools.product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
                 for r in range(k):
-                    rows[r][pivots[r]] = one
+                    rows[r][pivots[r]] = 1
                 for (r, c), val in zip(free, assignment):
                     rows[r][c] = val
-                flat = tuple(x for row in rows for x in row)
-                yield Subspace(field, n, Matrix(field, k, n, flat), pivots)
-
-
-@lru_cache(maxsize=64)
-def _all_subspaces(l: LieAlgebra) -> tuple:
-    return tuple(_subspace_iter(l.field, l.dim, range(l.dim + 1)))
+                yield Subspace(field, n, tuple(map(tuple, rows)), pivots)
 
 
 @lru_cache(maxsize=64)
 def _subalgebras(l: LieAlgebra) -> tuple:
-    return tuple(u for u in _all_subspaces(l) if l.is_subalgebra(u))
+    return tuple(
+        u for u in _subspace_iter(l.field, l.dim, range(l.dim + 1)) if l.is_subalgebra(u)
+    )
 
 
 @lru_cache(maxsize=64)
 def _ideals(l: LieAlgebra) -> tuple:
-    full = l.full_space()
-    return tuple(
-        u for u in _subalgebras(l) if l.span_product(full, u) <= u
-    )
+    return tuple(u for u in _subalgebras(l) if l.is_ideal(u))
 
 
 def enum_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -185,15 +177,24 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
 
 @lru_cache(maxsize=64)
 def _cartan_subalgebras(l: LieAlgebra) -> tuple:
-    out = []
-    for u in _subalgebras(l):
-        if is_nilpotent(l, u) and normalizer(l, u) == u:
-            out.append(u)
-    return tuple(out)
+    # A Cartan subalgebra H is maximal nilpotent in any characteristic: if
+    # H < K with K nilpotent, the normalizer condition in K gives an
+    # element of K outside H normalizing H.  So the maximal nilpotent
+    # subalgebras are the only candidates.
+    return tuple(
+        sorted(
+            (u for u in _maximal_nilpotent(l) if normalizer(l, u) == u),
+            key=Subspace.sort_key,
+        )
+    )
 
 
 def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
-    """Self-normalizing nilpotent subalgebras, by exhaustive filter."""
+    """Self-normalizing nilpotent subalgebras, in enumeration order.
+
+    They are the self-normalizing members of
+    :func:`maximal_nilpotent_subalgebras`.
+    """
     _require_finite(l)
     _check_budget(l, None, budget)
     return _cartan_subalgebras(l)
@@ -228,16 +229,19 @@ def normalizer(l: LieAlgebra, u: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # one-dimensional ideals
 
+def _projective_raw(p: int, n: int):
+    # One raw vector per line of GF(p)^n, first nonzero entry 1.
+    for lead in range(n):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(p), repeat=n - 1 - lead):
+            yield head + tail
+
+
 def projective_points(field: Field, n: int):
     """One canonical vector per line of GF(p)^n (first nonzero entry 1)."""
     if field.p is None:
         raise FieldNotFinite("projective scan needs a finite field")
-    elements = field.elements()
-    zero, one = elements[0], field.one()
-    for lead in range(n):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elements, repeat=n - 1 - lead):
-            yield head + tail
+    return (_box(field, v) for v in _projective_raw(field.p, n))
 
 
 @lru_cache(maxsize=256)
@@ -251,11 +255,11 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
     """
     if l.dim == 0:
         return ()
-    ads = [l.ad_matrix(l.basis_vector(i)) for i in range(l.dim)]
-    roots = []
-    for m in ads:
-        rs = sorted(poly_roots_in_field(char_poly(m)), key=lambda s: s.value)
-        roots.append(rs)
+    spaces = []  # per basis vector e_i, the eigenspaces of ad(e_i)
+    for i in range(l.dim):
+        ad = l.ad_matrix(l.basis_vector(i))
+        roots = sorted(poly_roots_in_field(char_poly(ad)), key=lambda s: s.value)
+        spaces.append([eigenspace(ad, lam) for lam in roots])
     families = []
 
     def recurse(i: int, space: Subspace):
@@ -264,8 +268,8 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
         if i == l.dim:
             families.append(space)
             return
-        for lam in roots[i]:
-            recurse(i + 1, space & eigenspace(ads[i], lam))
+        for eig in spaces[i]:
+            recurse(i + 1, space & eig)
 
     recurse(0, l.full_space())
     return tuple(sorted(families, key=Subspace.sort_key))
@@ -284,12 +288,29 @@ def one_dim_ideals(l: LieAlgebra) -> tuple:
     of representatives, complete exactly when every family is a line.
     """
     field = l.field
+    p = field.p
     lines = []
     for fam in ideal_line_families(l):
-        if field.p is None:
-            vecs = fam.vectors()
+        if p is None:
+            vecs = fam.rows
         else:
-            to_ambient = fam.basis.transpose()
-            vecs = (to_ambient.mul_vector(c) for c in projective_points(field, fam.dim))
-        lines.extend(Subspace.from_vectors(field, l.dim, [v]) for v in vecs)
+            vecs = (
+                [sum(c * row[k] for c, row in zip(coeffs, fam.rows)) % p for k in range(l.dim)]
+                for coeffs in _projective_raw(p, fam.dim)
+            )
+        lines.extend(Subspace.from_raw(field, l.dim, [v]) for v in vecs)
     return tuple(sorted(lines, key=Subspace.sort_key))
+
+
+def first_line_ideal(l: LieAlgebra) -> Subspace | None:
+    """``one_dim_ideals(l)[0]`` without listing the lines; None if none.
+
+    A family's lines in :meth:`Subspace.sort_key` order start with the
+    span of its first canonical row (the smallest pivot, then zeros at
+    the other pivots), so the first line of all is the least such span.
+    """
+    return min(
+        (Subspace.from_raw(l.field, l.dim, fam.rows[:1]) for fam in ideal_line_families(l)),
+        key=Subspace.sort_key,
+        default=None,
+    )

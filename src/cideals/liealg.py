@@ -1,8 +1,8 @@
 """Lie algebras presented by structure constants.
 
-An algebra is stored as the coordinate vectors of [e_i, e_j] for i < j;
-antisymmetry is structural and the Jacobi identity is checked by
-:meth:`LieAlgebra.validate`.  Subspaces of the underlying vector space
+An algebra is stored as a raw sparse structure tensor, [e_i, e_j] for
+every ordered pair; antisymmetry is structural and the Jacobi identity
+is checked by :meth:`LieAlgebra.validate`.  Subspaces of the underlying vector space
 are handled by :class:`~cideals.linalg.Subspace`; this module adds the
 bracket-aware constructions: products of subspaces, closures, series,
 centralizers and transporters, quotients, restrictions and direct sums.
@@ -10,6 +10,7 @@ centralizers and transporters, quotients, restrictions and direct sums.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,13 +22,15 @@ from .errors import (
     NotAnIdeal,
     NotSubalgebra,
 )
-from .fields import Field, Scalar
+from .fields import Field
 from .linalg import (
     Matrix,
     Subspace,
-    add_vectors,
-    nullspace,
-    scale_vector,
+    _box,
+    _boxed_matrix,
+    _unbox,
+    _zero_one,
+    raw_kernel,
     standard_vector,
     vector_is_zero,
     zero_vector,
@@ -51,12 +54,17 @@ class SeriesResult:
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q or GF(p).
 
+    The structure constants are held once, as a raw sparse tensor:
+    ``_ad[i][j]`` lists the nonzero ``(k, c)`` with c the raw coefficient
+    of e_k in [e_i, e_j].  Brackets, products, closure tests and
+    transporters run on raw rows; Scalars appear only at the boundary.
+
     Equality and hashing use the field, dimension and bracket table;
     basis labels and metadata are presentation only and ignored, which
     lets derived objects (quotients, restrictions) be cached by value.
     """
 
-    __slots__ = ("field", "dim", "names", "meta", "table", "_pairs", "_hash")
+    __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash")
 
     def __init__(self, field: Field, dim: int, names=None, brackets=None, meta=None):
         """``brackets`` maps pairs ``(i, j)`` with i < j to the coordinate
@@ -75,30 +83,21 @@ class LieAlgebra:
                 raise DimensionMismatch(f"{len(names)} names for dimension {dim}")
         self.names = names
         self.meta = dict(meta) if meta else {}
-        zero = zero_vector(field, dim)
-        table = {}
+        p = field.p
+        ad = [[()] * dim for _ in range(dim)]
         for (i, j), coords in (brackets or {}).items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise IndexOutOfRange(f"bracket pair ({i}, {j}) outside 0..{dim - 1}")
             if i >= j:
                 raise IndexOutOfRange(f"bracket pair ({i}, {j}) must have i < j")
-            vec = tuple(field.scalar(c) for c in coords)
+            vec = tuple(field.scalar(c).value for c in coords)
             if len(vec) != dim:
                 raise DimensionMismatch(
                     f"bracket ({i}, {j}) has {len(vec)} coordinates, expected {dim}"
                 )
-            table[(i, j)] = vec
-        rows = []
-        pairs = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                vec = table.get((i, j), zero)
-                rows.append(vec)
-                sparse = tuple((k, c) for k, c in enumerate(vec) if c)
-                if sparse:
-                    pairs.append((i, j, sparse))
-        self.table = tuple(rows)
-        self._pairs = tuple(pairs)
+            ad[i][j] = tuple((k, c) for k, c in enumerate(vec) if c)
+            ad[j][i] = tuple((k, -c if p is None else p - c) for k, c in ad[i][j])
+        self._ad = tuple(tuple(row) for row in ad)
         self._hash = None
 
     # -- basics ------------------------------------------------------------
@@ -118,35 +117,59 @@ class LieAlgebra:
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.field, self.dim)
 
+    def _dense(self, sparse) -> list:
+        out = [_zero_one(self.field.p)[0]] * self.dim
+        for k, c in sparse:
+            out[k] = c
+        return out
+
     def structure_vector(self, i: int, j: int) -> tuple:
         """[e_i, e_j] for any i, j."""
-        if i == j:
-            return self.zero_vec()
-        if i < j:
-            idx = i * self.dim - (i * (i + 1)) // 2 + (j - i - 1)
-            return self.table[idx]
-        idx = j * self.dim - (j * (j + 1)) // 2 + (i - j - 1)
-        return tuple(-c for c in self.table[idx])
+        return _box(self.field, self._dense(self._ad[i][j]))
+
+    def _unbox_vector(self, v: tuple) -> tuple:
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in a dim-{self.dim} algebra")
+        return _unbox(self.field, v)
+
+    def bracket_raw(self, u, v) -> list:
+        """[u, v] on raw rows, without checks."""
+        p = self.field.p
+        out = [_zero_one(p)[0]] * self.dim
+        nv = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if a:
+                ti = self._ad[i]
+                for j, b in nv:
+                    sparse = ti[j]
+                    if sparse:
+                        ab = a * b
+                        for k, c in sparse:
+                            out[k] += ab * c
+        return out if p is None else [x % p for x in out]
+
+    def ad_raw(self, i: int, v) -> list:
+        """[e_i, v] on a raw row, without checks."""
+        p = self.field.p
+        out = [_zero_one(p)[0]] * self.dim
+        ti = self._ad[i]
+        for j, b in enumerate(v):
+            if b:
+                for k, c in ti[j]:
+                    out[k] += b * c
+        return out if p is None else [x % p for x in out]
 
     def bracket(self, u: tuple, v: tuple) -> tuple:
         """[u, v], bilinear and antisymmetric by construction."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatch(
-                f"vectors of length {len(u)}, {len(v)} in a dim-{self.dim} algebra"
-            )
-        out = list(self.zero_vec())
-        for i, j, sparse in self._pairs:
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef:
-                for k, c in sparse:
-                    out[k] = out[k] + coef * c
-        return tuple(out)
+        return _box(self.field, self.bracket_raw(self._unbox_vector(u), self._unbox_vector(v)))
 
     def ad_matrix(self, x: tuple) -> Matrix:
         """The matrix of y -> [x, y] on the chosen basis (columns are [x, e_j])."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        flat = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
-        return Matrix(self.field, self.dim, self.dim, flat)
+        x = self._unbox_vector(x)
+        n = self.dim
+        zero, one = _zero_one(self.field.p)
+        cols = [self.bracket_raw(x, [one if k == j else zero for k in range(n)]) for j in range(n)]
+        return _boxed_matrix(self.field, list(zip(*cols)), n)
 
     def validate(self) -> list:
         """Jacobi-identity violations as ``(i, j, k, residual)`` tuples.
@@ -154,25 +177,27 @@ class LieAlgebra:
         An empty list means the structure constants define a Lie
         algebra.  Antisymmetry cannot be violated in this encoding.
         """
+        p = self.field.p
         violations = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                ej = self.basis_vector(j)
-                vij = self.structure_vector(i, j)
-                for k in range(j + 1, self.dim):
-                    ek = self.basis_vector(k)
-                    acc = self.bracket(vij, ek)
-                    acc = add_vectors(acc, self.bracket(self.structure_vector(j, k), ei))
-                    acc = add_vectors(acc, self.bracket(self.structure_vector(k, i), ej))
-                    if not vector_is_zero(acc):
-                        violations.append((i, j, k, acc))
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            acc = [
+                a + b + c
+                for a, b, c in zip(
+                    self.ad_raw(k, self._dense(self._ad[j][i])),
+                    self.ad_raw(i, self._dense(self._ad[k][j])),
+                    self.ad_raw(j, self._dense(self._ad[i][k])),
+                )
+            ]
+            if p is not None:
+                acc = [x % p for x in acc]
+            if any(acc):
+                violations.append((i, j, k, _box(self.field, acc)))
         return violations
 
     # -- subspace constructions ---------------------------------------------
 
     def _check_subspace(self, u: Subspace):
-        if u.field != self.field:
+        if u.field is not self.field and u.field != self.field:
             raise FieldMismatch(f"subspace over {u.field} in an algebra over {self.field}")
         if u.ambient_dim != self.dim:
             raise AmbientMismatch(
@@ -183,14 +208,25 @@ class LieAlgebra:
         """The span of all [x, y] with x in u, y in v."""
         self._check_subspace(u)
         self._check_subspace(v)
-        vecs = [self.bracket(x, y) for x in u.vectors() for y in v.vectors()]
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        vecs = [self.bracket_raw(x, y) for x in u.rows for y in v.rows]
+        return Subspace.from_raw(self.field, self.dim, vecs)
 
     def is_subalgebra(self, u: Subspace) -> bool:
-        return self.span_product(u, u) <= u
+        """[u, u] <= u, stopping at the first bracket of basis rows outside u."""
+        self._check_subspace(u)
+        rows = u.rows
+        return all(
+            u.holds_raw(self.bracket_raw(rows[a], rows[b]))
+            for a in range(len(rows))
+            for b in range(a + 1, len(rows))
+        )
 
     def is_ideal(self, u: Subspace) -> bool:
-        return self.span_product(self.full_space(), u) <= u
+        """[L, u] <= u, stopping at the first [e_i, row] outside u."""
+        self._check_subspace(u)
+        return all(
+            u.holds_raw(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
+        )
 
     def subalgebra_closure(self, u: Subspace) -> Subspace:
         """The smallest subalgebra containing u."""
@@ -244,15 +280,13 @@ class LieAlgebra:
         self._check_subspace(target)
         if gens.dim == 0:
             return self.full_space()
-        blocks = []
-        for u in gens.vectors():
-            cols = [target.reduce(self.bracket(self.basis_vector(i), u)) for i in range(self.dim)]
-            flat = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
-            blocks.append(Matrix(self.field, self.dim, self.dim, flat))
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        return nullspace(stacked)
+        n = self.dim
+        rows = []
+        for u in gens.rows:
+            # column i is target.reduce([e_i, u]); one equation per coordinate
+            cols = [target.reduce_raw(self.ad_raw(i, u)) for i in range(n)]
+            rows.extend(zip(*cols))
+        return raw_kernel(self.field, rows, n)
 
     def centralizer(self, a: Subspace) -> Subspace:
         """{x in L : [x, a] = 0 for all a in the subspace}."""
@@ -293,10 +327,10 @@ class LieAlgebra:
 
         brackets = {}
         for a in range(m):
-            ea = self.basis_vector(cols[a])
             for b in range(a + 1, m):
-                vec = project(self.bracket(ea, self.basis_vector(cols[b])))
-                if not vector_is_zero(vec):
+                w = ideal.reduce_raw(self._dense(self._ad[cols[a]][cols[b]]))
+                vec = tuple(w[c] for c in cols)
+                if any(vec):
                     brackets[(a, b)] = vec
         names = tuple(self.names[c] for c in cols)
         return LieAlgebra(field, m, names, brackets), project, lift
@@ -312,7 +346,7 @@ class LieAlgebra:
         self._check_subspace(subalgebra)
         if not self.is_subalgebra(subalgebra):
             raise NotSubalgebra("restriction to a subspace that is not closed")
-        rows = subalgebra.vectors()
+        rows = subalgebra.rows
         pivots = subalgebra.pivots
         k = subalgebra.dim
         field = self.field
@@ -325,18 +359,20 @@ class LieAlgebra:
         def from_coords(c: tuple) -> tuple:
             if len(c) != k:
                 raise DimensionMismatch(f"coordinate vector of length {len(c)}, expected {k}")
-            acc = zero_vector(field, self.dim)
-            for coef, row in zip(c, rows):
+            acc = [_zero_one(field.p)[0]] * self.dim
+            for coef, row in zip(_unbox(field, c), rows):
                 if coef:
-                    acc = add_vectors(acc, scale_vector(coef, row))
-            return acc
+                    acc = [a + coef * b for a, b in zip(acc, row)]
+            if field.p is not None:
+                acc = [a % field.p for a in acc]
+            return _box(field, acc)
 
         brackets = {}
         for a in range(k):
             for b in range(a + 1, k):
-                w = self.bracket(rows[a], rows[b])
+                w = self.bracket_raw(rows[a], rows[b])
                 vec = tuple(w[p] for p in pivots)
-                if not vector_is_zero(vec):
+                if any(vec):
                     brackets[(a, b)] = vec
         names = tuple(self.names[p] for p in pivots)
         return LieAlgebra(field, k, names, brackets), to_coords, from_coords
@@ -348,12 +384,12 @@ class LieAlgebra:
             isinstance(other, LieAlgebra)
             and self.field == other.field
             and self.dim == other.dim
-            and self.table == other.table
+            and self._ad == other._ad
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.dim, self.table))
+            self._hash = hash((self.field, self.dim, self._ad))
         return self._hash
 
     def __repr__(self):

@@ -1,9 +1,14 @@
 """Exact dense linear algebra: matrices, canonical subspaces, kernels.
 
-Vectors are plain tuples of :class:`~cideals.fields.Scalar`.  A
-:class:`Subspace` always stores its reduced-row-echelon basis, so two
-subspaces are equal exactly when they are the same set of vectors and
-every subspace has one canonical representation.
+At the public boundary vectors are plain tuples of
+:class:`~cideals.fields.Scalar` and matrices are :class:`Matrix`es of
+them.  Inside, one raw-value kernel does the elimination: a raw value is
+an int residue in ``[0, p)`` over GF(p) or a ``Fraction`` over Q, a raw
+row is a tuple of them, each Scalar is checked against the field once on
+entry, and Scalars are made again only on the way out.  A
+:class:`Subspace` stores its reduced-row-echelon basis as raw rows, so
+two subspaces are equal exactly when they are the same set of vectors
+and every subspace has one canonical representation.
 """
 
 from __future__ import annotations
@@ -37,12 +42,6 @@ def vector(field: Field, coords) -> tuple:
     return tuple(field.scalar(c) for c in coords)
 
 
-def add_vectors(u: tuple, v: tuple) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def scale_vector(c: Scalar, v: tuple) -> tuple:
     return tuple(c * a for a in v)
 
@@ -61,11 +60,6 @@ def parse_vector(field: Field, n: int, text: str) -> tuple:
     if len(parts) != n:
         raise DimensionMismatch(f"expected {n} coordinates, got {len(parts)}")
     return tuple(field.scalar(p) for p in parts)
-
-
-def _scalar_key(s: Scalar):
-    v = s.value
-    return (v.numerator, v.denominator) if isinstance(v, Fraction) else (v, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,55 +201,110 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
+# ---------------------------------------------------------------------------
+# the raw kernel: rows of raw values, one field check on the way in
+
+def _zero_one(p):
+    return (0, 1) if p is not None else (Fraction(0), Fraction(1))
+
+
+def _unbox(field: Field, v) -> tuple:
+    """The raw values of a vector of Scalars.
+
+    Raises FieldMismatch if any entry belongs to another field; this is
+    the one field check a vector gets.
+    """
+    for s in v:
+        f = s.field
+        if f is not field and f != field:
+            raise FieldMismatch(f"scalar over {f} used in {field}")
+    return tuple(s.value for s in v)
+
+
+def _box(field: Field, row) -> tuple:
+    make = Scalar._make
+    return tuple(make(field, x) for x in row)
+
+
+def _raw_rows(m: Matrix) -> list:
+    return [_unbox(m.field, m.row(i)) for i in range(m.rows)]
+
+
+def _boxed_matrix(field: Field, rows, cols: int) -> Matrix:
+    make = Scalar._make
+    return Matrix(field, len(rows), cols, tuple(make(field, x) for r in rows for x in r))
+
+
+def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
+    """Reduced row echelon form of raw rows over GF(p) (Q when p is None).
+
+    Returns ``(rows, pivots)`` with zero rows dropped; the rows are
+    tuples of raw values and ``pivots`` their pivot columns, increasing.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        row = rows[r]
+        lead = row[c]
+        if lead != 1:
+            if p is None:
+                row = [x / lead for x in row]
+            else:
+                inv = pow(lead, -1, p)
+                row = [x * inv % p for x in row]
+            rows[r] = row
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], row)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def raw_kernel(field: Field, rows, ncols: int) -> "Subspace":
+    """The kernel of the raw matrix ``rows`` as a subspace of F^ncols."""
+    p = field.p
+    red, pivots = raw_rref(p, rows, ncols)
+    zero, one = _zero_one(p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for row, c in zip(red, pivots):
+            if row[f]:
+                vec[c] = -row[f] if p is None else p - row[f]
+        basis.append(vec)
+    return Subspace.from_raw(field, ncols, basis)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.
 
     Returns ``(R, pivots)`` where ``pivots`` are the pivot column
     indices in increasing order.  The row space is preserved exactly.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if lead.value != 1:
-            inv = lead.inverse()
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    flat = tuple(x for row in rows[:r] for x in row)
-    return Matrix(m.field, r, m.cols, flat), tuple(pivots)
+    red, pivots = raw_rref(m.field.p, _raw_rows(m), m.cols)
+    return _boxed_matrix(m.field, red, m.cols), pivots
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """The kernel of ``m`` as a subspace of F^cols."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero(), m.field.one()
-    basis = []
-    for f in free:
-        vec = [zero] * m.cols
-        vec[f] = one
-        for r_idx, p in enumerate(pivots):
-            vec[p] = -red.entry(r_idx, f)
-        basis.append(tuple(vec))
-    return Subspace.from_vectors(m.field, m.cols, basis)
+    return raw_kernel(m.field, _raw_rows(m), m.cols)
 
 
 def char_poly(m: Matrix) -> tuple[Scalar, ...]:
@@ -270,8 +319,10 @@ def char_poly(m: Matrix) -> tuple[Scalar, ...]:
     """
     if m.rows != m.cols:
         raise NotSquare(f"characteristic polynomial of {m.rows}x{m.cols} matrix")
+    h = [list(r) for r in _raw_rows(m)]
     n = m.rows
-    h = [list(m.row(i)) for i in range(n)]
+    p = m.field.p
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
@@ -279,14 +330,15 @@ def char_poly(m: Matrix) -> tuple[Scalar, ...]:
         h[piv], h[j + 1] = h[j + 1], h[piv]
         for row in h:
             row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = h[j + 1][j].inverse()
+        lead = h[j + 1][j]
+        inv = 1 / lead if p is None else pow(lead, -1, p)
         for k in range(j + 2, n):
-            u = h[k][j] * inv
+            u = norm(h[k][j] * inv)
             if u:  # row k -= u * row j+1, undone by column j+1 += u * column k
-                h[k] = [a - u * b for a, b in zip(h[k], h[j + 1])]
+                h[k] = [norm(a - u * b) for a, b in zip(h[k], h[j + 1])]
                 for row in h:
-                    row[j + 1] = row[j + 1] + u * row[k]
-    zero, one = m.field.zero(), m.field.one()
+                    row[j + 1] = norm(row[j + 1] + u * row[k])
+    zero, one = _zero_one(p)
     polys = [[one]]
     for k in range(n):
         # p_{k+1} = t p_k - sum_{i<=k} H[i][k] H[i+1][i] ... H[k][k-1] p_i
@@ -295,11 +347,11 @@ def char_poly(m: Matrix) -> tuple[Scalar, ...]:
         for i in range(k, -1, -1):
             f = h[i][k] * sub
             for d, a in enumerate(polys[i]):
-                acc[d] = acc[d] - f * a
+                acc[d] = norm(acc[d] - f * a)
             if i:
-                sub = sub * h[i][i - 1]
+                sub = norm(sub * h[i][i - 1])
         polys.append(acc)
-    return tuple(polys[-1])
+    return _box(m.field, polys[-1])
 
 
 def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
@@ -308,9 +360,13 @@ def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
         raise NotSquare("eigenspace of a non-square matrix")
     if lam.field != m.field:
         raise FieldMismatch("eigenvalue from a different field")
-    step = m.rows + 1
-    shifted = tuple(a - lam if k % step == 0 else a for k, a in enumerate(m.entries))
-    return nullspace(Matrix(m.field, m.rows, m.cols, shifted))
+    p = m.field.p
+    shifted = []
+    for i, row in enumerate(_raw_rows(m)):
+        row = list(row)
+        row[i] = row[i] - lam.value if p is None else (row[i] - lam.value) % p
+        shifted.append(row)
+    return raw_kernel(m.field, shifted, m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +375,40 @@ def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
 class Subspace:
     """A subspace of F^n held in canonical form.
 
-    The basis is the unique RREF basis without zero rows, so ``==`` is
-    set equality and instances hash consistently.
+    Inside, ``rows`` is the unique reduced-row-echelon basis without
+    zero rows, as tuples of raw values (int residues in ``[0, p)`` over
+    GF(p), Fractions over Q), and ``pivots`` its pivot columns; this is
+    the only copy of the basis.  So ``==`` is set equality and instances
+    hash consistently.  At the boundary everything is Scalars:
+    :meth:`vectors`, :attr:`basis` and :meth:`reduce` box on request,
+    and every Scalar vector passed in is checked against the field once.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_hash")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: Matrix, pivots: tuple):
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
+        """``rows`` must already be canonical raw rows with pivot columns
+        ``pivots``; use :meth:`from_vectors` or :meth:`from_raw` otherwise."""
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
         self._hash = None
 
     @classmethod
+    def from_raw(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
+        """The span of raw rows (values already normalized for the field)."""
+        red, pivots = raw_rref(field.p, rows, ambient_dim)
+        return cls(field, ambient_dim, red, pivots)
+
+    @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        vectors = list(vectors)
+        rows = []
         for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(f"vector of length {len(v)} in F^{ambient_dim}")
-        m = Matrix(field, len(vectors), ambient_dim, tuple(x for v in vectors for x in v))
-        red, pivots = rref(m)
-        return cls(field, ambient_dim, red, pivots)
+            rows.append(_unbox(field, v))
+        return cls.from_raw(field, ambient_dim, rows)
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
@@ -349,23 +417,49 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix(field, 0, ambient_dim, ()), ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(
-            field,
-            ambient_dim,
-            Matrix.identity(field, ambient_dim),
-            tuple(range(ambient_dim)),
+        zero, one = _zero_one(field.p)
+        rows = tuple(
+            tuple(one if i == j else zero for j in range(ambient_dim))
+            for i in range(ambient_dim)
         )
+        return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The canonical basis as a Scalar matrix, one row per vector."""
+        return _boxed_matrix(self.field, self.rows, self.ambient_dim)
 
     def vectors(self) -> tuple:
-        return tuple(self.basis.row(i) for i in range(self.dim))
+        return tuple(_box(self.field, r) for r in self.rows)
+
+    def reduce_raw(self, v) -> list:
+        """:meth:`reduce` on a raw row, without checks."""
+        p = self.field.p
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                if p is None:
+                    v = [a - f * b for a, b in zip(v, row)]
+                else:
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+        return v
+
+    def holds_raw(self, v) -> bool:
+        """Membership of a raw row, without checks."""
+        return not any(self.reduce_raw(v))
+
+    def _unbox_vector(self, v) -> tuple:
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch(f"vector of length {len(v)} in F^{self.ambient_dim}")
+        return _unbox(self.field, v)
 
     def reduce(self, v: tuple) -> tuple:
         """Residual of v after eliminating this subspace's pivots.
@@ -373,33 +467,23 @@ class Subspace:
         The residual is zero exactly when v lies in the subspace, and
         depends only on the coset v + (this subspace).
         """
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch(f"vector of length {len(v)} in F^{self.ambient_dim}")
-        out = list(v)
-        for r_idx, p in enumerate(self.pivots):
-            c = out[p]
-            if c:
-                row = self.basis.row(r_idx)
-                out = [a - c * b for a, b in zip(out, row)]
-        return tuple(out)
+        return _box(self.field, self.reduce_raw(self._unbox_vector(v)))
 
     def __contains__(self, v) -> bool:
-        return vector_is_zero(self.reduce(v))
+        return self.holds_raw(self._unbox_vector(v))
 
     def __le__(self, other: "Subspace") -> bool:
         self._same_ambient(other)
         if self.dim > other.dim:
             return False
-        return all(v in other for v in self.vectors())
+        return all(other.holds_raw(r) for r in self.rows)
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self.__le__(other)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, self.vectors() + other.vectors()
-        )
+        return Subspace.from_raw(self.field, self.ambient_dim, self.rows + other.rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -409,29 +493,14 @@ class Subspace:
             return other
         if other.dim == self.ambient_dim:
             return self
-        # Solve a*U - b*V = 0: columns are U's basis then V's negated basis.
-        k1, k2 = self.dim, other.dim
-        cols = []
-        for v in self.vectors():
-            cols.append(v)
-        for v in other.vectors():
-            cols.append(tuple(-x for x in v))
-        stacked = Matrix(
-            self.field,
-            k1 + k2,
-            self.ambient_dim,
-            tuple(x for c in cols for x in c),
-        ).transpose()
-        combos = nullspace(stacked)
-        mine = self.vectors()
-        vecs = []
-        for coeffs in combos.vectors():
-            acc = zero_vector(self.field, self.ambient_dim)
-            for c, u in zip(coeffs[:k1], mine):
-                if c:
-                    acc = add_vectors(acc, scale_vector(c, u))
-            vecs.append(acc)
-        return Subspace.from_vectors(self.field, self.ambient_dim, vecs)
+        # Zassenhaus: the rows of rref [[U, U], [V, 0]] whose left half is
+        # zero carry the canonical basis of U ∩ V in their right half.
+        n = self.ambient_dim
+        pad = _zero_one(self.field.p)[:1] * n
+        stacked = [r + r for r in self.rows] + [r + pad for r in other.rows]
+        red, pivots = raw_rref(self.field.p, stacked, 2 * n)
+        rows = tuple(r[n:] for r, c in zip(red, pivots) if c >= n)
+        return Subspace(self.field, n, rows, tuple(c - n for c in pivots if c >= n))
 
     def complement_reps(self) -> tuple:
         """Standard basis vectors at the non-pivot columns.
@@ -450,13 +519,13 @@ class Subspace:
         return (
             self.dim,
             self.pivots,
-            tuple(_scalar_key(s) for s in self.basis.entries),
+            tuple((x.numerator, x.denominator) for r in self.rows for x in r),
         )
 
     def _same_ambient(self, other):
         if not isinstance(other, Subspace):
             raise AmbientMismatch("not a subspace")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"subspaces over {self.field} and {other.field}")
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(
@@ -468,12 +537,12 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.ambient_dim, self.basis))
+            self._hash = hash((self.field, self.ambient_dim, self.rows))
         return self._hash
 
     def __repr__(self):
@@ -484,7 +553,7 @@ def subspace_text(u: Subspace) -> str:
     """Semicolon-joined basis vectors; the zero subspace prints as ``"0"``."""
     if u.dim == 0:
         return "0"
-    return "; ".join(vector_text(v) for v in u.vectors())
+    return "; ".join(",".join(str(x) for x in r) for r in u.rows)
 
 
 def parse_subspace(field: Field, ambient_dim: int, text: str) -> Subspace:

@@ -23,8 +23,8 @@ from .lattice import (
     DEFAULT_BUDGET,
     core,
     enum_ideals,
+    first_line_ideal,
     maximal_subalgebras,
-    one_dim_ideals,
 )
 
 CASE_CUBE_ZERO = "cube_zero"
@@ -33,7 +33,7 @@ CASE_NEITHER = "neither"
 
 
 def is_abelian(l: LieAlgebra) -> bool:
-    return not l._pairs
+    return not any(map(any, l._ad))
 
 
 def derived_length(l: LieAlgebra) -> int | None:
@@ -88,22 +88,21 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     """A complete flag of ideals 0 = I_0 < I_1 < ... < I_n = L, or None.
 
     Nilpotent algebras are refined through the ascending central
-    series.  Otherwise the first line ideal I of :func:`one_dim_ideals`
-    decides: every quotient of a supersolvable algebra is supersolvable,
-    so L has a flag exactly when L/I has one, and the flag of L/I lifts
-    through I.  No line ideal means no flag.  Over Q the lines come
-    from the joint eigenspace families, which is exactly the set
-    available to a rational structure; a None over Q means the rational
-    form has no such flag.
+    series.  Otherwise the first line ideal I of :func:`one_dim_ideals`,
+    read by :func:`first_line_ideal`, decides: every quotient of a
+    supersolvable algebra is supersolvable, so L has a flag exactly when
+    L/I has one, and the flag of L/I lifts through I.  No line ideal
+    means no flag.  Over Q the lines come from the joint eigenspace
+    families, which is exactly the set available to a rational
+    structure; a None over Q means the rational form has no such flag.
     """
     if l.dim == 0:
         return (l.zero_space(),)
     if is_nilpotent(l):
         return _nilpotent_flag(l)
-    lines = one_dim_ideals(l)
-    if not lines:
+    line = first_line_ideal(l)
+    if line is None:
         return None
-    line = lines[0]
     reduced, _, lift = l.quotient(line)
     rest = supersolvable_flag(reduced)
     if rest is None:

@@ -11,7 +11,16 @@ import itertools
 import json
 from fractions import Fraction
 
-from cideals import Subspace, enum_ideals, enum_subspaces
+from cideals import (
+    Matrix,
+    Subspace,
+    enum_ideals,
+    enum_subalgebras,
+    enum_subspaces,
+    is_nilpotent,
+    normalizer,
+    nullspace,
+)
 
 
 def oracle_char_poly(m):
@@ -136,6 +145,40 @@ def oracle_jacobi_ok(doc_text):
 def oracle_span_product(l, u: Subspace, v: Subspace) -> Subspace:
     vecs = [l.bracket(a, b) for a in u.vectors() for b in v.vectors()]
     return Subspace.from_vectors(l.field, l.dim, vecs)
+
+
+def oracle_is_subalgebra(l, u: Subspace) -> bool:
+    """[u, u] <= u through the full span product."""
+    return oracle_span_product(l, u, u) <= u
+
+
+def oracle_is_ideal(l, u: Subspace) -> bool:
+    """[L, u] <= u through the full span product."""
+    return oracle_span_product(l, l.full_space(), u) <= u
+
+
+def oracle_intersection(u: Subspace, v: Subspace) -> Subspace:
+    """u ∩ v through the kernel of [U^T | -V^T]: each kernel vector (a, b)
+    gives the common vector a·U = b·V."""
+    field, n = u.field, u.ambient_dim
+    mine = u.vectors()
+    cols = list(mine) + [tuple(-x for x in w) for w in v.vectors()]
+    stacked = Matrix(field, len(cols), n, tuple(x for c in cols for x in c)).transpose()
+    vecs = []
+    for coeffs in nullspace(stacked).vectors():
+        acc = (field.zero(),) * n
+        for c, w in zip(coeffs[: len(mine)], mine):
+            acc = tuple(a + c * b for a, b in zip(acc, w))
+        vecs.append(acc)
+    return Subspace.from_vectors(field, n, vecs)
+
+
+def oracle_cartan_subalgebras(l) -> tuple:
+    """Self-normalizing nilpotent subalgebras, filtered from every
+    subalgebra in enumeration order."""
+    return tuple(
+        u for u in enum_subalgebras(l) if is_nilpotent(l, u) and normalizer(l, u) == u
+    )
 
 
 def oracle_solvable(l) -> bool:

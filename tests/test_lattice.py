@@ -9,6 +9,7 @@ from cideals import (
     Subspace,
     builtin,
     cartan_subalgebras,
+    catalog_algebras,
     core,
     enum_ideals,
     enum_subalgebras,
@@ -24,7 +25,7 @@ from cideals import (
     subspace_count,
 )
 
-from oracles import oracle_core
+from oracles import oracle_cartan_subalgebras, oracle_core
 
 
 def vec(field, coords):
@@ -170,6 +171,18 @@ class TestCartan:
 
     def test_nilpotent_algebra_is_its_own_cartan(self, h3_gf3):
         assert cartan_subalgebras(h3_gf3) == (h3_gf3.full_space(),)
+
+    def test_matches_filter_over_all_subalgebras(self):
+        algebras = [l for p in (2, 3) for _, l in catalog_algebras(GF(p), max_dim=4)]
+        algebras.append(builtin("sl2", GF(5)))
+        for p in (2, 3, 5):
+            for s in range(30):
+                l = random_solvable(s, GF(p), 3, 2)
+                if subspace_count(l.dim, p) <= 3000:
+                    algebras.append(l)
+        assert len(algebras) > 90
+        for l in algebras:
+            assert cartan_subalgebras(l) == oracle_cartan_subalgebras(l)
 
 
 class TestCoreAndNormalizer:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cideals import (
     AmbientMismatch,
     DimensionMismatch,
+    FieldMismatch,
     GF,
     IndexOutOfRange,
     LieAlgebra,
@@ -14,14 +15,23 @@ from cideals import (
     Subspace,
     builtin,
     direct_sum,
+    enum_subspaces,
+    is_abelian,
     is_nilpotent,
     is_solvable,
     quotient_algebra,
+    random_solvable,
     restricted_algebra,
     subspace_text,
 )
 
-from oracles import oracle_nilpotent, oracle_solvable, oracle_span_product
+from oracles import (
+    oracle_is_ideal,
+    oracle_is_subalgebra,
+    oracle_nilpotent,
+    oracle_solvable,
+    oracle_span_product,
+)
 
 
 def vec(field, coords):
@@ -36,7 +46,7 @@ class TestConstruction:
     def test_default_names(self):
         l = LieAlgebra(Q, 2)
         assert l.names == ("e0", "e1")
-        assert not l._pairs  # abelian
+        assert is_abelian(l)
 
     def test_pair_must_be_ordered(self):
         with pytest.raises(IndexOutOfRange):
@@ -100,6 +110,13 @@ class TestBracket:
         assert lhs == rhs
         assert l.bracket(x, y) == tuple(-t for t in l.bracket(y, x))
 
+    def test_wrong_field_scalars_rejected(self, sl2_q):
+        x = vec(GF(5), [1, 0, 0])
+        with pytest.raises(FieldMismatch):
+            sl2_q.bracket(x, sl2_q.basis_vector(1))
+        with pytest.raises(FieldMismatch):
+            sl2_q.bracket(sl2_q.basis_vector(1), x)
+
     def test_ad_matrix(self, sl2_q):
         ad_h = sl2_q.ad_matrix(sl2_q.basis_vector(2))
         # [h, e] = 2e, [h, f] = -2f, [h, h] = 0
@@ -136,6 +153,18 @@ class TestSpansAndSeries:
         assert not sl2_q.is_ideal(borel)
         ef = span(sl2_q, [1, 0, 0], [0, 1, 0])
         assert not sl2_q.is_subalgebra(ef)
+
+    def test_closure_tests_match_span_products(self):
+        algebras = [
+            builtin("heisenberg", GF(3), 3),
+            builtin("sl2", GF(5)),
+            builtin("t", GF(2), 2),
+        ]
+        algebras += [random_solvable(s, GF(2 + s % 2), 3, 2) for s in range(5)]
+        for l in algebras:
+            for u in enum_subspaces(l):
+                assert l.is_subalgebra(u) == oracle_is_subalgebra(l, u)
+                assert l.is_ideal(u) == oracle_is_ideal(l, u)
 
     def test_subalgebra_closure(self, sl2_q):
         seed = span(sl2_q, [1, 0, 0], [0, 1, 0])
@@ -206,7 +235,7 @@ class TestQuotientRestrict:
         z = h3_q.centre()
         reduced, project, lift = quotient_algebra(h3_q, z)
         assert reduced.dim == 2
-        assert not reduced._pairs  # h3 mod its centre is abelian
+        assert is_abelian(reduced)  # h3 mod its centre is abelian
         # project then lift lands in the same coset
         for v in h3_q.basis():
             back = lift(project(v))

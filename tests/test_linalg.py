@@ -13,6 +13,7 @@ from cideals import (
     NotSquare,
     Q,
     Subspace,
+    builtin,
     char_poly,
     eigenspace,
     nullspace,
@@ -23,7 +24,7 @@ from cideals import (
     vector_text,
 )
 
-from oracles import oracle_char_poly
+from oracles import oracle_char_poly, oracle_intersection
 
 
 def mat(field, rows):
@@ -257,6 +258,48 @@ class TestSubspace:
         u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_u])
         v = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_v])
         assert (u + v).dim + (u & v).dim == u.dim + v.dim
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), max_size=4),
+           st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), max_size=4))
+    def test_intersection_matches_kernel_route_gf5(self, rows_u, rows_v):
+        f = GF(5)
+        u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_u])
+        v = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_v])
+        assert u & v == oracle_intersection(u, v)
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=4),
+           st.lists(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4),
+                    max_size=4))
+    def test_intersection_matches_kernel_route_q(self, rows_u, rows_v):
+        u = Subspace.from_vectors(Q, 4, [vec(Q, r) for r in rows_u])
+        v = Subspace.from_vectors(Q, 4, [vec(Q, r) for r in rows_v])
+        assert u & v == oracle_intersection(u, v)
+
+    def test_wrong_field_scalars_rejected(self):
+        u = Subspace.from_vectors(GF(5), 2, [vec(GF(5), [1, 2])])
+        alien = vec(GF(7), [1, 2])
+        with pytest.raises(FieldMismatch):
+            Subspace.from_vectors(GF(5), 2, [alien])
+        with pytest.raises(FieldMismatch):
+            u.reduce(alien)
+        with pytest.raises(FieldMismatch):
+            alien in u
+
+    def test_rational_entries_stay_fractions(self):
+        l = builtin("t", Q, 2)
+        u = Subspace.from_vectors(Q, 3, [vec(Q, [2, 4, 0]), vec(Q, [1, 2, 1])])
+        v = Subspace.from_vectors(Q, 3, [vec(Q, [0, 3, 1])])
+        m = mat(Q, [[1, 2, 0], [0, 1, 1], [1, 0, 3]])
+        spaces = [
+            u, v, u + v, u & v, Subspace.full(Q, 3),
+            nullspace(mat(Q, [[1, 2, 3]])), eigenspace(m, Q.scalar(1)),
+            l.span_product(l.full_space(), u), l.transporter(u, u), l.centre(),
+        ]
+        for w in spaces:
+            for x in w.vectors():
+                assert all(type(s.value) is Fraction for s in x)
+        assert all(type(s.value) is Fraction for s in u.reduce(vec(Q, [3, 1, 1])))
+        assert all(type(s.value) is Fraction for s in l.bracket(*u.vectors()))
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=3))
     def test_rref_span_idempotence_q(self, rows):

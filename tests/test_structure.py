@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -29,6 +30,8 @@ from cideals import (
     supersolvable_flag,
     upper_central_series,
 )
+
+from cideals.lattice import first_line_ideal
 
 from oracles import oracle_supersolvable
 
@@ -99,6 +102,19 @@ class TestSupersolvable:
             assert not is_supersolvable(l)
             assert not oracle_supersolvable(l)
         assert not is_supersolvable(builtin("sl2+abelian(2)", Q))
+
+    def test_first_line_ideal_matches_listing(self):
+        for field in (GF(2), GF(3), GF(5), GF(7), Q):
+            for _, l in catalog_algebras(field):
+                lines = one_dim_ideals(l)
+                assert first_line_ideal(l) == (lines[0] if lines else None)
+
+    def test_large_prime_without_listing_lines(self):
+        # 44,734 lines over GF(211): listing them all took seconds
+        l = builtin("t(2)+abelian(2)", GF(211))
+        start = time.perf_counter()
+        assert is_supersolvable(l)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_nilpotent_recursion_gf(self):
         l = builtin("t", GF(3), 3)
