@@ -449,17 +449,30 @@ def run_suite(
 
     ``decide`` replaces the c-ideal decision procedure and exists for
     harness self-tests; the default is :func:`cideals.cideal.is_cideal`.
-    Budget overruns inside a suite produce a skipped report.
+    It must be a pure function of (algebra, subalgebra, budget): each
+    distinct triple, compared by value, is decided once per call and
+    its verdict reused by every suite of the call, so value-equal
+    restricted and quotient algebras share one verdict.  The memo lives
+    only for this call.  Budget overruns inside a suite produce a
+    skipped report.
     """
     ids = normalize_suites(suites)
     if decide is None:
         decide = is_cideal
+    verdicts = {}
+
+    def decide_once(alg, b, bud):
+        key = (alg, b, bud)
+        if key not in verdicts:
+            verdicts[key] = decide(alg, b, bud)
+        return verdicts[key]
+
     aid = algebra_id if algebra_id is not None else f"<{l.field} dim {l.dim}>"
     reports = []
     for sid in ids:
         start = time.perf_counter()
         try:
-            status, reason, witnesses = _SUITES[sid](l, budget, decide)
+            status, reason, witnesses = _SUITES[sid](l, budget, decide_once)
         except BudgetExceeded as e:
             status, reason, witnesses = SKIP, f"budget exceeded: {e}", {}
         elapsed = round(time.perf_counter() - start, 6)

@@ -224,6 +224,8 @@ class LieAlgebra:
     def is_ideal(self, u: Subspace) -> bool:
         """[L, u] <= u, stopping at the first [e_i, row] outside u."""
         self._check_subspace(u)
+        if u.dim == self.dim:
+            return True
         return all(
             u.holds_raw(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
         )

@@ -474,7 +474,8 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        if self.dim > other.dim:
+        # Every nonzero vector of other leads at one of other's pivots.
+        if self.dim > other.dim or not set(self.pivots).issubset(other.pivots):
             return False
         return all(other.holds_raw(r) for r in self.rows)
 
@@ -483,6 +484,10 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
+        if self.dim == 0 or other.dim == self.ambient_dim:
+            return other
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return self
         return Subspace.from_raw(self.field, self.ambient_dim, self.rows + other.rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":

@@ -10,6 +10,7 @@ from cideals import (
     Q,
     SUITE_IDS,
     builtin,
+    catalog_algebras,
     fuzz,
     is_cideal,
     parse,
@@ -86,6 +87,43 @@ class TestRunSuite:
             json.dumps(r.as_dict())
 
 
+def _stable(reports):
+    return [{k: v for k, v in r.as_dict().items() if k != "seconds"} for r in reports]
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize(
+        "name, p, shared", [("heisenberg(3)+abelian(1)", 3, True), ("abelian(4)", 2, False)]
+    )
+    def test_each_distinct_question_decided_once(self, name, p, shared):
+        l = builtin(name, GF(p))
+        calls = []
+
+        def counting(alg, b, budget):
+            calls.append((alg, b, budget))
+            return is_cideal(alg, b, budget)
+
+        reports = run_suite(l, decide=counting)
+        assert all(r.status != FAIL for r in reports)
+        # the memo compares by value: restricted and quotient algebras
+        # rebuilt by different suites still share one verdict
+        assert len(calls) == len(set(calls)) > 1
+        assert any(alg != l for alg, _, _ in calls)
+        # ... but the same subspace in two different algebras is two questions
+        algebras_per_subspace = {}
+        for alg, b, _ in calls:
+            algebras_per_subspace.setdefault(b, set()).add(alg)
+        assert any(len(a) > 1 for a in algebras_per_subspace.values()) == shared
+
+    def test_one_call_reports_match_one_call_per_suite(self):
+        corpus = [l for p in (2, 3) for _, l in catalog_algebras(GF(p), max_dim=3)]
+        corpus.append(builtin("sl2", GF(5)))
+        for l in corpus:
+            together = run_suite(l, algebra_id="a")
+            apart = [r for sid in SUITE_IDS for r in run_suite(l, sid, algebra_id="a")]
+            assert _stable(together) == _stable(apart)
+
+
 class TestCorruptedDecide:
     def test_always_yes_breaks_t1_with_replayable_witness(self):
         l = builtin("sl2", GF(3))
@@ -122,15 +160,9 @@ class TestCorruptedDecide:
 
 class TestFuzz:
     def test_deterministic_and_sorted(self):
-        def stable(result):
-            return [
-                {k: v for k, v in r.as_dict().items() if k != "seconds"}
-                for r in result.reports
-            ]
-
         a = fuzz(3, 4, GF(2), suites="T1,T7")
         b = fuzz(3, 4, GF(2), suites="T1,T7")
-        assert stable(a) == stable(b)
+        assert _stable(a.reports) == _stable(b.reports)
         keys = [(r.algebra_id, int(r.theorem_id[1:])) for r in a.reports]
         assert keys == sorted(keys)
 

@@ -23,6 +23,7 @@ from cideals import (
     random_solvable,
     restricted_algebra,
     subspace_text,
+    verify_certificate,
 )
 
 from oracles import (
@@ -165,6 +166,16 @@ class TestSpansAndSeries:
             for u in enum_subspaces(l):
                 assert l.is_subalgebra(u) == oracle_is_subalgebra(l, u)
                 assert l.is_ideal(u) == oracle_is_ideal(l, u)
+
+    def test_full_space_certificate_on_every_subalgebra(self):
+        # C = L certifies exactly the ideals; the full space is an ideal
+        # without any bracket being taken.
+        for l in (builtin("heisenberg", GF(3), 3), builtin("sl2", GF(5))):
+            full = l.full_space()
+            assert l.is_ideal(full)
+            for u in enum_subspaces(l):
+                if oracle_is_subalgebra(l, u):
+                    assert verify_certificate(l, u, full) == oracle_is_ideal(l, u)
 
     def test_subalgebra_closure(self, sl2_q):
         seed = span(sl2_q, [1, 0, 0], [0, 1, 0])

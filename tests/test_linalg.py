@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cideals import (
@@ -300,6 +300,39 @@ class TestSubspace:
                 assert all(type(s.value) is Fraction for s in x)
         assert all(type(s.value) is Fraction for s in u.reduce(vec(Q, [3, 1, 1])))
         assert all(type(s.value) is Fraction for s in l.bracket(*u.vectors()))
+
+    # With ``inside`` the rows of u are combinations of v's rows, so
+    # containment holds in about half the draws.  The examples pin
+    # pivots that are not nested, (1,) against (0, 2) and (0, 2)
+    # against (0, 1), and nested pivots with u inside v.
+    @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=4),
+           st.booleans())
+    @example(GF(3), [[0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], False)
+    @example(Q, [[1, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]], False)
+    @example(GF(2), [[1, 1, 1, 0]], [[1, 0, 1, 0], [0, 1, 0, 0]], True)
+    def test_containment_matches_sum_route(self, f, coeffs, rows_v, inside):
+        v = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_v])
+        rows_u = coeffs
+        if inside:
+            rows_u = [
+                [sum(c * row[j] for c, row in zip(cs, v.rows)) for j in range(4)]
+                for cs in coeffs
+            ]
+        u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_u])
+        summed = Subspace.from_raw(f, 4, u.rows + v.rows)
+        assert (u <= v) == (summed == v)
+        if inside:
+            assert u <= v
+
+    @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
+           st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=3))
+    def test_sum_with_zero_or_full_matches_raw_route(self, f, rows):
+        u = Subspace.from_vectors(f, 3, [vec(f, r) for r in rows])
+        for w in (Subspace.zero(f, 3), Subspace.full(f, 3)):
+            for total, first, second in ((u + w, u, w), (w + u, w, u)):
+                assert total == Subspace.from_raw(f, 3, first.rows + second.rows)
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=3))
     def test_rref_span_idempotence_q(self, rows):

@@ -11,3 +11,23 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _decorator_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_module_level_caches_do_not_grow():
+    # Derived objects are to move into one owner per algebra; a verdict
+    # memo belongs to the call that uses it, never to the module.
+    found = []
+    for path in sorted(Path(cideals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+        ]
+    assert len(found) <= 14, found
