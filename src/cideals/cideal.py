@@ -237,13 +237,15 @@ def frattini_consequence_check(
     b: Subspace,
     c_sub: Subspace,
     budget: int = DEFAULT_BUDGET,
+    decide=is_cideal,
 ) -> FrattiniConsequence:
     """Check: a c-ideal lying inside a Frattini subalgebra is an ideal
     inside the Frattini ideal.
 
     ``b`` must sit inside F(c_sub) for a subalgebra c_sub of l (raises
     PreconditionUnmet otherwise).  Finite fields only, since Frattini
-    subalgebras come from maximal-subalgebra enumeration.
+    subalgebras come from maximal-subalgebra enumeration.  ``decide``
+    decides the premise; it is the hook of :func:`cideals.harness.run_suite`.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("b must be a subalgebra")
@@ -254,7 +256,7 @@ def frattini_consequence_check(
         raise PreconditionUnmet(
             "b does not lie inside the Frattini subalgebra of c_sub"
         )
-    verdict = is_cideal(l, b, budget)
+    verdict = decide(l, b, budget)
     if verdict.answer != YES:
         return FrattiniConsequence(True, False, verdict, None, None)
     ideal_ok = l.is_ideal(b)

@@ -51,6 +51,7 @@ from .lattice import (
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     projective_points,
+    _projective_raw,
 )
 from .cideal import (
     YES,
@@ -322,21 +323,74 @@ def _t8(l, budget, decide):
     return SKIP, "no counterexample line was located over Q", {"case": classification.case}
 
 
+def _points(p: int, u: Subspace) -> set:
+    """Every nonzero vector of u whose first nonzero entry is 1, as raw rows.
+
+    These are u's projective points.  Each canonical row of a subspace
+    is such a point, so U <= V exactly when ``U.rows`` lies inside
+    ``_points(p, V)``.
+    """
+    n = u.ambient_dim
+    return {
+        tuple(sum(c * r[k] for c, r in zip(coeffs, u.rows)) % p for k in range(n))
+        for coeffs in _projective_raw(p, u.dim)
+    }
+
+
+def _inside(p: int, space: Subspace, candidates):
+    """The candidates contained in ``space``, in their given order."""
+    points = _points(p, space)
+    return (c for c in candidates if points.issuperset(c.rows))
+
+
+def _proper_overalgebras(l, subalgebras):
+    """Each subalgebra B with an iterator over the proper subalgebras
+    K >= B, both in enumeration order.
+
+    A point -> holders index over the proper subalgebras is built once;
+    the K containing B are those holding every canonical row of B.
+    """
+    p = l.field.p
+    proper = [k for k in subalgebras if k.dim < l.dim]
+    holders = {}
+    for j, k in enumerate(proper):
+        for x in _points(p, k):
+            holders.setdefault(x, []).append(j)
+
+    def above(rows):
+        if not rows:
+            yield from proper
+            return
+        common = set(holders.get(rows[0], ())).intersection(
+            *(holders.get(r, ()) for r in rows[1:])
+        )
+        for j in sorted(common):
+            yield proper[j]
+
+    for b in subalgebras:
+        yield b, above(b.rows)
+
+
 def _t9(l, budget, decide):
+    """Walks the (B, K) pairs with B a c-ideal of L and K a proper
+    subalgebra containing it, by point-set containment: K >= B exactly
+    when K holds every canonical row of B.  B's coordinates inside K are
+    its rows read at K's pivot columns.
+    """
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
-    subalgebras = enum_subalgebras(l, budget)
+    restricted = {}
     checked = 0
-    for b in subalgebras:
+    for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget)):
         v = decide(l, b, budget)
         if v.answer != YES:
             continue
-        for k in subalgebras:
-            if k.dim == l.dim or not b <= k:
-                continue
-            alg, to_coords, _ = restricted_algebra(l, k)
-            b_inside = Subspace.from_vectors(
-                alg.field, alg.dim, [to_coords(w) for w in b.vectors()]
+        for k in above:
+            if k not in restricted:
+                restricted[k] = restricted_algebra(l, k)[0]
+            alg = restricted[k]
+            b_inside = Subspace.from_raw(
+                alg.field, alg.dim, [tuple(r[c] for c in k.pivots) for r in b.rows]
             )
             vk = decide(alg, b_inside, budget)
             if vk.answer != YES:
@@ -352,18 +406,29 @@ def _t9(l, budget, decide):
 
 
 def _t10(l, budget, decide):
+    """Walks the (B, I) pairs with I an ideal inside the subalgebra B, by
+    point-set containment: I <= B exactly when every canonical row of I
+    is a projective point of B.  B/I is spanned by B's rows reduced by I
+    and read at I's non-pivot columns, the quotient's basis.
+    """
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
+    p = l.field.p
     ideals = enum_ideals(l, budget)
+    quotients = {}
     checked = 0
     for b in enum_subalgebras(l, budget):
         v_outer = decide(l, b, budget)
-        for i in ideals:
-            if not i <= b:
-                continue
-            reduced, project, _ = quotient_algebra(l, i)
-            b_red = Subspace.from_vectors(
-                reduced.field, reduced.dim, [project(w) for w in b.vectors()]
+        for i in _inside(p, b, ideals):
+            if i not in quotients:
+                pivots = set(i.pivots)
+                cols = [c for c in range(l.dim) if c not in pivots]
+                quotients[i] = quotient_algebra(l, i)[0], cols
+            reduced, cols = quotients[i]
+            b_red = Subspace.from_raw(
+                reduced.field,
+                reduced.dim,
+                [tuple(w[c] for c in cols) for w in map(i.reduce_raw, b.rows)],
             )
             v_inner = decide(reduced, b_red, budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
@@ -381,16 +446,17 @@ def _t10(l, budget, decide):
 def _t11(l, budget, decide):
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
+    p = l.field.p
     subalgebras = enum_subalgebras(l, budget)
     checked = 0
     for c_sub in subalgebras:
         f_c = frattini_of_subalgebra(l, c_sub, budget)
         if f_c.dim == 0:
             continue
-        for b in subalgebras:
-            if b.dim == 0 or not b <= f_c:
+        for b in _inside(p, f_c, subalgebras):
+            if b.dim == 0:
                 continue
-            report = frattini_consequence_check(l, b, c_sub, budget)
+            report = frattini_consequence_check(l, b, c_sub, budget, decide)
             if not report.passed:
                 witnesses = {
                     "subalgebra_with_frattini": subspace_text(c_sub),
@@ -453,8 +519,12 @@ def run_suite(
     distinct triple, compared by value, is decided once per call and
     its verdict reused by every suite of the call, so value-equal
     restricted and quotient algebras share one verdict.  The memo lives
-    only for this call.  Budget overruns inside a suite produce a
-    skipped report.
+    only for this call.  The c-ideal questions of T1-T6 and T9-T11 go
+    through ``decide``.  T7 deliberately does not use it: its claim is
+    that :func:`cideals.cideal.line_cideal` agrees with
+    :func:`cideals.cideal.is_cideal_by_scan`, so it calls those two
+    directly, and T8 checks the line classifier against ``line_cideal``
+    itself.  Budget overruns inside a suite produce a skipped report.
     """
     ids = normalize_suites(suites)
     if decide is None:

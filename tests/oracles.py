@@ -17,6 +17,7 @@ from cideals import (
     enum_ideals,
     enum_subalgebras,
     enum_subspaces,
+    frattini_of_subalgebra,
     is_nilpotent,
     normalizer,
     nullspace,
@@ -247,3 +248,29 @@ def oracle_all_lines_cideal(l) -> bool:
         if not oracle_cideal(l, s):
             return False
     return True
+
+
+def oracle_t9_pairs(l) -> list:
+    """(B, K) with K a proper subalgebra containing the subalgebra B, by
+    testing every pair in enumeration order."""
+    subalgebras = enum_subalgebras(l)
+    return [(b, k) for b in subalgebras for k in subalgebras if k.dim != l.dim and b <= k]
+
+
+def oracle_t10_pairs(l) -> list:
+    """(B, I) with I an ideal inside the subalgebra B, by testing every
+    pair in enumeration order."""
+    ideals = enum_ideals(l)
+    return [(b, i) for b in enum_subalgebras(l) for i in ideals if i <= b]
+
+
+def oracle_t11_pairs(l) -> list:
+    """(C, B) with B a nonzero subalgebra inside the nonzero Frattini
+    subalgebra F(C), by testing every pair in enumeration order."""
+    subalgebras = enum_subalgebras(l)
+    pairs = []
+    for c in subalgebras:
+        f_c = frattini_of_subalgebra(l, c)
+        if f_c.dim:
+            pairs += [(c, b) for b in subalgebras if b.dim and b <= f_c]
+    return pairs

@@ -1,23 +1,36 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cideals import (
+    NO,
+    YES,
     BadParams,
     CIdealVerdict,
     FieldNotFinite,
     GF,
     Q,
     SUITE_IDS,
+    Subspace,
     builtin,
     catalog_algebras,
+    enum_ideals,
+    enum_subalgebras,
+    frattini,
     fuzz,
     is_cideal,
     parse,
     parse_subspace,
+    quotient_algebra,
+    random_solvable,
+    restricted_algebra,
     run_suite,
+    subspace_text,
 )
-from cideals.harness import FAIL, PASS, SKIP, normalize_suites
+from cideals.harness import FAIL, PASS, SKIP, _points, normalize_suites
+from oracles import oracle_t9_pairs, oracle_t10_pairs, oracle_t11_pairs
 
 
 class TestSuiteSelection:
@@ -156,6 +169,188 @@ class TestCorruptedDecide:
     def test_honest_default_passes(self, h3_gf3):
         (report,) = run_suite(h3_gf3, "T1")
         assert report.status == PASS
+
+
+class TestT11ReachesDecide:
+    def test_counting_decide_sees_the_t11_premises(self):
+        l = builtin("heisenberg(3)+abelian(1)", GF(3))
+        calls = []
+
+        def counting(alg, b, budget):
+            calls.append(b)
+            return is_cideal(alg, b, budget)
+
+        (report,) = run_suite(l, "T11", decide=counting)
+        assert report.status == PASS
+        assert report.witnesses["pairs_checked"] == 10
+        assert len(calls) == len(set(calls)) > 0
+
+
+@st.composite
+def _point_set_case(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n)
+    u = Subspace.from_raw(GF(p), n, draw(rows))
+    # half the time V is built on top of U, so containment is exercised both ways
+    v = Subspace.from_raw(GF(p), n, list(u.rows) * draw(st.booleans()) + draw(rows))
+    return p, u, v
+
+
+class TestPointSets:
+    @given(_point_set_case())
+    def test_points_are_the_normalized_vectors_of_the_space(self, case):
+        p, u, v = case
+        points = _points(p, u)
+        assert len(points) == (p**u.dim - 1) // (p - 1)
+        for x in points:
+            assert u.holds_raw(x)
+            assert next(a for a in x if a) == 1
+        assert points.issuperset(v.rows) == (v <= u)
+        assert _points(p, v).issuperset(u.rows) == (u <= v)
+
+
+def _walk_corpus():
+    corpus = [(f"{name}/GF({p})", l) for p in (2, 3) for name, l in catalog_algebras(GF(p), max_dim=4)]
+    corpus.append(("sl2/GF(5)", builtin("sl2", GF(5))))
+    for seed, p, target in ((1, 2, 5), (3, 2, 4), (2, 3, 3)):
+        corpus.append((f"random_solvable({seed},GF({p}))", random_solvable(seed, GF(p), 3, target)))
+    return corpus
+
+
+_WALK_CORPUS = _walk_corpus()
+
+
+def _first_seen(questions):
+    return list(dict.fromkeys(questions))
+
+
+def _partners(pairs):
+    """First member -> second members, in order."""
+    out = {}
+    for x, y in pairs:
+        out.setdefault(x, []).append(y)
+    return out
+
+
+def _recorded_questions(l, suite):
+    """The distinct questions a suite puts to ``decide``, in order, and its report."""
+    calls = []
+
+    def recording(alg, b, budget):
+        calls.append((alg, b))
+        return is_cideal(alg, b, budget)
+
+    (report,) = run_suite(l, suite, decide=recording)
+    return calls, report
+
+
+class TestContainmentWalks:
+    """T9, T10 and T11 visit exactly the pairs of the quadratic filters
+    in ``oracles``, in the same order, with B carried over by the boxed
+    coordinate maps of the restricted and quotient algebras."""
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_walks_ask_the_oracle_pairs_questions(self, l):
+        cideal = {b for b in enum_subalgebras(l) if is_cideal(l, b).answer == YES}
+
+        pairs = oracle_t9_pairs(l)
+        above = _partners(pairs)
+        expected = []
+        for b in enum_subalgebras(l):
+            expected.append((l, b))
+            if b in cideal:
+                for k in above.get(b, ()):
+                    alg, to_coords, _ = restricted_algebra(l, k)
+                    coords = [to_coords(w) for w in b.vectors()]
+                    expected.append((alg, Subspace.from_vectors(alg.field, alg.dim, coords)))
+        calls, report = _recorded_questions(l, "T9")
+        assert report.status == PASS
+        assert report.witnesses == {"pairs_checked": sum(b in cideal for b, _ in pairs)}
+        assert calls == _first_seen(expected)
+
+        pairs = oracle_t10_pairs(l)
+        inside = _partners(pairs)
+        expected = []
+        for b in enum_subalgebras(l):
+            expected.append((l, b))
+            for i in inside.get(b, ()):
+                reduced, project, _ = quotient_algebra(l, i)
+                coords = [project(w) for w in b.vectors()]
+                expected.append((reduced, Subspace.from_vectors(reduced.field, reduced.dim, coords)))
+        calls, report = _recorded_questions(l, "T10")
+        assert report.status == PASS
+        assert report.witnesses == {"pairs_checked": len(pairs)}
+        assert calls == _first_seen(expected)
+
+        pairs = oracle_t11_pairs(l)
+        calls, report = _recorded_questions(l, "T11")
+        assert report.status == PASS
+        assert report.witnesses == {"pairs_checked": len(pairs)}
+        assert calls == _first_seen((l, b) for _, b in pairs)
+
+
+class TestWitnessOrder:
+    """A corrupted ``decide`` makes each walk fail on the first pair the
+    quadratic oracle filter would have failed on."""
+
+    @pytest.mark.parametrize("min_dim", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "l", [builtin("heisenberg(3)+abelian(1)", GF(3)), random_solvable(3, GF(2), 3, 4)]
+    )
+    def test_t9_no_in_smaller_algebras(self, l, min_dim):
+        def no_below(alg, b, budget):
+            if alg.dim < l.dim and b.dim >= min_dim:
+                return CIdealVerdict(NO, None, "no_below", True)
+            return is_cideal(alg, b, budget)
+
+        (report,) = run_suite(l, "T9", decide=no_below)
+        b, k = next(
+            (b, k)
+            for b, k in oracle_t9_pairs(l)
+            if b.dim >= min_dim and is_cideal(l, b).answer == YES
+        )
+        assert report.status == FAIL
+        assert report.witnesses["cideal"] == subspace_text(b)
+        assert report.witnesses["intermediate"] == subspace_text(k)
+        assert report.witnesses["inner_verdict"]["method"] == "no_below"
+
+    @pytest.mark.parametrize("min_dim", [1, 2])
+    @pytest.mark.parametrize(
+        "l", [builtin("heisenberg(3)+abelian(1)", GF(3)), random_solvable(3, GF(2), 3, 4)]
+    )
+    def test_t10_flipped_in_quotients(self, l, min_dim):
+        def flipped(alg, b, budget):
+            v = is_cideal(alg, b, budget)
+            if alg.dim <= l.dim - min_dim:
+                return CIdealVerdict(NO if v.answer == YES else YES, None, "flipped", True)
+            return v
+
+        (report,) = run_suite(l, "T10", decide=flipped)
+        b, i = next((b, i) for b, i in oracle_t10_pairs(l) if i.dim >= min_dim)
+        assert report.status == FAIL
+        assert report.witnesses["subalgebra"] == subspace_text(b)
+        assert report.witnesses["ideal"] == subspace_text(i)
+        assert report.witnesses["verdict_in_quotient"]["method"] == "flipped"
+
+    def test_t11_yes_to_a_non_ideal(self):
+        l = builtin("n", GF(2), 4)
+
+        def yes_to_non_ideals(alg, b, budget):
+            if not alg.is_ideal(b):
+                return CIdealVerdict(YES, None, "liar", False)
+            return is_cideal(alg, b, budget)
+
+        assert run_suite(l, "T11")[0].status == PASS
+        (report,) = run_suite(l, "T11", decide=yes_to_non_ideals)
+        c, b = next((c, b) for c, b in oracle_t11_pairs(l) if not l.is_ideal(b))
+        assert report.status == FAIL
+        assert report.witnesses["subalgebra_with_frattini"] == subspace_text(c)
+        assert report.witnesses["cideal"] == subspace_text(b)
+        check = report.witnesses["check"]
+        assert check["verdict"]["method"] == "liar"
+        assert check["is_ideal"] is False
+        assert frattini(l)[1].dim < l.dim
 
 
 class TestFuzz:
