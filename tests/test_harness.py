@@ -171,21 +171,6 @@ class TestCorruptedDecide:
         assert report.status == PASS
 
 
-class TestT11ReachesDecide:
-    def test_counting_decide_sees_the_t11_premises(self):
-        l = builtin("heisenberg(3)+abelian(1)", GF(3))
-        calls = []
-
-        def counting(alg, b, budget):
-            calls.append(b)
-            return is_cideal(alg, b, budget)
-
-        (report,) = run_suite(l, "T11", decide=counting)
-        assert report.status == PASS
-        assert report.witnesses["pairs_checked"] == 10
-        assert len(calls) == len(set(calls)) > 0
-
-
 @st.composite
 def _point_set_case(draw):
     p = draw(st.sampled_from([2, 3, 5]))
