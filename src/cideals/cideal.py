@@ -38,6 +38,9 @@ METHOD_ENUM = "exhaustive_enumeration"
 METHOD_LATTICE = "characteristic_lattice"
 METHOD_DERIVED = "derived_term"
 
+# The most ideals :func:`characteristic_ideals` collects before it stops.
+_CHARACTERISTIC_CAP = 256
+
 
 @dataclass(frozen=True)
 class CIdealVerdict:
@@ -99,23 +102,21 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     """Decide the line Fx, exactly, over any field.
 
     Fx is a c-ideal iff it is an ideal or x lies outside [L, L].  In the
-    second case a concrete witness exists: the span of [L, L] and all
-    but one of its complement representatives is a codimension-one
-    ideal that misses x.
+    second case a concrete witness exists: [L, L] plus the complement of
+    [L, L] + Fx is a codimension-one ideal that misses x.
     """
     if vector_is_zero(x):
         raise ZeroVector("a line needs a nonzero spanning vector")
-    line = Subspace.from_vectors(l.field, l.dim, [x])
+    return _line_cideal(l, Subspace.from_vectors(l.field, l.dim, [x]))
+
+
+def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
     if l.is_ideal(line):
         return _yes(l, line, l.full_space(), METHOD_LINE)
     derived = _derived_subspace(l)
-    if x in derived:
+    if line <= derived:
         return CIdealVerdict(NO, None, METHOD_LINE, True)
-    enlarged = derived + line
-    cert = Subspace.from_vectors(
-        l.field, l.dim, derived.vectors() + enlarged.complement_reps()
-    )
-    return _yes(l, line, cert, METHOD_LINE)
+    return _yes(l, line, derived + (derived + line).complement(), METHOD_LINE)
 
 
 def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdealVerdict:
@@ -129,31 +130,25 @@ def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdea
     if l.is_ideal(b):
         return _yes(l, b, l.full_space(), METHOD_IDEAL)
     if b.dim == 1:
-        return line_cideal(l, b.vectors()[0])
+        return _line_cideal(l, b)
 
     b_core = core(l, b)
-    reduced, project, lift = quotient_algebra(l, b_core)
-    b_red = Subspace.from_vectors(
-        reduced.field, reduced.dim, [project(v) for v in b.vectors()]
-    )
+    reduced = quotient_algebra(l, b_core)[0]
+    b_red = b_core.modulo(b)
     target = reduced.dim - b_red.dim
-
-    def lifted(c_red: Subspace) -> Subspace:
-        vecs = [lift(v) for v in c_red.vectors()] + list(b_core.vectors())
-        return Subspace.from_vectors(l.field, l.dim, vecs)
 
     if l.field.p is not None:
         for cand in enum_ideals(reduced, budget):
             if cand.dim == target and (b_red + cand).dim == reduced.dim:
-                return _yes(l, b, lifted(cand), METHOD_ENUM)
+                return _yes(l, b, b_core.preimage(cand), METHOD_ENUM)
         return CIdealVerdict(NO, None, METHOD_ENUM, True)
 
     for cand in reduced.derived_series().terms[1:]:
         if cand.dim == target and (b_red + cand).dim == reduced.dim:
-            return _yes(l, b, lifted(cand), METHOD_DERIVED)
+            return _yes(l, b, b_core.preimage(cand), METHOD_DERIVED)
     for cand in characteristic_ideals(reduced):
         if cand.dim == target and (b_red + cand).dim == reduced.dim:
-            return _yes(l, b, lifted(cand), METHOD_LATTICE)
+            return _yes(l, b, b_core.preimage(cand), METHOD_LATTICE)
     return CIdealVerdict(UNKNOWN, None, METHOD_LATTICE, False)
 
 
@@ -174,7 +169,7 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
 
 
 @lru_cache(maxsize=128)
-def characteristic_ideals(l: LieAlgebra, cap: int = 256) -> tuple:
+def characteristic_ideals(l: LieAlgebra) -> tuple:
     """Ideals available without enumeration, closed under + and ∩.
 
     Seeds: 0, L, the derived and lower-central terms, the ascending
@@ -189,7 +184,7 @@ def characteristic_ideals(l: LieAlgebra, cap: int = 256) -> tuple:
     for s in list(seeds):
         seeds.add(l.centralizer(s))
     found.update(seeds)
-    while len(found) < cap:
+    while len(found) < _CHARACTERISTIC_CAP:
         ordered = sorted(found, key=Subspace.sort_key)
         new = set()
         for i, u in enumerate(ordered):
@@ -200,7 +195,7 @@ def characteristic_ideals(l: LieAlgebra, cap: int = 256) -> tuple:
         if not new:
             break
         for w in sorted(new, key=Subspace.sort_key):
-            if len(found) >= cap:
+            if len(found) >= _CHARACTERISTIC_CAP:
                 break
             found.add(w)
     if not all(l.is_ideal(u) for u in found):

@@ -27,7 +27,9 @@ T11  a c-ideal lying in a Frattini subalgebra is an ideal inside the
 Suites that need exhaustive enumeration report ``skipped`` over Q, as
 does any suite whose hypothesis mismatches the field; a suite never
 silently narrows its claim.  A budget overrun inside a suite also
-surfaces as ``skipped`` with the reason.
+surfaces as ``skipped`` with the reason.  Subspaces move into
+subalgebras and quotients through :class:`~cideals.linalg.Subspace`'s
+coordinate maps, on raw rows: no suite but T5-T8 makes a Scalar.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .lattice import (
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     projective_points,
-    _projective_raw,
+    subspace_points,
 )
 from .cideal import (
     YES,
@@ -64,7 +66,6 @@ from .structure import (
     CASE_NEITHER,
     classify_line_cideals,
     frattini_of_subalgebra,
-    is_supersolvable,
     supersolvable_flag,
 )
 from .catalog import random_solvable, serialize
@@ -102,10 +103,6 @@ class TheoremReport:
         }
 
 
-def _verdict_witness(v) -> dict:
-    return v.as_dict()
-
-
 def _t1(l, budget, decide):
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
@@ -120,7 +117,7 @@ def _t1(l, budget, decide):
     witnesses = {"solvable": solvable, "all_maximal_cideal": all_cideal}
     if counter is not None:
         witnesses["maximal_subalgebra"] = subspace_text(counter[0])
-        witnesses["verdict"] = _verdict_witness(counter[1])
+        witnesses["verdict"] = counter[1].as_dict()
     if solvable == all_cideal:
         return PASS, None, witnesses
     return FAIL, "solvability and the all-maximal-c-ideal property disagree", witnesses
@@ -137,7 +134,7 @@ def _t2(l, budget, decide):
                 if v.answer == YES:
                     witnesses = {
                         "maximal_subalgebra": subspace_text(m),
-                        "verdict": _verdict_witness(v),
+                        "verdict": v.as_dict(),
                     }
                     return PASS, None, witnesses
         return FAIL, "solvable algebra without a solvable maximal c-ideal", {}
@@ -147,15 +144,14 @@ def _t2(l, budget, decide):
         return SKIP, "no certificate-backed premise instance is constructible over Q", {}
     full = l.full_space()
     squared = l.span_product(full, full)
-    reps = squared.complement_reps()
-    m = Subspace.from_vectors(l.field, l.dim, squared.vectors() + reps[1:])
+    m = Subspace.from_raw(l.field, l.dim, squared.rows + squared.complement().rows[1:])
     v = decide(l, m, budget)
     if v.answer == YES and v.certificate is not None:
         # Premise holds with a verified certificate; the conclusion is
         # solvability, which is true on this branch.
-        witnesses = {"maximal_subalgebra": subspace_text(m), "verdict": _verdict_witness(v)}
+        witnesses = {"maximal_subalgebra": subspace_text(m), "verdict": v.as_dict()}
         return PASS, None, witnesses
-    return SKIP, "c-ideal verdict was not certificate-backed", {"verdict": _verdict_witness(v)}
+    return SKIP, "c-ideal verdict was not certificate-backed", {"verdict": v.as_dict()}
 
 
 def _t3(l, budget, decide):
@@ -167,7 +163,7 @@ def _t3(l, budget, decide):
             witnesses = {
                 "premise_holds": False,
                 "maximal_nilpotent": subspace_text(c),
-                "verdict": _verdict_witness(v),
+                "verdict": v.as_dict(),
             }
             return PASS, None, witnesses
     solvable = is_solvable(l)
@@ -183,11 +179,8 @@ def _t4(l, budget, decide):
     ours = maximal_nilpotent_subalgebras(l, budget)
     checked = 0
     for a in enum_ideals(l, budget):
-        reduced, _, lift = quotient_algebra(l, a)
-        for w_red in maximal_nilpotent_subalgebras(reduced, budget):
-            preimage = Subspace.from_vectors(
-                l.field, l.dim, [lift(v) for v in w_red.vectors()] + list(a.vectors())
-            )
+        for w_red in maximal_nilpotent_subalgebras(quotient_algebra(l, a)[0], budget):
+            preimage = a.preimage(w_red)
             if not any((c + a) == preimage for c in ours):
                 witnesses = {
                     "ideal": subspace_text(a),
@@ -202,15 +195,14 @@ def _nilpotent_maximal_premise(l, budget, decide):
     """Is every maximal subalgebra of every maximal nilpotent subalgebra
     a c-ideal of l?  Returns (True, None) or (False, witness dict)."""
     for c in maximal_nilpotent_subalgebras(l, budget):
-        alg, _, from_coords = restricted_algebra(l, c)
-        for m in maximal_subalgebras(alg, budget):
-            b = Subspace.from_vectors(l.field, l.dim, [from_coords(v) for v in m.vectors()])
+        for m in maximal_subalgebras(restricted_algebra(l, c)[0], budget):
+            b = c.from_coords(m)
             v = decide(l, b, budget)
             if v.answer != YES:
                 return False, {
                     "maximal_nilpotent": subspace_text(c),
                     "maximal_subalgebra_of_it": subspace_text(b),
-                    "verdict": _verdict_witness(v),
+                    "verdict": v.as_dict(),
                 }
     return True, None
 
@@ -261,8 +253,8 @@ def _t7(l, budget, decide):
         if quick.answer != scan.answer:
             witnesses = {
                 "point": vector_text(x),
-                "line_rule": _verdict_witness(quick),
-                "enumeration": _verdict_witness(scan),
+                "line_rule": quick.as_dict(),
+                "enumeration": scan.as_dict(),
             }
             return FAIL, "line rule and enumeration oracle disagree", witnesses
         checked += 1
@@ -292,7 +284,7 @@ def _t8(l, budget, decide):
         witnesses = {"case": classification.case, "all_lines_cideal": all_lines}
         if bad is not None:
             witnesses["point"] = vector_text(bad[0])
-            witnesses["verdict"] = _verdict_witness(bad[1])
+            witnesses["verdict"] = bad[1].as_dict()
         if positive == all_lines:
             return PASS, None, witnesses
         return FAIL, "classifier and the line scan disagree", witnesses
@@ -303,7 +295,7 @@ def _t8(l, budget, decide):
                 witnesses = {
                     "case": classification.case,
                     "point": vector_text(x),
-                    "verdict": _verdict_witness(v),
+                    "verdict": v.as_dict(),
                 }
                 return FAIL, "classifier-positive algebra has a non-c-ideal line", witnesses
         return PASS, None, {"case": classification.case, "check": "spot lines only"}
@@ -317,29 +309,15 @@ def _t8(l, budget, decide):
             witnesses = {
                 "case": classification.case,
                 "point": vector_text(x),
-                "verdict": _verdict_witness(v),
+                "verdict": v.as_dict(),
             }
             return PASS, None, witnesses
     return SKIP, "no counterexample line was located over Q", {"case": classification.case}
 
 
-def _points(p: int, u: Subspace) -> set:
-    """Every nonzero vector of u whose first nonzero entry is 1, as raw rows.
-
-    These are u's projective points.  Each canonical row of a subspace
-    is such a point, so U <= V exactly when ``U.rows`` lies inside
-    ``_points(p, V)``.
-    """
-    n = u.ambient_dim
-    return {
-        tuple(sum(c * r[k] for c, r in zip(coeffs, u.rows)) % p for k in range(n))
-        for coeffs in _projective_raw(p, u.dim)
-    }
-
-
-def _inside(p: int, space: Subspace, candidates):
+def _inside(space: Subspace, candidates):
     """The candidates contained in ``space``, in their given order."""
-    points = _points(p, space)
+    points = set(subspace_points(space.field.p, space))
     return (c for c in candidates if points.issuperset(c.rows))
 
 
@@ -350,11 +328,10 @@ def _proper_overalgebras(l, subalgebras):
     A point -> holders index over the proper subalgebras is built once;
     the K containing B are those holding every canonical row of B.
     """
-    p = l.field.p
     proper = [k for k in subalgebras if k.dim < l.dim]
     holders = {}
     for j, k in enumerate(proper):
-        for x in _points(p, k):
+        for x in subspace_points(l.field.p, k):
             holders.setdefault(x, []).append(j)
 
     def above(rows):
@@ -374,8 +351,7 @@ def _proper_overalgebras(l, subalgebras):
 def _t9(l, budget, decide):
     """Walks the (B, K) pairs with B a c-ideal of L and K a proper
     subalgebra containing it, by point-set containment: K >= B exactly
-    when K holds every canonical row of B.  B's coordinates inside K are
-    its rows read at K's pivot columns.
+    when K holds every canonical row of B.
     """
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
@@ -388,17 +364,13 @@ def _t9(l, budget, decide):
         for k in above:
             if k not in restricted:
                 restricted[k] = restricted_algebra(l, k)[0]
-            alg = restricted[k]
-            b_inside = Subspace.from_raw(
-                alg.field, alg.dim, [tuple(r[c] for c in k.pivots) for r in b.rows]
-            )
-            vk = decide(alg, b_inside, budget)
+            vk = decide(restricted[k], k.coords(b), budget)
             if vk.answer != YES:
                 witnesses = {
                     "cideal": subspace_text(b),
                     "intermediate": subspace_text(k),
-                    "outer_verdict": _verdict_witness(v),
-                    "inner_verdict": _verdict_witness(vk),
+                    "outer_verdict": v.as_dict(),
+                    "inner_verdict": vk.as_dict(),
                 }
                 return FAIL, "c-ideal property failed to persist to an intermediate subalgebra", witnesses
             checked += 1
@@ -408,35 +380,25 @@ def _t9(l, budget, decide):
 def _t10(l, budget, decide):
     """Walks the (B, I) pairs with I an ideal inside the subalgebra B, by
     point-set containment: I <= B exactly when every canonical row of I
-    is a projective point of B.  B/I is spanned by B's rows reduced by I
-    and read at I's non-pivot columns, the quotient's basis.
+    is a projective point of B.
     """
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
-    p = l.field.p
     ideals = enum_ideals(l, budget)
     quotients = {}
     checked = 0
     for b in enum_subalgebras(l, budget):
         v_outer = decide(l, b, budget)
-        for i in _inside(p, b, ideals):
+        for i in _inside(b, ideals):
             if i not in quotients:
-                pivots = set(i.pivots)
-                cols = [c for c in range(l.dim) if c not in pivots]
-                quotients[i] = quotient_algebra(l, i)[0], cols
-            reduced, cols = quotients[i]
-            b_red = Subspace.from_raw(
-                reduced.field,
-                reduced.dim,
-                [tuple(w[c] for c in cols) for w in map(i.reduce_raw, b.rows)],
-            )
-            v_inner = decide(reduced, b_red, budget)
+                quotients[i] = quotient_algebra(l, i)[0]
+            v_inner = decide(quotients[i], i.modulo(b), budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
                     "subalgebra": subspace_text(b),
                     "ideal": subspace_text(i),
-                    "verdict_in_l": _verdict_witness(v_outer),
-                    "verdict_in_quotient": _verdict_witness(v_inner),
+                    "verdict_in_l": v_outer.as_dict(),
+                    "verdict_in_quotient": v_inner.as_dict(),
                 }
                 return FAIL, "c-ideal status differs between L and the quotient", witnesses
             checked += 1
@@ -446,14 +408,13 @@ def _t10(l, budget, decide):
 def _t11(l, budget, decide):
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
-    p = l.field.p
     subalgebras = enum_subalgebras(l, budget)
     checked = 0
     for c_sub in subalgebras:
         f_c = frattini_of_subalgebra(l, c_sub, budget)
         if f_c.dim == 0:
             continue
-        for b in _inside(p, f_c, subalgebras):
+        for b in _inside(f_c, subalgebras):
             if b.dim == 0:
                 continue
             report = frattini_consequence_check(l, b, c_sub, budget, decide)

@@ -237,6 +237,17 @@ def _projective_raw(p: int, n: int):
             yield head + tail
 
 
+def subspace_points(p: int, u: Subspace):
+    """The projective points of u over GF(p), as raw rows, one at a time.
+
+    These are the nonzero vectors of u whose first nonzero entry is 1,
+    one per line of u.  Each canonical row of a subspace is such a
+    point, so U <= V exactly when ``U.rows`` lies inside
+    ``set(subspace_points(p, V))``.
+    """
+    return (u.from_coords_raw(coeffs) for coeffs in _projective_raw(p, u.dim))
+
+
 def projective_points(field: Field, n: int):
     """One canonical vector per line of GF(p)^n (first nonzero entry 1)."""
     if field.p is None:
@@ -291,13 +302,7 @@ def one_dim_ideals(l: LieAlgebra) -> tuple:
     p = field.p
     lines = []
     for fam in ideal_line_families(l):
-        if p is None:
-            vecs = fam.rows
-        else:
-            vecs = (
-                [sum(c * row[k] for c, row in zip(coeffs, fam.rows)) % p for k in range(l.dim)]
-                for coeffs in _projective_raw(p, fam.dim)
-            )
+        vecs = fam.rows if p is None else subspace_points(p, fam)
         lines.extend(Subspace.from_raw(field, l.dim, [v]) for v in vecs)
     return tuple(sorted(lines, key=Subspace.sort_key))
 

@@ -2,10 +2,12 @@
 
 An algebra is stored as a raw sparse structure tensor, [e_i, e_j] for
 every ordered pair; antisymmetry is structural and the Jacobi identity
-is checked by :meth:`LieAlgebra.validate`.  Subspaces of the underlying vector space
-are handled by :class:`~cideals.linalg.Subspace`; this module adds the
-bracket-aware constructions: products of subspaces, closures, series,
-centralizers and transporters, quotients, restrictions and direct sums.
+is checked by :meth:`LieAlgebra.validate`.  Subspaces, and their
+coordinates in subalgebras and quotients, belong to
+:class:`~cideals.linalg.Subspace`; this module adds the bracket-aware
+constructions: products of subspaces, closures, series, centralizers
+and transporters, quotients, restrictions and direct sums.  Quotients
+and restrictions box Scalars only in the coordinate maps they return.
 """
 
 from __future__ import annotations
@@ -302,82 +304,71 @@ class LieAlgebra:
     def quotient(self, ideal: Subspace):
         """The quotient by an ideal, with the coordinate maps.
 
-        Returns ``(Lbar, project, lift)``.  The quotient basis consists
-        of the images of the standard vectors at the ideal's non-pivot
-        columns, so ``project`` is linear with kernel exactly ``ideal``
-        and ``project(lift(w)) == w``.
+        Returns ``(Lbar, project, lift)``.  The quotient basis is the
+        image of ``ideal.complement()``, the standard vectors at the
+        ideal's non-pivot columns (see :meth:`Subspace.modulo`), so
+        ``project`` is linear with kernel exactly ``ideal`` and
+        ``project(lift(w)) == w``.
         """
         self._check_subspace(ideal)
         if not self.is_ideal(ideal):
             raise NotAnIdeal("quotient by a subspace that is not an ideal")
-        pivot_set = set(ideal.pivots)
-        cols = [c for c in range(self.dim) if c not in pivot_set]
-        m = len(cols)
+        comp = ideal.complement()
         field = self.field
 
+        def modulo_raw(v) -> tuple:
+            return comp.coords_raw(ideal.reduce_raw(v))
+
         def project(v: tuple) -> tuple:
-            r = ideal.reduce(v)
-            return tuple(r[c] for c in cols)
+            return _box(field, modulo_raw(ideal._unbox_vector(v)))
 
         def lift(w: tuple) -> tuple:
-            if len(w) != m:
-                raise DimensionMismatch(f"quotient vector of length {len(w)}, expected {m}")
-            out = list(zero_vector(field, self.dim))
-            for c, wc in zip(cols, w):
-                out[c] = wc
-            return tuple(out)
+            if len(w) != comp.dim:
+                raise DimensionMismatch(f"quotient vector of length {len(w)}, expected {comp.dim}")
+            return _box(field, comp.from_coords_raw(_unbox(field, w)))
 
-        brackets = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                w = ideal.reduce_raw(self._dense(self._ad[cols[a]][cols[b]]))
-                vec = tuple(w[c] for c in cols)
-                if any(vec):
-                    brackets[(a, b)] = vec
-        names = tuple(self.names[c] for c in cols)
-        return LieAlgebra(field, m, names, brackets), project, lift
+        return self._algebra_on(comp, modulo_raw), project, lift
 
     def restrict(self, subalgebra: Subspace):
         """The subalgebra as an algebra on its canonical basis.
 
         Returns ``(S, to_coords, from_coords)`` where ``to_coords`` maps
         a member of the subspace to its coordinates on the RREF basis
-        (these are just the entries at the pivot columns) and
-        ``from_coords`` embeds back into L.
+        (see :meth:`Subspace.coords`) and ``from_coords`` embeds back
+        into L.
         """
         self._check_subspace(subalgebra)
         if not self.is_subalgebra(subalgebra):
             raise NotSubalgebra("restriction to a subspace that is not closed")
-        rows = subalgebra.rows
-        pivots = subalgebra.pivots
-        k = subalgebra.dim
         field = self.field
 
         def to_coords(v: tuple) -> tuple:
-            if v not in subalgebra:
+            raw = subalgebra._unbox_vector(v)
+            if not subalgebra.holds_raw(raw):
                 raise AmbientMismatch("vector outside the subalgebra")
-            return tuple(v[p] for p in pivots)
+            return _box(field, subalgebra.coords_raw(raw))
 
         def from_coords(c: tuple) -> tuple:
-            if len(c) != k:
-                raise DimensionMismatch(f"coordinate vector of length {len(c)}, expected {k}")
-            acc = [_zero_one(field.p)[0]] * self.dim
-            for coef, row in zip(_unbox(field, c), rows):
-                if coef:
-                    acc = [a + coef * b for a, b in zip(acc, row)]
-            if field.p is not None:
-                acc = [a % field.p for a in acc]
-            return _box(field, acc)
+            if len(c) != subalgebra.dim:
+                raise DimensionMismatch(
+                    f"coordinate vector of length {len(c)}, expected {subalgebra.dim}"
+                )
+            return _box(field, subalgebra.from_coords_raw(_unbox(field, c)))
 
+        return self._algebra_on(subalgebra, subalgebra.coords_raw), to_coords, from_coords
+
+    def _algebra_on(self, basis: Subspace, read) -> "LieAlgebra":
+        # The algebra on the canonical rows of ``basis``, named after their
+        # pivot columns; ``read`` gives the coordinates of each bracket.
+        rows = basis.rows
         brackets = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                w = self.bracket_raw(rows[a], rows[b])
-                vec = tuple(w[p] for p in pivots)
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                vec = read(self.bracket_raw(rows[a], rows[b]))
                 if any(vec):
                     brackets[(a, b)] = vec
-        names = tuple(self.names[p] for p in pivots)
-        return LieAlgebra(field, k, names, brackets), to_coords, from_coords
+        names = tuple(self.names[c] for c in basis.pivots)
+        return LieAlgebra(self.field, len(rows), names, brackets)
 
     # -- value semantics ------------------------------------------------------
 

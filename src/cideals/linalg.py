@@ -9,11 +9,15 @@ entry, and Scalars are made again only on the way out.  A
 :class:`Subspace` stores its reduced-row-echelon basis as raw rows, so
 two subspaces are equal exactly when they are the same set of vectors
 and every subspace has one canonical representation.
+
+:class:`Subspace` owns the coordinates of subalgebras and quotients;
+library code maps subspaces through them on raw rows and boxes nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     AmbientMismatch,
@@ -507,18 +511,60 @@ class Subspace:
         rows = tuple(r[n:] for r, c in zip(red, pivots) if c >= n)
         return Subspace(self.field, n, rows, tuple(c - n for c in pivots if c >= n))
 
-    def complement_reps(self) -> tuple:
-        """Standard basis vectors at the non-pivot columns.
+    def complement(self) -> "Subspace":
+        """The span of the standard vectors at the non-pivot columns.
 
-        Together with this subspace they span the ambient space, and the
-        choice is deterministic for a given subspace.
+        It is a complement of this subspace, chosen deterministically,
+        and its canonical rows are those standard vectors.
         """
-        pivot_set = set(self.pivots)
-        return tuple(
-            standard_vector(self.field, self.ambient_dim, c)
-            for c in range(self.ambient_dim)
-            if c not in pivot_set
-        )
+        n = self.ambient_dim
+        pivots = set(self.pivots)
+        free = tuple(c for c in range(n) if c not in pivots)
+        zero, one = _zero_one(self.field.p)
+        rows = tuple(tuple(one if k == c else zero for k in range(n)) for c in free)
+        return Subspace(self.field, n, rows, free)
+
+    def complement_reps(self) -> tuple:
+        """The canonical basis of :meth:`complement`, as Scalar vectors."""
+        return self.complement().vectors()
+
+    # -- coordinates, fixed here and nowhere else: a member of K has as
+    # coordinates on K's canonical rows its entries at K's pivot columns;
+    # F^n / I has the rows of I.complement() as basis, so v + I has the
+    # coordinates of I.reduce(v) there.  The raw maps do no checks.
+
+    def coords_raw(self, v) -> tuple:
+        """The coordinates of a member v on the canonical rows."""
+        return tuple(v[c] for c in self.pivots)
+
+    def from_coords_raw(self, w) -> tuple:
+        """The member with coordinates w: the combination of the canonical rows."""
+        p = self.field.p
+        if not self.rows:
+            return _zero_one(p)[:1] * self.ambient_dim
+        sums = (sum(map(mul, w, column)) for column in zip(*self.rows))
+        return tuple(sums) if p is None else tuple(s % p for s in sums)
+
+    def coords(self, u: "Subspace") -> "Subspace":
+        """A subspace u of this one, in the coordinates of its canonical rows."""
+        return Subspace.from_raw(self.field, self.dim, [self.coords_raw(r) for r in u.rows])
+
+    def from_coords(self, w: "Subspace") -> "Subspace":
+        """The inverse of :meth:`coords`: w in F^dim carried back into F^n."""
+        rows = [self.from_coords_raw(r) for r in w.rows]
+        return Subspace.from_raw(self.field, self.ambient_dim, rows)
+
+    def modulo(self, u: "Subspace") -> "Subspace":
+        """The image (u + I) / I of u in the quotient by this subspace I."""
+        comp = self.complement()
+        rows = [comp.coords_raw(self.reduce_raw(r)) for r in u.rows]
+        return Subspace.from_raw(self.field, comp.dim, rows)
+
+    def preimage(self, w: "Subspace") -> "Subspace":
+        """The preimage in F^n of a subspace w of the quotient by this subspace."""
+        comp = self.complement()
+        rows = [comp.from_coords_raw(r) for r in w.rows] + list(self.rows)
+        return Subspace.from_raw(self.field, self.ambient_dim, rows)
 
     def sort_key(self):
         return (

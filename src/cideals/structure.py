@@ -66,10 +66,10 @@ def upper_central_series(l: LieAlgebra) -> tuple:
 def _refine_through(lower: Subspace, upper: Subspace, flag: list):
     # Extend the flag one dimension at a time from lower to upper.
     cur = lower
-    for v in upper.vectors():
-        if v in cur:
+    for r in upper.rows:
+        if cur.holds_raw(r):
             continue
-        cur = Subspace.from_vectors(cur.field, cur.ambient_dim, cur.vectors() + (v,))
+        cur = Subspace.from_raw(cur.field, cur.ambient_dim, cur.rows + (r,))
         flag.append(cur)
 
 
@@ -103,15 +103,10 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     line = first_line_ideal(l)
     if line is None:
         return None
-    reduced, _, lift = l.quotient(line)
-    rest = supersolvable_flag(reduced)
+    rest = supersolvable_flag(l.quotient(line)[0])
     if rest is None:
         return None
-    flag = [l.zero_space()]
-    for w in rest:
-        vecs = [lift(v) for v in w.vectors()] + list(line.vectors())
-        flag.append(Subspace.from_vectors(l.field, l.dim, vecs))
-    return tuple(flag)
+    return (l.zero_space(),) + tuple(line.preimage(w) for w in rest)
 
 
 def is_supersolvable(l: LieAlgebra) -> bool:
@@ -144,25 +139,27 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     return nilrad, rad
 
 
+def _frattini_subalgebra(l: LieAlgebra, budget: int) -> Subspace:
+    # F(L), the intersection of the maximal subalgebras.
+    maxes = maximal_subalgebras(l, budget)
+    f = l.full_space() if maxes else l.zero_space()
+    for m in maxes:
+        f = f & m
+    return f
+
+
 def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Subspace]:
     """(F(L), phi(L)): intersection of the maximal subalgebras, and its core.
 
     For a zero- or one-dimensional algebra F(L) is 0.
     """
-    maxes = maximal_subalgebras(l, budget)
-    f = l.full_space() if maxes else l.zero_space()
-    for m in maxes:
-        f = f & m
+    f = _frattini_subalgebra(l, budget)
     return f, core(l, f)
 
 
 @lru_cache(maxsize=512)
 def _frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int) -> Subspace:
-    alg, _, from_coords = restricted_algebra(l, u)
-    f_sub, _ = frattini(alg, budget)
-    return Subspace.from_vectors(
-        l.field, l.dim, [from_coords(v) for v in f_sub.vectors()]
-    )
+    return u.from_coords(_frattini_subalgebra(restricted_algebra(l, u)[0], budget))
 
 
 def frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int = DEFAULT_BUDGET) -> Subspace:

@@ -1,0 +1,60 @@
+"""Scalars are made at the public boundary only.
+
+The decision engine and the claim suites map subspaces into
+subalgebras and quotients on raw rows, so deciding a c-ideal, a line or
+a suite builds no :class:`~cideals.fields.Scalar` at all.  T5-T8 are
+left out: they reach the line families' root finding or the public
+projective scan, which box by design.
+"""
+
+import pytest
+
+from cideals import GF, builtin, enum_subalgebras, is_cideal, line_cideal, projective_points
+from cideals import cideal, lattice, liealg, random_solvable, run_suite, structure
+from cideals.fields import Scalar
+
+_ALGEBRAS = {
+    "heisenberg(3)+abelian(1)/GF(3)": lambda: builtin("heisenberg(3)+abelian(1)", GF(3)),
+    "sl2/GF(5)": lambda: builtin("sl2", GF(5)),
+    "t(2)/GF(3)": lambda: builtin("t(2)", GF(3)),
+    "random_solvable(3, GF(2), 3, 4)": lambda: random_solvable(3, GF(2), 3, 4),
+}
+
+
+def _scalars_made(monkeypatch, work) -> int:
+    """Scalar constructions during ``work()``, starting from cold caches."""
+    for module in (cideal, lattice, liealg, structure):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    made = [0]
+    make = Scalar._make.__func__
+
+    def counting(cls, field, value):
+        made[0] += 1
+        return make(cls, field, value)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "_make", classmethod(counting))
+        work()
+    return made[0]
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+class TestNoScalarsInside:
+    def test_is_cideal_on_every_subalgebra(self, monkeypatch, name):
+        l = _ALGEBRAS[name]()
+        subalgebras = enum_subalgebras(l)
+        assert _scalars_made(monkeypatch, lambda: [is_cideal(l, b) for b in subalgebras]) == 0
+
+    def test_line_cideal_on_every_point(self, monkeypatch, name):
+        l = _ALGEBRAS[name]()
+        points = list(projective_points(l.field, l.dim))
+        assert _scalars_made(monkeypatch, lambda: [line_cideal(l, x) for x in points]) == 0
+
+    @pytest.mark.parametrize("suite", ["T1", "T2", "T3", "T4", "T9", "T10", "T11"])
+    def test_suite(self, monkeypatch, name, suite):
+        l = _ALGEBRAS[name]()
+        reports = []
+        assert _scalars_made(monkeypatch, lambda: reports.extend(run_suite(l, suite))) == 0
+        assert [r.status for r in reports] in (["pass"], ["skipped"])

@@ -14,7 +14,10 @@ from cideals import (
     Q,
     Subspace,
     builtin,
+    catalog_algebras,
     direct_sum,
+    enum_ideals,
+    enum_subalgebras,
     enum_subspaces,
     is_abelian,
     is_nilpotent,
@@ -291,6 +294,81 @@ class TestQuotientRestrict:
         a1 = quotient_algebra(h3_gf2, z)[0]
         a2 = quotient_algebra(h3_gf2, z)[0]
         assert a1 is a2
+
+    def test_lift_rejects_another_field(self, h3_gf3):
+        _, _, lift = quotient_algebra(h3_gf3, h3_gf3.centre())
+        with pytest.raises(FieldMismatch):
+            lift(vec(GF(5), [1, 2]))
+
+
+_MAP_FIELDS = [GF(2), GF(3), GF(5), Q]
+_MAP_ALGEBRAS = ["heisenberg(3)+abelian(1)", "t(2)", "almost_abelian(3)", "nonabelian2+nonabelian2"]
+
+
+def _ideal_closure(l, u):
+    while True:
+        nxt = u + l.span_product(l.full_space(), u)
+        if nxt == u:
+            return u
+        u = nxt
+
+
+@st.composite
+def _map_case(draw):
+    """An algebra with a subalgebra K, an ideal I and subspaces U, V <= K,
+    X, Y of L, W of F^dim K and Z of F^(dim L - dim I)."""
+    field = draw(st.sampled_from(_MAP_FIELDS))
+    l = builtin(draw(st.sampled_from(_MAP_ALGEBRAS)), field)
+    n = l.dim
+
+    def sub(dim, max_size):
+        rows = st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=max_size)
+        return Subspace.span(field, dim, draw(rows))
+
+    k = l.subalgebra_closure(sub(n, 2))
+    i = _ideal_closure(l, sub(n, 1))
+    return l, k, i, k & sub(n, n), k & sub(n, n), sub(n, n), sub(n, n), sub(k.dim, k.dim), sub(n - i.dim, n - i.dim)
+
+
+class TestCoordinateMaps:
+    @given(_map_case())
+    def test_round_trips(self, case):
+        _, k, i, u, _, x, _, w, z = case
+        assert k.from_coords(k.coords(u)) == u
+        assert k.coords(k.from_coords(w)) == w
+        assert k.from_coords(w) <= k
+        assert i.modulo(i.preimage(z)) == z
+        assert i.preimage(i.modulo(x)) == x + i
+        assert i.modulo(x).dim == (x + i).dim - i.dim
+
+    @given(_map_case())
+    def test_maps_carry_the_bracket(self, case):
+        l, k, i, u, v, x, y, _, _ = case
+        restricted = restricted_algebra(l, k)[0]
+        assert k.coords(l.span_product(u, v)) == restricted.span_product(k.coords(u), k.coords(v))
+        reduced = quotient_algebra(l, i)[0]
+        assert i.modulo(l.span_product(x, y)) == reduced.span_product(i.modulo(x), i.modulo(y))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_agree_with_the_boxed_closures(self, p):
+        def image(f, alg, space):
+            return Subspace.from_vectors(alg.field, alg.dim, [f(v) for v in space.vectors()])
+
+        for _, l in catalog_algebras(GF(p), max_dim=4):
+            subalgebras = enum_subalgebras(l)
+            for k in subalgebras:
+                alg, to_coords, from_coords = l.restrict(k)
+                for u in subalgebras:
+                    if u <= k:
+                        assert k.coords(u) == image(to_coords, alg, u)
+                for w in enum_subalgebras(alg):
+                    assert k.from_coords(w) == image(from_coords, l, w)
+            for i in enum_ideals(l):
+                reduced, project, lift = l.quotient(i)
+                for u in subalgebras:
+                    assert i.modulo(u) == image(project, reduced, u)
+                for w in enum_subalgebras(reduced):
+                    assert i.preimage(w) == image(lift, l, w) + i
 
 
 class TestDirectSum:
