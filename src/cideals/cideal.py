@@ -73,15 +73,20 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     With C an ideal the last condition holds exactly when B ∩ C is an
     ideal: an ideal inside B lies in core(B), and conversely
     B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
-    ideals.  So no core is computed.
+    ideals.  So no core is computed, and when dim B + dim C = dim L the
+    sum condition forces B ∩ C = 0, which needs no check.  Each ideal C
+    is checked by brackets once per algebra: the ideals already shown
+    are kept in the algebra's memo, and a C that fails is checked again
+    on every call.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("certificates are checked for subalgebras")
-    return (
-        l.is_ideal(c)
-        and (b + c).dim == l.dim
-        and l.is_ideal(b & c)
-    )
+    ideals = l._memoized("verified_ideals", set)
+    if c not in ideals:
+        if not l.is_ideal(c):
+            return False
+        ideals.add(c)
+    return (b + c).dim == l.dim and (b.dim + c.dim == l.dim or l.is_ideal(b & c))
 
 
 def _yes(l, b, c, method) -> CIdealVerdict:
@@ -92,10 +97,8 @@ def _yes(l, b, c, method) -> CIdealVerdict:
     return CIdealVerdict(YES, c, method, True)
 
 
-@lru_cache(maxsize=512)
 def _derived_subspace(l: LieAlgebra) -> Subspace:
-    full = l.full_space()
-    return l.span_product(full, full)
+    return l._memoized("derived", lambda: l.span_product(l.full_space(), l.full_space()))
 
 
 def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:

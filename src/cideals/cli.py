@@ -157,7 +157,7 @@ def _cmd_enumerate(args) -> int:
     elif args.what == "cartan":
         items = list(cartan_subalgebras(algebra, budget))
     else:
-        items = list(one_dim_ideals(algebra))
+        items = list(one_dim_ideals(algebra, budget))
     print(f"count: {len(items)}")
     for s in items:
         print(f"dim {s.dim}: {subspace_text(s)}")

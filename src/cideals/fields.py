@@ -218,11 +218,115 @@ def _divisors(n: int):
     return out
 
 
+# ---------------------------------------------------------------------------
+# polynomials over GF(p) on raw int coefficients, ascending, no trailing zeros
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _divmod_monic(a, m: list, p: int) -> tuple[list, list]:
+    # Quotient and remainder of a by the monic m.
+    a = list(a)
+    dm = len(m) - 1
+    q = [0] * max(len(a) - dm, 0)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            q[i - dm] = c
+            for j in range(dm):
+                a[i - dm + j] -= c * m[j]
+    return q, _trim([c % p for c in a[:dm]])
+
+
+def _mulmod(a: list, b: list, m: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_monic(out, m, p)[1]
+
+
+def _powmod(base: list, e: int, m: list, p: int) -> list:
+    # base**e mod the monic m (deg m >= 1), by repeated squaring.
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, base, m, p)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, m, p)
+    return out
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    # The monic gcd; [] when both are zero.
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod_monic(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _minus_power(a: list, k: int, p: int) -> list:
+    # a - x**k
+    a = a + [0] * (k + 1 - len(a))
+    a[k] = (a[k] - 1) % p
+    return _trim(a)
+
+
+def _split_linear(g: list, p: int, out: list):
+    # Append the roots of the monic g, a product of distinct x - r with
+    # r != 0, so p is odd once deg g >= 2.  For each shift a, the roots r
+    # with r + a a nonzero square are those of gcd(g, (x + a)^((p-1)/2) - 1).
+    # Any two roots are told apart by (p-1)/2 of the shifts, so the loop
+    # ends at a split.
+    if len(g) == 2:
+        out.append(-g[0] % p)
+    if len(g) <= 2:
+        return
+    for a in range(1, p):
+        d = _gcd(g, _minus_power(_powmod([a, 1], (p - 1) // 2, g, p), 0, p), p)
+        if 1 < len(d) < len(g):
+            _split_linear(d, p, out)
+            _split_linear(_divmod_monic(g, d, p)[0], p, out)
+            return
+    raise AssertionError("internal error: no shift splits a product of linear factors")
+
+
+def _gf_roots(f: list, p: int) -> list:
+    # The roots in GF(p) of f (deg f >= 1): 0 if x | f, then the roots of
+    # gcd(x^p - x, f / x^k), which has each nonzero root of f once.
+    out = [0] if not f[0] else []
+    low = 0
+    while not f[low]:
+        low += 1
+    f = _monic(f[low:], p)
+    if len(f) > 1:
+        g = _gcd(f, _minus_power(_powmod([0, 1], p, f, p), 1, p), p)
+        _split_linear(g, p, out)
+    return out
+
+
 def poly_roots_in_field(coeffs) -> set[Scalar]:
     """Roots, inside the coefficient field, of sum(coeffs[k] * t**k).
 
-    Over GF(p) every element is tried, so the answer is complete.  Over
-    Q the rational-root theorem is applied after clearing denominators;
+    Over GF(p) the answer is complete and costs time polynomial in the
+    degree and log p: after the root 0 is taken out, the nonzero roots
+    are those of g = gcd(t^p - t, f), with t^p reduced modulo f by
+    repeated squaring, and g is split into its linear factors by
+    gcd(g, (t + a)^((p-1)/2) - 1) for the shifts a = 1, 2, ...
+    (Cantor-Zassenhaus with deterministic shifts).  Over Q the
+    rational-root theorem is applied after clearing denominators;
     irrational and complex roots are silently absent, which is the
     correct contract for eigenvalue searches over Q.
 
@@ -242,7 +346,7 @@ def poly_roots_in_field(coeffs) -> set[Scalar]:
     if len(coeffs) == 1:
         return set()
     if field.p is not None:
-        return {x for x in field.elements() if not poly_eval(coeffs, x)}
+        return {Scalar._make(field, r) for r in _gf_roots([c.value for c in coeffs], field.p)}
 
     roots: set[Scalar] = set()
     low = 0

@@ -4,9 +4,10 @@ Enumeration walks every subspace of GF(p)^n exactly once by generating
 each reduced-row-echelon basis directly: choose pivot columns, then fill
 the free entries.  The order is deterministic (dimension ascending, then
 pivot columns lexicographically, then free entries counted in residue
-order), results are cached per algebra, and a count is checked against
-the budget before any work happens so overruns fail loudly instead of
-truncating.
+order), and a count is checked against the budget before any work
+happens so overruns fail loudly instead of truncating.  Enumeration
+results are cached by algebra value; the line-ideal families live in
+the algebra's own memo (see :class:`~cideals.liealg.LieAlgebra`).
 """
 
 from __future__ import annotations
@@ -255,15 +256,19 @@ def projective_points(field: Field, n: int):
     return (_box(field, v) for v in _projective_raw(field.p, n))
 
 
-@lru_cache(maxsize=256)
 def ideal_line_families(l: LieAlgebra) -> tuple:
     """Maximal joint-eigenspace subspaces of the adjoint maps.
 
     Every nonzero vector of a family spans a one-dimensional ideal, and
     every one-dimensional ideal lies inside exactly one family.  Works
     over any field; over Q only rational eigenvalues arise, which is the
-    correct notion for a rational structure.
+    correct notion for a rational structure.  Computed once per algebra
+    and kept in its memo.
     """
+    return l._memoized("line_families", lambda: _line_families(l))
+
+
+def _line_families(l: LieAlgebra) -> tuple:
     if l.dim == 0:
         return ()
     spaces = []  # per basis vector e_i, the eigenspaces of ad(e_i)
@@ -286,24 +291,39 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
     return tuple(sorted(families, key=Subspace.sort_key))
 
 
-def one_dim_ideals(l: LieAlgebra) -> tuple:
+def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Lines Fx that are ideals of L, sorted by :meth:`Subspace.sort_key`.
 
     Read off the joint eigenspace families of
     :func:`ideal_line_families`, whose nonzero vectors are exactly the
     spanning vectors of one-dimensional ideals.  Over a finite field
     every line of every family is listed, one per projective point of
-    the family's own coordinates, so the list is complete.  Over Q a
-    family of dimension >= 2 holds infinitely many lines, so only the
-    lines of its canonical basis vectors are listed: a deterministic set
-    of representatives, complete exactly when every family is a line.
+    the family's own coordinates, so the list is complete; the count,
+    (p^d - 1)/(p - 1) for a family of dimension d, is checked against
+    the budget before any line is made, and BudgetExceeded is raised
+    when it is over.  Over Q a family of dimension >= 2 holds infinitely
+    many lines, so only the lines of its canonical basis vectors are
+    listed: a deterministic set of representatives, complete exactly
+    when every family is a line.
     """
+    if budget < 1:
+        raise BudgetExceeded(f"budget must be positive, got {budget}")
     field = l.field
     p = field.p
+    families = ideal_line_families(l)
+    if p is not None:
+        total = sum((p**fam.dim - 1) // (p - 1) for fam in families)
+        if total > budget:
+            raise BudgetExceeded(
+                f"{total} one-dimensional ideals of a dim-{l.dim} algebra over "
+                f"GF({p}) exceed the budget of {budget}"
+            )
     lines = []
-    for fam in ideal_line_families(l):
+    for fam in families:
+        # A canonical row, and a projective point, leads with a 1: it is
+        # already the one-row RREF of its line.
         vecs = fam.rows if p is None else subspace_points(p, fam)
-        lines.extend(Subspace.from_raw(field, l.dim, [v]) for v in vecs)
+        lines.extend(Subspace(field, l.dim, (v,), (v.index(1),)) for v in vecs)
     return tuple(sorted(lines, key=Subspace.sort_key))
 
 

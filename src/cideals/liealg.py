@@ -64,9 +64,17 @@ class LieAlgebra:
     Equality and hashing use the field, dimension and bracket table;
     basis labels and metadata are presentation only and ignored, which
     lets derived objects (quotients, restrictions) be cached by value.
+
+    Objects derived from the algebra alone live in one memo slot, kept
+    out of equality and hashing and filled on first use: the derived
+    subspace [L, L], the line-ideal families of
+    :func:`~cideals.lattice.ideal_line_families`, and the set of
+    certificate ideals that :func:`~cideals.cideal.verify_certificate`
+    has already shown by brackets to be ideals.  That set holds ideals
+    of L only, so it is bounded by their number.
     """
 
-    __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash")
+    __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")
 
     def __init__(self, field: Field, dim: int, names=None, brackets=None, meta=None):
         """``brackets`` maps pairs ``(i, j)`` with i < j to the coordinate
@@ -75,18 +83,13 @@ class LieAlgebra:
         """
         if dim < 0:
             raise DimensionMismatch("negative dimension")
-        self.field = field
-        self.dim = dim
         if names is None:
             names = tuple(f"e{i}" for i in range(dim))
         else:
             names = tuple(str(n) for n in names)
             if len(names) != dim:
                 raise DimensionMismatch(f"{len(names)} names for dimension {dim}")
-        self.names = names
-        self.meta = dict(meta) if meta else {}
-        p = field.p
-        ad = [[()] * dim for _ in range(dim)]
+        raw = {}
         for (i, j), coords in (brackets or {}).items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise IndexOutOfRange(f"bracket pair ({i}, {j}) outside 0..{dim - 1}")
@@ -97,10 +100,39 @@ class LieAlgebra:
                 raise DimensionMismatch(
                     f"bracket ({i}, {j}) has {len(vec)} coordinates, expected {dim}"
                 )
+            raw[(i, j)] = vec
+        self._fill(field, names, raw, meta)
+
+    @classmethod
+    def _from_raw(cls, field: Field, names: tuple, brackets: dict) -> "LieAlgebra":
+        # The constructor without coercion or checks: ``brackets`` maps
+        # pairs i < j to the raw row of [e_i, e_j], already normalized.
+        alg = object.__new__(cls)
+        alg._fill(field, names, brackets, None)
+        return alg
+
+    def _fill(self, field, names, brackets, meta):
+        dim = len(names)
+        self.field = field
+        self.dim = dim
+        self.names = names
+        self.meta = dict(meta) if meta else {}
+        p = field.p
+        ad = [[()] * dim for _ in range(dim)]
+        for (i, j), vec in brackets.items():
             ad[i][j] = tuple((k, c) for k, c in enumerate(vec) if c)
             ad[j][i] = tuple((k, -c if p is None else p - c) for k, c in ad[i][j])
         self._ad = tuple(tuple(row) for row in ad)
         self._hash = None
+        self._memo = {}
+
+    def _memoized(self, key: str, make):
+        """The derived object ``key`` of this algebra: ``make()`` on first
+        use, then the stored value for the life of the algebra."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     # -- basics ------------------------------------------------------------
 
@@ -368,7 +400,7 @@ class LieAlgebra:
                 if any(vec):
                     brackets[(a, b)] = vec
         names = tuple(self.names[c] for c in basis.pivots)
-        return LieAlgebra(self.field, len(rows), names, brackets)
+        return LieAlgebra._from_raw(self.field, names, brackets)
 
     # -- value semantics ------------------------------------------------------
 

@@ -24,6 +24,21 @@ from cideals import (
 )
 
 
+def oracle_poly_roots(coeffs) -> set:
+    """Roots in GF(p) of sum(coeffs[k] * t**k), by trying every residue."""
+    field = coeffs[0].field
+    p = field.p
+    raw = [c.value for c in coeffs]
+    roots = set()
+    for x in range(p):
+        acc = 0
+        for c in reversed(raw):
+            acc = (acc * x + c) % p
+        if not acc:
+            roots.add(field.scalar(x))
+    return roots
+
+
 def oracle_char_poly(m):
     """det(tI - A) by cofactor expansion, ascending coefficients.
 

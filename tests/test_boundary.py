@@ -58,3 +58,27 @@ class TestNoScalarsInside:
         reports = []
         assert _scalars_made(monkeypatch, lambda: reports.extend(run_suite(l, suite))) == 0
         assert [r.status for r in reports] in (["pass"], ["skipped"])
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+def test_restricted_and_quotient_algebras_take_raw_constants(monkeypatch, name):
+    l = _ALGEBRAS[name]()
+    subalgebras = enum_subalgebras(l)
+    ideals = [u for u in subalgebras if l.is_ideal(u)]
+    inits = [0]
+    init = Scalar.__init__
+
+    def counting(self, field, value):
+        inits[0] += 1
+        init(self, field, value)
+
+    def work():
+        for u in subalgebras:
+            l.restrict(u)
+        for i in ideals:
+            l.quotient(i)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__init__", counting)
+        assert _scalars_made(monkeypatch, work) == 0
+    assert inits[0] == 0

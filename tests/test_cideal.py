@@ -21,10 +21,12 @@ from cideals import (
     is_cideal,
     is_cideal_by_scan,
     line_cideal,
+    projective_points,
     verify_certificate,
 )
+from cideals.lattice import ideal_line_families
 
-from oracles import oracle_cideal, oracle_core
+from oracles import oracle_cideal, oracle_core, oracle_is_ideal
 
 
 def vec(field, coords):
@@ -74,6 +76,36 @@ class TestVerifyCertificate:
         ef = span(sl2_q, [1, 0, 0], [0, 1, 0])
         with pytest.raises(NotSubalgebra):
             verify_certificate(sl2_q, ef, sl2_q.full_space())
+
+
+class TestVerifiedIdealMemo:
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
+    def test_members_are_ideals(self, name):
+        l = builtin(name, GF(3))
+        for x in projective_points(l.field, l.dim):
+            line_cideal(l, x)
+        verified = l._memo["verified_ideals"]
+        assert verified
+        assert all(oracle_is_ideal(l, c) for c in verified)
+
+    def test_non_ideal_rejected_on_every_call(self, sl2_q):
+        # B + C = L and B ∩ C = 0: only the ideal check can reject C
+        b = span(sl2_q, [0, 1, 0])
+        borel = span(sl2_q, [1, 0, 0], [0, 0, 1])
+        assert (b + borel).dim == 3 and (b & borel).dim == 0
+        for _ in range(2):
+            assert not verify_certificate(sl2_q, b, borel)
+        assert borel not in sl2_q._memo.get("verified_ideals", ())
+
+    def test_warm_memo_leaves_value_alone(self):
+        warm, cold = builtin("t(2)", GF(3)), builtin("t(2)", GF(3))
+        for x in projective_points(warm.field, warm.dim):
+            line_cideal(warm, x)
+        ideal_line_families(warm)
+        assert warm._memo and not cold._memo
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1
 
 
 class TestLineRule:

@@ -124,6 +124,18 @@ class TestEnumerate:
         assert main(["enumerate", h3_file, "--what", "lines"]) == 0
         assert "count: 1" in capsys.readouterr().out
 
+    def test_lines_budget(self, tmp_path, capsys):
+        # abelian(2) over GF(5) has 6 line ideals
+        path = tmp_path / "ab2.json"
+        path.write_text(serialize(builtin("abelian(2)", GF(5))), encoding="utf-8")
+        assert main(["enumerate", str(path), "--what", "lines"]) == 0
+        unbounded = capsys.readouterr().out
+        assert "count: 6" in unbounded
+        assert main(["enumerate", str(path), "--what", "lines", "--budget", "6"]) == 0
+        assert capsys.readouterr().out == unbounded
+        assert main(["enumerate", str(path), "--what", "lines", "--budget", "5"]) == 3
+        assert "error" in capsys.readouterr().err
+
     def test_bad_kind_exits_two(self, h3_file):
         assert main(["enumerate", h3_file, "--what", "everything"]) == 2
 

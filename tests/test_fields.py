@@ -17,6 +17,32 @@ from cideals import (
     poly_roots_in_field,
 )
 
+from oracles import oracle_poly_roots
+
+_ROOT_PRIMES = (2, 3, 5, 7, 101, 103)
+
+
+def _times(a, b, p):
+    # a * b on ascending raw coefficients
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _times_linear(poly, r, p):
+    # poly * (t - r)
+    return _times(poly, [-r % p, 1], p)
+
+
+def _root_free_quadratic(p):
+    # t^2 + t + 1 over GF(2); t^2 - n for the least non-square n otherwise
+    if p == 2:
+        return [1, 1, 1]
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return [p - n, 0, 1]
+
 
 class TestFieldConstruction:
     def test_q_is_infinite(self):
@@ -188,3 +214,62 @@ class TestPolynomials:
             return
         for r in poly_roots_in_field(coeffs):
             assert not poly_eval(coeffs, r)
+
+    @given(
+        st.sampled_from(_ROOT_PRIMES),
+        st.data(),
+        st.sampled_from(("monic", "root_free", "scaled")),
+    )
+    def test_gf_roots_match_oracle(self, p, data, base):
+        # Products of linear factors, repeats being multiplicities, on top
+        # of 1, a root-free quadratic or a nonzero constant.
+        roots = data.draw(st.lists(st.integers(0, p - 1), max_size=6), label="roots")
+        if base == "monic":
+            poly = [1]
+        elif base == "root_free":
+            poly = _root_free_quadratic(p)
+        else:
+            poly = [data.draw(st.integers(1, p - 1), label="scale")]
+        for r in roots:
+            poly = _times_linear(poly, r, p)
+        field = GF(p)
+        coeffs = tuple(field.scalar(c) for c in poly)
+        got = poly_roots_in_field(coeffs)
+        assert got == oracle_poly_roots(coeffs)
+        assert {r.value for r in got} == set(roots)
+
+    @pytest.mark.parametrize("p", _ROOT_PRIMES)
+    def test_gf_root_free(self, p):
+        f = GF(p)
+        quad = _root_free_quadratic(p)
+        for poly in (quad, _times(quad, quad, p)):
+            coeffs = tuple(f.scalar(c) for c in poly)
+            assert poly_roots_in_field(coeffs) == set() == oracle_poly_roots(coeffs)
+
+    @pytest.mark.parametrize("p", _ROOT_PRIMES)
+    def test_gf_root_zero(self, p):
+        f = GF(p)
+        for poly in ([0, 1], [0, 0, 0, 1], [0] + _root_free_quadratic(p), [0, 0, 5 % p or 1, 1]):
+            coeffs = tuple(f.scalar(c) for c in poly)
+            got = poly_roots_in_field(coeffs)
+            assert f.zero() in got
+            assert got == oracle_poly_roots(coeffs)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_gf_every_element_a_root(self, p):
+        # t^p - t splits into all p linear factors
+        f = GF(p)
+        coeffs = tuple(f.scalar(c) for c in [0, p - 1] + [0] * (p - 2) + [1])
+        assert poly_roots_in_field(coeffs) == set(f.elements())
+
+    @pytest.mark.parametrize("p", (1000003, 2**31 - 1))
+    def test_large_prime_roots(self, p):
+        # (t - 1)(t - 2)(t + 1) t^2 (t^2 - n), n a non-square
+        f = GF(p)
+        poly = _root_free_quadratic(p)
+        for r in (1, 2, p - 1, 0, 0):
+            poly = _times_linear(poly, r, p)
+        coeffs = tuple(f.scalar(c) for c in poly)
+        roots = poly_roots_in_field(coeffs)
+        assert roots == {f.scalar(r) for r in (0, 1, 2, p - 1)}
+        assert all(not poly_eval(coeffs, r) for r in roots)

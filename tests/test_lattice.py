@@ -241,6 +241,21 @@ class TestLines:
             )
             assert list(one_dim_ideals(l)) == direct
 
+    def test_one_dim_ideals_budget(self):
+        # abelian(2) over GF(5) has 6 lines, all ideals
+        l = builtin("abelian(2)", GF(5))
+        assert len(one_dim_ideals(l, budget=6)) == 6
+        with pytest.raises(BudgetExceeded):
+            one_dim_ideals(l, budget=5)
+        with pytest.raises(BudgetExceeded):
+            one_dim_ideals(l, budget=0)
+        # the count is summed over the families: t(2)+abelian(1) over GF(3)
+        l = builtin("t(2)+abelian(1)", GF(3))
+        count = len(one_dim_ideals(l))
+        assert one_dim_ideals(l, budget=count) == one_dim_ideals(l)
+        with pytest.raises(BudgetExceeded):
+            one_dim_ideals(l, budget=count - 1)
+
     def test_one_dim_ideals_h3_q(self, h3_q):
         got = one_dim_ideals(h3_q)
         assert got == (h3_q.centre(),)

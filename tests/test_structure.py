@@ -4,6 +4,7 @@ import time
 import pytest
 
 from cideals import (
+    BudgetExceeded,
     CASE_CUBE_ZERO,
     CASE_NEITHER,
     CASE_SPLIT,
@@ -121,6 +122,30 @@ class TestSupersolvable:
         flag = supersolvable_flag(l)
         assert flag is not None
         assert all(l.is_ideal(w) for w in flag)
+
+
+class TestLargePrimes:
+    # Root finding is polynomial in log p and line listing is budgeted,
+    # so nothing here walks the field or its lines.
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+    @pytest.mark.parametrize("name", ["nonabelian2", "abelian(2)"])
+    @pytest.mark.parametrize("fn", [is_supersolvable, classify_line_cideals, one_dim_ideals])
+    def test_finishes_or_exceeds_budget(self, fn, name, p):
+        l = builtin(name, GF(p))
+        start = time.perf_counter()
+        try:
+            fn(l)
+        except BudgetExceeded:
+            pass
+        assert time.perf_counter() - start < 2.0
+
+    def test_nonabelian2_answers(self):
+        for p in (1000003, 2**31 - 1):
+            l = builtin("nonabelian2", GF(p))
+            assert is_supersolvable(l)
+            assert len(one_dim_ideals(l)) == 1
+            with pytest.raises(BudgetExceeded):
+                one_dim_ideals(builtin("abelian(2)", GF(p)))
 
 
 class TestRadicals:
