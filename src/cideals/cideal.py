@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
-from .linalg import Subspace, subspace_text, vector_is_zero
+from .linalg import Subspace, _zero_one, raw_rref, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, quotient_algebra
 from .lattice import DEFAULT_BUDGET, core, enum_ideals
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
@@ -70,14 +70,15 @@ class CIdealVerdict:
 def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B).
 
-    With C an ideal the last condition holds exactly when B ∩ C is an
-    ideal: an ideal inside B lies in core(B), and conversely
-    B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
-    ideals.  So no core is computed, and when dim B + dim C = dim L the
-    sum condition forces B ∩ C = 0, which needs no check.  Each ideal C
-    is checked by brackets once per algebra: the ideals already shown
-    are kept in the algebra's memo, and a C that fails is checked again
-    on every call.
+    B + C = L is tested without forming the sum: the rows of B reduced
+    modulo C must have rank dim L - dim C.  With C an ideal the last
+    condition holds exactly when B ∩ C is an ideal: an ideal inside B
+    lies in core(B), and conversely B ∩ C <= core(B) makes
+    B ∩ C = core(B) ∩ C, an intersection of two ideals.  So no core is
+    computed, and when dim B + dim C = dim L the sum condition forces
+    B ∩ C = 0, which needs no check.  Each ideal C is checked by
+    brackets once per algebra: the ideals already shown are kept in the
+    algebra's memo, and a C that fails is checked again on every call.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("certificates are checked for subalgebras")
@@ -86,7 +87,12 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
         if not l.is_ideal(c):
             return False
         ideals.add(c)
-    return (b + c).dim == l.dim and (b.dim + c.dim == l.dim or l.is_ideal(b & c))
+    n = l.dim
+    if c.dim < n:
+        left = [c.reduce_raw(r) for r in b.rows]
+        if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
+            return False
+    return b.dim + c.dim == n or l.is_ideal(b & c)
 
 
 def _yes(l, b, c, method) -> CIdealVerdict:
@@ -117,9 +123,28 @@ def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
     if l.is_ideal(line):
         return _yes(l, line, l.full_space(), METHOD_LINE)
     derived = _derived_subspace(l)
-    if line <= derived:
+    rest = derived.reduce_raw(line.rows[0])
+    q = next((c for c, x in enumerate(rest) if x), None)
+    if q is None:
         return CIdealVerdict(NO, None, METHOD_LINE, True)
-    return _yes(l, line, derived + (derived + line).complement(), METHOD_LINE)
+    return _yes(l, line, _hyperplane(l, derived, q), METHOD_LINE)
+
+
+def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:
+    # [L, L] + complement([L, L] + Fx), where x reduced modulo [L, L] first
+    # leads at column q: every column but q is a pivot, and the row at
+    # pivot c is e_c plus (row c of [L, L])[q] times e_q.
+    n = l.dim
+    zero, one = _zero_one(l.field.p)
+    at_q = {c: r[q] for c, r in zip(derived.pivots, derived.rows)}
+    pivots = tuple(c for c in range(n) if c != q)
+    rows = []
+    for c in pivots:
+        row = [zero] * n
+        row[c] = one
+        row[q] = at_q.get(c, zero)
+        rows.append(tuple(row))
+    return Subspace(l.field, n, tuple(rows), pivots)
 
 
 def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdealVerdict:
@@ -159,14 +184,15 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
     """Definition-faithful oracle: try every ideal of L as the witness.
 
     Slower than :func:`is_cideal` but shares none of its reduction
-    logic, which is what makes it useful as a cross-check.  Finite
-    fields only.
+    logic, which is what makes it useful as a cross-check.  An ideal C
+    with dim B + dim C < dim L cannot give B + C = L, so it is passed
+    over before the sum is formed.  Finite fields only.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("c-ideal decisions apply to subalgebras")
     b_core = core(l, b)
     for cand in enum_ideals(l, budget):
-        if (b + cand).dim == l.dim and (b & cand) <= b_core:
+        if b.dim + cand.dim >= l.dim and (b + cand).dim == l.dim and (b & cand) <= b_core:
             return CIdealVerdict(YES, cand, METHOD_ENUM, True)
     return CIdealVerdict(NO, None, METHOD_ENUM, True)
 

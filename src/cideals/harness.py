@@ -271,9 +271,14 @@ def _spot_vectors(space: Subspace):
 
 
 def _t8(l, budget, decide):
+    p = l.field.p
+    if p is not None:
+        lines = (p**l.dim - 1) // (p - 1)
+        if lines > budget:
+            raise BudgetExceeded(f"{lines} lines of GF({p})^{l.dim} exceed the budget of {budget}")
     classification = classify_line_cideals(l)
     positive = classification.case != CASE_NEITHER
-    if l.field.p is not None:
+    if p is not None:
         bad = None
         for x in projective_points(l.field, l.dim):
             v = line_cideal(l, x)

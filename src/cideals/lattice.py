@@ -1,13 +1,18 @@
-"""Cores, normalizers and brute-force enumeration over finite fields.
+"""Cores, normalizers and exhaustive enumeration over finite fields.
 
-Enumeration walks every subspace of GF(p)^n exactly once by generating
-each reduced-row-echelon basis directly: choose pivot columns, then fill
-the free entries.  The order is deterministic (dimension ascending, then
+Subspaces of GF(p)^n are listed once each by generating every
+reduced-row-echelon basis directly: choose pivot columns, then fill the
+free entries.  The order is deterministic (dimension ascending, then
 pivot columns lexicographically, then free entries counted in residue
-order), and a count is checked against the budget before any work
-happens so overruns fail loudly instead of truncating.  Enumeration
-results are cached by algebra value; the line-ideal families live in
-the algebra's own memo (see :class:`~cideals.liealg.LieAlgebra`).
+order, the first row varying slowest).  Subalgebras come out in the
+same order, but from a search that fixes the rows one at a time and
+drops a partial basis as soon as one of its brackets is seen to fall
+outside every completion (see :func:`_subalgebras`), so most subspaces
+are never built.  The subspace count is checked against the budget
+before any work happens so overruns fail loudly instead of truncating.
+Enumeration results are cached by algebra value; the line-ideal
+families live in the algebra's own memo (see
+:class:`~cideals.liealg.LieAlgebra`).
 """
 
 from __future__ import annotations
@@ -104,9 +109,75 @@ def _subspace_iter(field: Field, n: int, dims):
 
 @lru_cache(maxsize=64)
 def _subalgebras(l: LieAlgebra) -> tuple:
-    return tuple(
-        u for u in _subspace_iter(l.field, l.dim, range(l.dim + 1)) if l.is_subalgebra(u)
-    )
+    """The subspaces of :func:`_subspace_iter` that are closed, in its order.
+
+    For each pivot tuple p_0 < ... < p_{k-1} the rows u_0, u_1, ... are
+    fixed depth first, row m running over its own free entries in
+    product order, which is the enumeration order.  Rows u_m, u_{m+1},
+    ... are zero before column p_m, so once rows 0..m are fixed a
+    bracket [u_a, u_b] (a < b <= m) minus sum_{c <= m} v[p_c] u_c, with v
+    the bracket, is final on every column before p_{m+1} (before n at
+    the last row): a nonzero entry there rules out every completion.
+    Each node keeps these residuals from column p_{m+1} on; fixing the
+    next row reduces them by it and checks the columns up to the pivot
+    after it, and the new row's brackets are reduced and checked the
+    same way.  At a leaf every column is checked, which is the full
+    closure test, and only then is a :class:`Subspace` made.
+    """
+    field, n = l.field, l.dim
+    out = [Subspace.zero(field, n)]
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            out.extend(Subspace(field, n, rows, pivots) for rows in _closed_bases(l, pivots))
+    return tuple(out)
+
+
+def _closed_bases(l: LieAlgebra, pivots: tuple) -> list:
+    # The canonical bases with these pivots whose span is bracket closed.
+    p, n, k = l.field.p, l.dim, len(pivots)
+    bracket = l.bracket_raw
+    ends = pivots[1:] + (n,)
+    frees = [tuple(c for c in range(pm + 1, n) if c not in pivots) for pm in pivots]
+    found = []
+
+    def extend(m: int, rows: list, tails: list):
+        # ``tails`` holds each bracket's residual from column pivots[m] on.
+        pm, end = pivots[m], ends[m]
+        width = end - pm
+        free = frees[m]
+        for values in itertools.product(range(p), repeat=len(free)):
+            row = [0] * n
+            row[pm] = 1
+            for c, x in zip(free, values):
+                row[c] = x
+            seg = row[pm:]
+            kept = []
+            for t in tails:
+                f = t[0]
+                if f:
+                    t = [(a - f * b) % p for a, b in zip(t, seg)]
+                if any(t[1:width]):
+                    break
+                kept.append(t[width:])
+            else:
+                basis = rows + [row]
+                for u in rows:
+                    v = bracket(u, row)
+                    for r, c in zip(basis, pivots):
+                        f = v[c]
+                        if f:
+                            v = [(a - f * b) % p for a, b in zip(v, r)]
+                    if any(v[:end]):
+                        break
+                    kept.append(v[end:])
+                else:
+                    if m + 1 == k:
+                        found.append(tuple(map(tuple, basis)))
+                    else:
+                        extend(m + 1, basis, kept)
+
+    extend(0, [], [])
+    return found
 
 
 @lru_cache(maxsize=64)

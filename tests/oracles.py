@@ -189,6 +189,34 @@ def oracle_intersection(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(field, n, vecs)
 
 
+def oracle_subalgebras(l) -> tuple:
+    """Every bracket-closed subspace, by testing each subspace that
+    :func:`enum_subspaces` lists, in its order."""
+    return tuple(u for u in enum_subspaces(l) if l.is_subalgebra(u))
+
+
+def oracle_maximal(candidates, proper_of_dim: int) -> tuple:
+    """The candidates of dimension below ``proper_of_dim`` strictly inside
+    no other such candidate, by testing pairs; dimension descending, the
+    given order within a dimension."""
+    proper = [u for u in candidates if u.dim < proper_of_dim]
+    # Only larger candidates can contain u; trying the largest first
+    # finds the container of a non-maximal u early.
+    by_dim = {}
+    for v in sorted(proper, key=lambda v: -v.dim):
+        by_dim.setdefault(v.dim, []).append(v)
+    larger = {d: [v for e, vs in by_dim.items() if e > d for v in vs] for d in by_dim}
+    picked = [u for u in proper if not any(u <= v for v in larger[u.dim])]
+    return tuple(sorted(picked, key=lambda u: -u.dim))
+
+
+def oracle_maximal_nilpotent_subalgebras(l, subalgebras) -> tuple:
+    """Maximal nilpotent members of ``subalgebras``, every subalgebra of l."""
+    if oracle_nilpotent(l):
+        return (l.full_space(),)
+    return oracle_maximal([u for u in subalgebras if is_nilpotent(l, u)], l.dim)
+
+
 def oracle_cartan_subalgebras(l) -> tuple:
     """Self-normalizing nilpotent subalgebras, filtered from every
     subalgebra in enumeration order."""

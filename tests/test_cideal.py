@@ -10,6 +10,7 @@ from cideals import (
     Subspace,
     UNKNOWN,
     YES,
+    LieAlgebra,
     ZeroVector,
     builtin,
     catalog_algebras,
@@ -77,6 +78,15 @@ class TestVerifyCertificate:
         with pytest.raises(NotSubalgebra):
             verify_certificate(sl2_q, ef, sl2_q.full_space())
 
+    @pytest.mark.parametrize("l", [builtin("heisenberg", Q, 3), builtin("heisenberg", GF(3), 3)])
+    def test_rejects_complementary_dims_that_meet(self, l):
+        # dim B + dim C = dim L, but B ∩ C = Fz, so B + C = B falls short
+        b = span(l, [1, 0, 0], [0, 0, 1])
+        c = l.centre()
+        assert l.is_subalgebra(b) and l.is_ideal(c)
+        assert b.dim + c.dim == l.dim and (b & c).dim == 1
+        assert not verify_certificate(l, b, c)
+
 
 class TestVerifiedIdealMemo:
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
@@ -130,6 +140,53 @@ class TestLineRule:
     def test_zero_vector_rejected(self, h3_q):
         with pytest.raises(ZeroVector):
             line_cideal(h3_q, h3_q.zero_vec())
+
+    @pytest.mark.parametrize(
+        "name, p",
+        [
+            ("t(2)", 2),
+            ("heisenberg(3)+abelian(1)", 3),
+            ("abelian(1)+nonabelian2", 5),
+            ("tilted", 2),
+            ("tilted", 3),
+            ("tilted", 5),
+            ("t(2)", None),
+            ("almost_abelian(4)", None),
+            ("tilted", None),
+        ],
+    )
+    def test_hyperplane_is_derived_plus_complement(self, name, p):
+        # The certificate built row by row is the sum the definition names:
+        # [L, L] + complement([L, L] + Fx); every point over GF(p), the
+        # basis vectors and their pairwise sums over Q.  In the catalog
+        # every row of [L, L] is a standard vector; "tilted" (x acting on
+        # span{y, z} by y, z -> y + z) has [L, L] = F(y + z), whose row
+        # has an entry off its pivot.
+        field = Q if p is None else GF(p)
+        if name == "tilted":
+            l = LieAlgebra(field, 3, brackets={(0, 1): (0, 1, 1), (0, 2): (0, 1, 1)})
+        else:
+            l = builtin(name, field)
+        full = l.full_space()
+        derived = l.span_product(full, full)
+        if p is None:
+            basis = full.vectors()
+            points = list(basis) + [
+                tuple(a + b for a, b in zip(u, v))
+                for i, u in enumerate(basis)
+                for v in basis[i + 1 :]
+            ]
+        else:
+            points = list(projective_points(l.field, l.dim))
+        hyperplanes = 0
+        for x in points:
+            line = Subspace.from_vectors(l.field, l.dim, [x])
+            if l.is_ideal(line) or line <= derived:
+                continue
+            verdict = line_cideal(l, x)
+            assert verdict.certificate == derived + (derived + line).complement()
+            hyperplanes += 1
+        assert hyperplanes
 
     def test_matches_scan_on_finite_catalog(self):
         for field in (GF(2), GF(3)):
@@ -217,6 +274,12 @@ class TestScan:
             assert v.answer in (YES, NO)
             if v.answer == YES:
                 assert verify_certificate(h3_gf2, b, v.certificate)
+
+    def test_scan_matches_definitional_oracle(self):
+        for field in (GF(2), GF(3)):
+            for _, l in catalog_algebras(field, max_dim=4):
+                for b in enum_subalgebras(l):
+                    assert (is_cideal_by_scan(l, b).answer == YES) == oracle_cideal(l, b)
 
     def test_scan_needs_finite_field(self, h3_q):
         with pytest.raises(Exception):

@@ -191,6 +191,14 @@ class TestVerify:
         assert main(["verify", h3_file, "--suite", "T1", "--budget", "2"]) == 0
         assert "skipped" in capsys.readouterr().out
 
+    def test_large_field_finishes_with_every_suite_skipped(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(serialize(builtin("t(2)+abelian(2)", GF(101))), encoding="utf-8")
+        assert main(["verify", str(path), "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert len(reports) == 11
+        assert all(r["status"] == "skipped" and "budget" in r["reason"] for r in reports)
+
 
 class TestFuzz:
     def test_small_run(self, capsys):

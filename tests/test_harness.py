@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,21 @@ class TestRunSuite:
         reports = run_suite(h3_gf2, "T1,T9", budget=2)
         assert all(r.status == SKIP for r in reports)
         assert all("budget" in r.reason for r in reports)
+
+    def test_t8_line_count_checked_against_budget(self):
+        # 101^5 - 1 / 100 = 105,101,005 lines: skipped before the scan.
+        l = builtin("t(2)+abelian(2)", GF(101))
+        start = time.perf_counter()
+        (report,) = run_suite(l, "T8")
+        assert time.perf_counter() - start < 2.0
+        assert report.status == SKIP
+        assert "105101005 lines" in report.reason
+
+    def test_t8_budget_equal_to_line_count_runs(self, h3_gf2):
+        (report,) = run_suite(h3_gf2, "T8", budget=7)
+        assert report.status == PASS
+        (report,) = run_suite(h3_gf2, "T8", budget=6)
+        assert report.status == SKIP and "7 lines" in report.reason
 
     def test_q_reports(self, h3_q):
         reports = {r.theorem_id: r for r in run_suite(h3_q)}

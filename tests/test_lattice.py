@@ -25,7 +25,13 @@ from cideals import (
     subspace_count,
 )
 
-from oracles import oracle_cartan_subalgebras, oracle_core
+from oracles import (
+    oracle_cartan_subalgebras,
+    oracle_core,
+    oracle_maximal,
+    oracle_maximal_nilpotent_subalgebras,
+    oracle_subalgebras,
+)
 
 
 def vec(field, coords):
@@ -105,6 +111,52 @@ class TestEnumClosedSets:
 
     def test_results_cached(self, h3_gf2):
         assert enum_ideals(h3_gf2) is enum_ideals(h3_gf2)
+
+
+def _search_corpus():
+    """(id, algebra) pairs: the catalog within 10^5 subspaces over GF(2),
+    GF(3) and GF(5) (sl2 among them over GF(3) and GF(5)), and random
+    solvable algebras of the criterion-3 shape within 10^4 subspaces,
+    each value once."""
+    out = []
+    for p in (2, 3, 5):
+        for cid, l in catalog_algebras(GF(p)):
+            if subspace_count(l.dim, p) <= 10**5:
+                out.append((f"{cid}/GF({p})", l))
+        for seed in range(30):
+            l = random_solvable(seed, GF(p), 3, 2 + seed % 4)
+            if subspace_count(l.dim, p) <= 10**4 and all(l != m for _, m in out):
+                out.append((f"random_solvable({seed})/GF({p})", l))
+    return out
+
+
+_SEARCH_CORPUS = _search_corpus()
+_SEARCH_IDS = [cid for cid, _ in _SEARCH_CORPUS]
+_SEARCH_ALGEBRAS = [l for _, l in _SEARCH_CORPUS]
+
+
+class TestPrunedSearch:
+    """The row-by-row search against the filter over every subspace."""
+
+    def test_corpus(self):
+        assert "sl2/GF(3)" in _SEARCH_IDS and "sl2/GF(5)" in _SEARCH_IDS
+        assert "t(3)/GF(3)" in _SEARCH_IDS and "heisenberg(5)/GF(5)" in _SEARCH_IDS
+        assert sum(cid.startswith("random") for cid in _SEARCH_IDS) >= 20
+
+    @pytest.mark.parametrize("l", _SEARCH_ALGEBRAS, ids=_SEARCH_IDS)
+    def test_matches_filter_and_pairwise_maximal(self, l):
+        subalgebras = oracle_subalgebras(l)
+        assert enum_subalgebras(l) == subalgebras
+        assert maximal_subalgebras(l) == oracle_maximal(subalgebras, l.dim)
+        assert maximal_nilpotent_subalgebras(l) == oracle_maximal_nilpotent_subalgebras(
+            l, subalgebras
+        )
+
+    def test_budget_still_counts_every_subspace(self):
+        l = builtin("heisenberg", GF(2), 3)
+        with pytest.raises(BudgetExceeded):
+            enum_subalgebras(l, budget=subspace_count(3, 2) - 1)
+        assert len(enum_subalgebras(l, budget=subspace_count(3, 2))) == 12
 
 
 class TestMaximal:
