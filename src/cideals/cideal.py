@@ -20,11 +20,10 @@ the definition before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
 from .linalg import Subspace, _zero_one, raw_rref, subspace_text, vector_is_zero
-from .liealg import LieAlgebra, quotient_algebra
+from .liealg import LieAlgebra, algebra_modulo
 from .lattice import DEFAULT_BUDGET, core, enum_ideals
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
 
@@ -161,7 +160,7 @@ def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdea
         return _line_cideal(l, b)
 
     b_core = core(l, b)
-    reduced = quotient_algebra(l, b_core)[0]
+    reduced = algebra_modulo(l, b_core)
     b_red = b_core.modulo(b)
     target = reduced.dim - b_red.dim
 
@@ -197,7 +196,6 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
     return CIdealVerdict(NO, None, METHOD_ENUM, True)
 
 
-@lru_cache(maxsize=128)
 def characteristic_ideals(l: LieAlgebra) -> tuple:
     """Ideals available without enumeration, closed under + and ∩.
 
@@ -205,6 +203,10 @@ def characteristic_ideals(l: LieAlgebra) -> tuple:
     central series, and the centralizers of all of those.  The closure
     is capped to keep the search finite; order is deterministic.
     """
+    return l._memoized("characteristic_ideals", lambda: _characteristic_ideals(l))
+
+
+def _characteristic_ideals(l: LieAlgebra) -> tuple:
     found = {l.zero_space(), l.full_space()}
     seeds = set()
     seeds.update(l.derived_series().terms)

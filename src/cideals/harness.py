@@ -40,12 +40,7 @@ from dataclasses import dataclass
 from .errors import BadParams, BudgetExceeded, FieldNotFinite
 from .fields import Field
 from .linalg import Subspace, subspace_text, vector_text
-from .liealg import (
-    LieAlgebra,
-    is_solvable,
-    quotient_algebra,
-    restricted_algebra,
-)
+from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
     enum_ideals,
@@ -179,7 +174,7 @@ def _t4(l, budget, decide):
     ours = maximal_nilpotent_subalgebras(l, budget)
     checked = 0
     for a in enum_ideals(l, budget):
-        for w_red in maximal_nilpotent_subalgebras(quotient_algebra(l, a)[0], budget):
+        for w_red in maximal_nilpotent_subalgebras(algebra_modulo(l, a), budget):
             preimage = a.preimage(w_red)
             if not any((c + a) == preimage for c in ours):
                 witnesses = {
@@ -195,7 +190,7 @@ def _nilpotent_maximal_premise(l, budget, decide):
     """Is every maximal subalgebra of every maximal nilpotent subalgebra
     a c-ideal of l?  Returns (True, None) or (False, witness dict)."""
     for c in maximal_nilpotent_subalgebras(l, budget):
-        for m in maximal_subalgebras(restricted_algebra(l, c)[0], budget):
+        for m in maximal_subalgebras(algebra_on(l, c), budget):
             b = c.from_coords(m)
             v = decide(l, b, budget)
             if v.answer != YES:
@@ -360,16 +355,13 @@ def _t9(l, budget, decide):
     """
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
-    restricted = {}
     checked = 0
     for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget)):
         v = decide(l, b, budget)
         if v.answer != YES:
             continue
         for k in above:
-            if k not in restricted:
-                restricted[k] = restricted_algebra(l, k)[0]
-            vk = decide(restricted[k], k.coords(b), budget)
+            vk = decide(algebra_on(l, k), k.coords(b), budget)
             if vk.answer != YES:
                 witnesses = {
                     "cideal": subspace_text(b),
@@ -390,14 +382,11 @@ def _t10(l, budget, decide):
     if l.field.p is None:
         return SKIP, _SKIP_Q_ENUM, {}
     ideals = enum_ideals(l, budget)
-    quotients = {}
     checked = 0
     for b in enum_subalgebras(l, budget):
         v_outer = decide(l, b, budget)
         for i in _inside(b, ideals):
-            if i not in quotients:
-                quotients[i] = quotient_algebra(l, i)[0]
-            v_inner = decide(quotients[i], i.modulo(b), budget)
+            v_inner = decide(algebra_modulo(l, i), i.modulo(b), budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
                     "subalgebra": subspace_text(b),

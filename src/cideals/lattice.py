@@ -10,20 +10,20 @@ drops a partial basis as soon as one of its brackets is seen to fall
 outside every completion (see :func:`_subalgebras`), so most subspaces
 are never built.  The subspace count is checked against the budget
 before any work happens so overruns fail loudly instead of truncating.
-Enumeration results are cached by algebra value; the line-ideal
-families live in the algebra's own memo (see
-:class:`~cideals.liealg.LieAlgebra`).
+The subalgebra and ideal lattices, the maximal and maximal-nilpotent
+lists and the line-ideal families live in the memo the algebra shares
+with every value-equal algebra (see :class:`~cideals.liealg.LieAlgebra`);
+every entry point checks the budget before it reads the memo.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, poly_roots_in_field
 from .linalg import Subspace, _box, char_poly, eigenspace
-from .liealg import LieAlgebra, is_nilpotent, restricted_algebra
+from .liealg import LieAlgebra, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
 
@@ -107,7 +107,6 @@ def _subspace_iter(field: Field, n: int, dims):
                 yield Subspace(field, n, tuple(map(tuple, rows)), pivots)
 
 
-@lru_cache(maxsize=64)
 def _subalgebras(l: LieAlgebra) -> tuple:
     """The subspaces of :func:`_subspace_iter` that are closed, in its order.
 
@@ -180,23 +179,21 @@ def _closed_bases(l: LieAlgebra, pivots: tuple) -> list:
     return found
 
 
-@lru_cache(maxsize=64)
-def _ideals(l: LieAlgebra) -> tuple:
-    return tuple(u for u in _subalgebras(l) if l.is_ideal(u))
-
-
 def enum_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
-    """Every bracket-closed subspace, in enumeration order."""
+    """Every bracket-closed subspace, in enumeration order.
+
+    The other lattice entry points start here, so the field and the
+    budget are checked before any memo is read.
+    """
     _require_finite(l)
     _check_budget(l, None, budget)
-    return _subalgebras(l)
+    return l._memoized("subalgebras", lambda: _subalgebras(l))
 
 
 def enum_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Every ideal, in enumeration order."""
-    _require_finite(l)
-    _check_budget(l, None, budget)
-    return _ideals(l)
+    subalgebras = enum_subalgebras(l, budget)
+    return l._memoized("ideals", lambda: tuple(u for u in subalgebras if l.is_ideal(u)))
 
 
 def _maximal_among(candidates, proper_of_dim: int) -> tuple:
@@ -210,54 +207,30 @@ def _maximal_among(candidates, proper_of_dim: int) -> tuple:
     return tuple(picked)
 
 
-@lru_cache(maxsize=64)
-def _maximal_subalgebras(l: LieAlgebra) -> tuple:
-    return _maximal_among(_subalgebras(l), l.dim)
-
-
 def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Proper subalgebras contained in no larger proper subalgebra.
 
     Ordered by dimension descending, enumeration order within a
     dimension.
     """
-    _require_finite(l)
-    _check_budget(l, None, budget)
-    return _maximal_subalgebras(l)
-
-
-@lru_cache(maxsize=64)
-def _maximal_nilpotent(l: LieAlgebra) -> tuple:
-    if is_nilpotent(l):
-        return (l.full_space(),)
-    nil = [u for u in _subalgebras(l) if is_nilpotent(l, u)]
-    # L itself is not nilpotent here, so every candidate is proper.
-    return _maximal_among(nil, l.dim)
+    subalgebras = enum_subalgebras(l, budget)
+    return l._memoized("maximal", lambda: _maximal_among(subalgebras, l.dim))
 
 
 def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Nilpotent subalgebras maximal among the nilpotent ones.
 
-    When L is itself nilpotent the unique answer is L.
+    When L is itself nilpotent the unique answer is L, given without
+    the budget check.
     """
     _require_finite(l)
     if is_nilpotent(l):
         return (l.full_space(),)
-    _check_budget(l, None, budget)
-    return _maximal_nilpotent(l)
-
-
-@lru_cache(maxsize=64)
-def _cartan_subalgebras(l: LieAlgebra) -> tuple:
-    # A Cartan subalgebra H is maximal nilpotent in any characteristic: if
-    # H < K with K nilpotent, the normalizer condition in K gives an
-    # element of K outside H normalizing H.  So the maximal nilpotent
-    # subalgebras are the only candidates.
-    return tuple(
-        sorted(
-            (u for u in _maximal_nilpotent(l) if normalizer(l, u) == u),
-            key=Subspace.sort_key,
-        )
+    subalgebras = enum_subalgebras(l, budget)
+    # L itself is not nilpotent here, so every candidate is proper.
+    return l._memoized(
+        "maximal_nilpotent",
+        lambda: _maximal_among([u for u in subalgebras if is_nilpotent(l, u)], l.dim),
     )
 
 
@@ -265,11 +238,16 @@ def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Self-normalizing nilpotent subalgebras, in enumeration order.
 
     They are the self-normalizing members of
-    :func:`maximal_nilpotent_subalgebras`.
+    :func:`maximal_nilpotent_subalgebras` (a Cartan subalgebra inside a
+    larger nilpotent K would be normalized by an element of K outside
+    it), so a nilpotent L is answered as its own without the budget check.
     """
-    _require_finite(l)
-    _check_budget(l, None, budget)
-    return _cartan_subalgebras(l)
+    return tuple(
+        sorted(
+            (u for u in maximal_nilpotent_subalgebras(l, budget) if normalizer(l, u) == u),
+            key=Subspace.sort_key,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     AmbientMismatch,
@@ -63,15 +62,13 @@ class LieAlgebra:
 
     Equality and hashing use the field, dimension and bracket table;
     basis labels and metadata are presentation only and ignored, which
-    lets derived objects (quotients, restrictions) be cached by value.
+    lets derived objects be shared by value.
 
-    Objects derived from the algebra alone live in one memo slot, kept
-    out of equality and hashing and filled on first use: the derived
-    subspace [L, L], the line-ideal families of
-    :func:`~cideals.lattice.ideal_line_families`, and the set of
-    certificate ideals that :func:`~cideals.cideal.verify_certificate`
-    has already shown by brackets to be ideals.  That set holds ideals
-    of L only, so it is bounded by their number.
+    Objects derived from the value live in one memo dict, the library's
+    only cache of them (see :func:`canonical`), read through the
+    ``_memo`` slot, which stays out of equality and hashing: lattices,
+    flags, and per subspace the algebra on it or modulo it
+    (:func:`algebra_on`, :func:`algebra_modulo`).
     """
 
     __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")
@@ -124,12 +121,15 @@ class LieAlgebra:
             ad[j][i] = tuple((k, -c if p is None else p - c) for k, c in ad[i][j])
         self._ad = tuple(tuple(row) for row in ad)
         self._hash = None
-        self._memo = {}
+        self._memo = None
 
-    def _memoized(self, key: str, make):
-        """The derived object ``key`` of this algebra: ``make()`` on first
-        use, then the stored value for the life of the algebra."""
+    def _memoized(self, key, make):
+        """The derived object ``key`` of this algebra's value: ``make()`` on
+        first use by any value-equal algebra, then the stored object.
+        Callers check their budget before reading."""
         memo = self._memo
+        if memo is None:
+            memo = self._memo = canonical(self)._memo
         if key not in memo:
             memo[key] = make()
         return memo[key]
@@ -449,42 +449,57 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# cached derived objects.  Keyed by value (LieAlgebra and Subspace hash their
-# content), bounded so fuzzing cannot grow memory without limit.
+# the one owner of derived objects.  Each algebra value's first instance owns
+# the memo dict that every value-equal algebra reads; past the cap the oldest
+# is dropped from the table, keeping its memo for the algebras that hold it.
 
-@lru_cache(maxsize=256)
+_CANONICAL_CAP = 1024
+_canonical = {}
+
+
+def canonical(l: LieAlgebra) -> LieAlgebra:
+    """The canonical instance of l's value, the one owning its memo."""
+    first = _canonical.setdefault(l, l)
+    if first._memo is None:
+        first._memo = {}
+        if len(_canonical) > _CANONICAL_CAP:
+            del _canonical[next(iter(_canonical))]
+    return first
+
+
+def algebra_on(l: LieAlgebra, u: Subspace) -> LieAlgebra:
+    """The canonical algebra on the subalgebra u, kept in l's memo."""
+    return l._memoized(("on", u), lambda: canonical(l.restrict(u)[0]))
+
+
+def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
+    """The canonical algebra l/ideal, kept in l's memo."""
+    return l._memoized(("modulo", ideal), lambda: canonical(l.quotient(ideal)[0]))
+
+
 def restricted_algebra(l: LieAlgebra, u: Subspace):
-    return l.restrict(u)
+    """``l.restrict(u)``, made once per (value of l, u)."""
+    return l._memoized(("restricted", u), lambda: l.restrict(u))
 
 
-@lru_cache(maxsize=256)
 def quotient_algebra(l: LieAlgebra, ideal: Subspace):
-    return l.quotient(ideal)
-
-
-@lru_cache(maxsize=1024)
-def _solvable(l: LieAlgebra) -> bool:
-    return l.derived_series().terms[-1].dim == 0
-
-
-@lru_cache(maxsize=1024)
-def _nilpotent(l: LieAlgebra) -> bool:
-    return l.lower_central_series().terms[-1].dim == 0
+    """``l.quotient(ideal)``, made once per (value of l, ideal)."""
+    return l._memoized(("quotient", ideal), lambda: l.quotient(ideal))
 
 
 def is_solvable(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
     """Solvability of L, or of a subalgebra's intrinsic algebra."""
-    if subspace is None:
-        return _solvable(l)
-    if subspace.dim == 0:
-        return True
-    return _solvable(restricted_algebra(l, subspace)[0])
+    if subspace is not None:
+        if subspace.dim == 0:
+            return True
+        l = algebra_on(l, subspace)
+    return l._memoized("solvable", lambda: l.derived_series().terms[-1].dim == 0)
 
 
 def is_nilpotent(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
     """Nilpotency of L, or of a subalgebra's intrinsic algebra."""
-    if subspace is None:
-        return _nilpotent(l)
-    if subspace.dim == 0:
-        return True
-    return _nilpotent(restricted_algebra(l, subspace)[0])
+    if subspace is not None:
+        if subspace.dim == 0:
+            return True
+        l = algebra_on(l, subspace)
+    return l._memoized("nilpotent", lambda: l.lower_central_series().terms[-1].dim == 0)

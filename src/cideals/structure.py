@@ -15,10 +15,9 @@ as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .linalg import Subspace, scale_vector, subspace_text
-from .liealg import LieAlgebra, is_nilpotent, is_solvable, restricted_algebra
+from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_nilpotent, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
     core,
@@ -83,7 +82,6 @@ def _nilpotent_flag(l: LieAlgebra) -> tuple:
     return tuple(flag)
 
 
-@lru_cache(maxsize=512)
 def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     """A complete flag of ideals 0 = I_0 < I_1 < ... < I_n = L, or None.
 
@@ -96,6 +94,10 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     families, which is exactly the set available to a rational
     structure; a None over Q means the rational form has no such flag.
     """
+    return l._memoized("supersolvable_flag", lambda: _flag(l))
+
+
+def _flag(l: LieAlgebra) -> tuple | None:
     if l.dim == 0:
         return (l.zero_space(),)
     if is_nilpotent(l):
@@ -103,7 +105,7 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     line = first_line_ideal(l)
     if line is None:
         return None
-    rest = supersolvable_flag(l.quotient(line)[0])
+    rest = supersolvable_flag(algebra_modulo(l, line))
     if rest is None:
         return None
     return (l.zero_space(),) + tuple(line.preimage(w) for w in rest)
@@ -157,14 +159,12 @@ def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     return f, core(l, f)
 
 
-@lru_cache(maxsize=512)
-def _frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int) -> Subspace:
-    return u.from_coords(_frattini_subalgebra(restricted_algebra(l, u)[0], budget))
-
-
 def frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int = DEFAULT_BUDGET) -> Subspace:
-    """F(u) for a subalgebra u, expressed in the coordinates of L."""
-    return _frattini_of_subalgebra(l, u, budget)
+    """F(u) for a subalgebra u, expressed in the coordinates of L.
+
+    The budget is checked against the subspaces of u, not of L.
+    """
+    return u.from_coords(_frattini_subalgebra(algebra_on(l, u), budget))
 
 
 def abelian_socle(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
@@ -277,7 +277,7 @@ def classify_line_cideals(l: LieAlgebra) -> LineClassification:
         and (a_part + b_part).dim == l.dim
         and (a_part & b_part).dim == 0
         and l.span_product(a_part, a_part).dim == 0
-        and is_almost_abelian(restricted_algebra(l, b_part)[0])
+        and is_almost_abelian(algebra_on(l, b_part))
     )
     if not split_ok:
         raise AssertionError("split reconstruction failed its own verification")

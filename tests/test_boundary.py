@@ -4,13 +4,15 @@ The decision engine and the claim suites map subspaces into
 subalgebras and quotients on raw rows, so deciding a c-ideal, a line or
 a suite builds no :class:`~cideals.fields.Scalar` at all.  T5-T8 are
 left out: they reach the line families' root finding or the public
-projective scan, which box by design.
+projective scan, which box by design.  Each count starts cold: from an
+empty table of canonical algebras, on a fresh algebra whose memo is
+unset, so no derived object computed earlier can hide a Scalar.
 """
 
 import pytest
 
 from cideals import GF, builtin, enum_subalgebras, is_cideal, line_cideal, projective_points
-from cideals import cideal, lattice, liealg, random_solvable, run_suite, structure
+from cideals import liealg, random_solvable, run_suite
 from cideals.fields import Scalar
 
 _ALGEBRAS = {
@@ -21,12 +23,12 @@ _ALGEBRAS = {
 }
 
 
-def _scalars_made(monkeypatch, work) -> int:
-    """Scalar constructions during ``work()``, starting from cold caches."""
-    for module in (cideal, lattice, liealg, structure):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+def _scalars_made(monkeypatch, name, work) -> int:
+    """Scalar constructions during ``work(l)``, with ``l`` a fresh algebra
+    ``name`` and the table of canonical algebras empty."""
+    monkeypatch.setattr(liealg, "_canonical", {})
+    l = _ALGEBRAS[name]()
+    assert l._memo is None
     made = [0]
     make = Scalar._make.__func__
 
@@ -36,35 +38,34 @@ def _scalars_made(monkeypatch, work) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(Scalar, "_make", classmethod(counting))
-        work()
+        work(l)
     return made[0]
 
 
 @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
 class TestNoScalarsInside:
     def test_is_cideal_on_every_subalgebra(self, monkeypatch, name):
-        l = _ALGEBRAS[name]()
-        subalgebras = enum_subalgebras(l)
-        assert _scalars_made(monkeypatch, lambda: [is_cideal(l, b) for b in subalgebras]) == 0
+        subalgebras = enum_subalgebras(_ALGEBRAS[name]())
+        made = _scalars_made(monkeypatch, name, lambda l: [is_cideal(l, b) for b in subalgebras])
+        assert made == 0
 
     def test_line_cideal_on_every_point(self, monkeypatch, name):
-        l = _ALGEBRAS[name]()
-        points = list(projective_points(l.field, l.dim))
-        assert _scalars_made(monkeypatch, lambda: [line_cideal(l, x) for x in points]) == 0
+        shape = _ALGEBRAS[name]()
+        points = list(projective_points(shape.field, shape.dim))
+        assert _scalars_made(monkeypatch, name, lambda l: [line_cideal(l, x) for x in points]) == 0
 
     @pytest.mark.parametrize("suite", ["T1", "T2", "T3", "T4", "T9", "T10", "T11"])
     def test_suite(self, monkeypatch, name, suite):
-        l = _ALGEBRAS[name]()
         reports = []
-        assert _scalars_made(monkeypatch, lambda: reports.extend(run_suite(l, suite))) == 0
+        assert _scalars_made(monkeypatch, name, lambda l: reports.extend(run_suite(l, suite))) == 0
         assert [r.status for r in reports] in (["pass"], ["skipped"])
 
 
 @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
 def test_restricted_and_quotient_algebras_take_raw_constants(monkeypatch, name):
-    l = _ALGEBRAS[name]()
-    subalgebras = enum_subalgebras(l)
-    ideals = [u for u in subalgebras if l.is_ideal(u)]
+    shape = _ALGEBRAS[name]()
+    subalgebras = enum_subalgebras(shape)
+    ideals = [u for u in subalgebras if shape.is_ideal(u)]
     inits = [0]
     init = Scalar.__init__
 
@@ -72,13 +73,13 @@ def test_restricted_and_quotient_algebras_take_raw_constants(monkeypatch, name):
         inits[0] += 1
         init(self, field, value)
 
-    def work():
-        for u in subalgebras:
-            l.restrict(u)
-        for i in ideals:
-            l.quotient(i)
+    def work(l):
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "__init__", counting)
+            for u in subalgebras:
+                l.restrict(u)
+            for i in ideals:
+                l.quotient(i)
 
-    with monkeypatch.context() as m:
-        m.setattr(Scalar, "__init__", counting)
-        assert _scalars_made(monkeypatch, work) == 0
+    assert _scalars_made(monkeypatch, name, work) == 0
     assert inits[0] == 0

@@ -136,6 +136,15 @@ class TestEnumerate:
         assert main(["enumerate", str(path), "--what", "lines", "--budget", "5"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_cartan_of_nilpotent_algebra_at_a_large_prime(self, tmp_path, capsys):
+        # GF(1000003)^2 has more subspaces than the default budget, but a
+        # nilpotent algebra is its own Cartan subalgebra.
+        path = tmp_path / "ab2.json"
+        path.write_text(serialize(builtin("abelian(2)", GF(1000003))), encoding="utf-8")
+        assert main(["enumerate", str(path), "--what", "cartan"]) == 0
+        assert "count: 1" in capsys.readouterr().out
+        assert main(["enumerate", str(path), "--what", "subalgebras"]) == 3
+
     def test_bad_kind_exits_two(self, h3_file):
         assert main(["enumerate", h3_file, "--what", "everything"]) == 2
 

@@ -1,0 +1,151 @@
+"""The one owner of derived objects: a memo shared by value-equal algebras.
+
+Each algebra value has a canonical instance, the first one seen, held in
+``liealg._canonical`` and dropped oldest-first past ``_CANONICAL_CAP``;
+its memo dict is read by every value-equal algebra.  A warm memo must
+never answer a call that is over budget, sharing must leave equality
+and hashing alone, and the cap must bound the table without changing
+any answer.
+"""
+
+import pytest
+
+from cideals import (
+    GF,
+    BudgetExceeded,
+    LieAlgebra,
+    abelian_socle,
+    builtin,
+    catalog_algebras,
+    enum_ideals,
+    enum_subalgebras,
+    frattini,
+    frattini_of_subalgebra,
+    is_supersolvable,
+    maximal_nilpotent_subalgebras,
+    maximal_subalgebras,
+    radicals,
+    subspace_count,
+)
+from cideals import liealg
+
+from oracles import (
+    oracle_is_ideal,
+    oracle_maximal_nilpotent_subalgebras,
+    oracle_subalgebras,
+    oracle_supersolvable,
+)
+
+_WHOLE = [
+    enum_subalgebras,
+    enum_ideals,
+    maximal_subalgebras,
+    maximal_nilpotent_subalgebras,
+    frattini,
+    radicals,
+    abelian_socle,
+]
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    monkeypatch.setattr(liealg, "_canonical", {})
+    return liealg._canonical
+
+
+def _t2():
+    # Not nilpotent, so maximal_nilpotent_subalgebras reaches its budget check.
+    return builtin("t(2)", GF(3))
+
+
+class TestWarmMemoKeepsTheBudget:
+    @pytest.mark.parametrize("fn", _WHOLE, ids=lambda fn: fn.__name__)
+    def test_whole_algebra(self, empty_table, fn):
+        l = _t2()
+        limit = subspace_count(l.dim, l.field.p)
+        answer = fn(l)
+        with pytest.raises(BudgetExceeded):
+            fn(l, budget=limit - 1)
+        with pytest.raises(BudgetExceeded):
+            fn(_t2(), budget=limit - 1)
+        assert fn(_t2(), budget=limit) == answer
+
+    def test_frattini_of_subalgebra(self, empty_table):
+        l = _t2()
+        for u in maximal_subalgebras(l) + (l.full_space(),):
+            limit = subspace_count(u.dim, l.field.p)
+            answer = frattini_of_subalgebra(l, u)
+            with pytest.raises(BudgetExceeded):
+                frattini_of_subalgebra(l, u, budget=limit - 1)
+            assert frattini_of_subalgebra(_t2(), u, budget=limit) == answer
+
+
+class TestSharing:
+    def test_value_equal_algebra_reads_the_same_memo(self, empty_table, monkeypatch):
+        first = builtin("heisenberg(3)+abelian(1)", GF(3))
+        ideals = enum_ideals(first)
+        other = builtin("heisenberg(3)+abelian(1)", GF(3))
+        assert other is not first and other._memo is None
+        before = hash(other)
+        calls = [0]
+        is_ideal = LieAlgebra.is_ideal
+
+        def counting(self, u):
+            calls[0] += 1
+            return is_ideal(self, u)
+
+        monkeypatch.setattr(LieAlgebra, "is_ideal", counting)
+        assert enum_ideals(other) == ideals
+        assert calls[0] == 0
+        assert other._memo is first._memo
+        assert other == first and hash(other) == before == hash(first)
+        assert len(empty_table) == 1
+
+    def test_algebras_on_subalgebras_are_canonical(self, empty_table):
+        l = builtin("t(2)", GF(3))
+        on = [liealg.algebra_on(l, u) for u in enum_subalgebras(l)]
+        # value-equal restrictions of different subalgebras are one object
+        assert len({id(alg) for alg in on}) == len(set(on)) < len(on)
+        for u, alg in zip(enum_subalgebras(l), on):
+            assert liealg.algebra_on(builtin("t(2)", GF(3)), u) is alg
+            assert alg == l.restrict(u)[0]
+        for i in enum_ideals(l):
+            assert liealg.algebra_modulo(l, i) == l.quotient(i)[0]
+
+
+class TestCap:
+    def test_oldest_entry_is_dropped(self, empty_table, monkeypatch):
+        monkeypatch.setattr(liealg, "_CANONICAL_CAP", 2)
+        a, b, c = (builtin("abelian", GF(2), k) for k in (1, 2, 3))
+        for alg in (a, b, c):
+            assert liealg.canonical(alg) is alg
+        assert list(empty_table) == [b, c]
+        again = builtin("abelian", GF(2), 1)
+        assert liealg.canonical(again) is again
+        assert a._memo is not None and a._memo is not again._memo
+        assert list(empty_table) == [c, again]
+
+    def test_table_stays_within_the_cap(self, monkeypatch):
+        def algebras():
+            return [l for _, l in catalog_algebras(GF(2), max_dim=4)]
+
+        expected = []
+        for l in algebras():
+            subalgebras = oracle_subalgebras(l)
+            expected.append(
+                (
+                    tuple(u for u in subalgebras if oracle_is_ideal(l, u)),
+                    oracle_maximal_nilpotent_subalgebras(l, subalgebras),
+                    oracle_supersolvable(l),
+                )
+            )
+        cap = 3
+        monkeypatch.setattr(liealg, "_canonical", {})
+        monkeypatch.setattr(liealg, "_CANONICAL_CAP", cap)
+        fresh = algebras()
+        assert len(set(fresh)) > cap
+        for _ in range(2):  # cold, then on the memos the algebras still hold
+            for l, want in zip(fresh, expected):
+                got = (enum_ideals(l), maximal_nilpotent_subalgebras(l), is_supersolvable(l))
+                assert got == want
+                assert len(liealg._canonical) <= cap

@@ -18,16 +18,25 @@ def _decorator_name(node):
     return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
 
+_CACHES = ("lru_cache", "cache", "cached_property")
+
+
 def test_module_level_caches_do_not_grow():
-    # Derived objects are to move into one owner per algebra; a verdict
-    # memo belongs to the call that uses it, never to the module.
+    # Derived objects live in the memo that value-equal algebras share
+    # (liealg.canonical); a verdict memo belongs to the call that uses it,
+    # never to the module.  So no functools cache may come back, as a
+    # decorator, a call or an import.
     found = []
     for path in sorted(Path(cideals.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
-        ]
-    assert len(found) <= 12, found
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits = [d for d in node.decorator_list if _decorator_name(d) in _CACHES]
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                hits = [a for a in node.names if a.name in _CACHES + ("*",)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hits = [node] if node.value.id == "functools" and node.attr in _CACHES else []
+            else:
+                hits = []
+            found += [f"{path.name}:{node.lineno}" for _ in hits]
+    assert found == []

@@ -12,6 +12,7 @@ from cideals import (
     Q,
     Subspace,
     builtin,
+    cartan_subalgebras,
     catalog_algebras,
     classify_line_cideals,
     derived_length,
@@ -21,6 +22,7 @@ from cideals import (
     is_almost_abelian,
     is_nilpotent,
     is_supersolvable,
+    maximal_nilpotent_subalgebras,
     abelian_socle,
     almost_abelian_witness,
     nilpotency_class,
@@ -129,7 +131,9 @@ class TestLargePrimes:
     # so nothing here walks the field or its lines.
     @pytest.mark.parametrize("p", [1000003, 2**31 - 1])
     @pytest.mark.parametrize("name", ["nonabelian2", "abelian(2)"])
-    @pytest.mark.parametrize("fn", [is_supersolvable, classify_line_cideals, one_dim_ideals])
+    @pytest.mark.parametrize(
+        "fn", [is_supersolvable, classify_line_cideals, one_dim_ideals, structure_profile]
+    )
     def test_finishes_or_exceeds_budget(self, fn, name, p):
         l = builtin(name, GF(p))
         start = time.perf_counter()
@@ -146,6 +150,13 @@ class TestLargePrimes:
             assert len(one_dim_ideals(l)) == 1
             with pytest.raises(BudgetExceeded):
                 one_dim_ideals(builtin("abelian(2)", GF(p)))
+
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+    def test_nilpotent_algebra_is_its_own_cartan(self, p):
+        # Answered before the budget check, which GF(p)^2 would exceed.
+        l = builtin("abelian(2)", GF(p))
+        assert maximal_nilpotent_subalgebras(l) == (l.full_space(),)
+        assert cartan_subalgebras(l) == (l.full_space(),)
 
 
 class TestRadicals:
