@@ -14,17 +14,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    BadParams,
-    BudgetExceeded,
-    DocumentSyntaxError,
-    Error,
-    FieldNotFinite,
-    JacobiViolation,
-    NotSubalgebra,
-    UnknownName,
-    ZeroVector,
-)
+from .errors import BadParams, BudgetExceeded, Error, JacobiViolation
 from .fields import Field, GF, Q
 from .linalg import parse_subspace, subspace_text
 from .lattice import (
@@ -303,22 +293,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except DocumentSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except JacobiViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BadParams, UnknownName, NotSubalgebra, ZeroVector, FieldNotFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Error as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -320,6 +320,25 @@ def _gf_roots(f: list, p: int) -> list:
 def poly_roots_in_field(coeffs) -> set[Scalar]:
     """Roots, inside the coefficient field, of sum(coeffs[k] * t**k).
 
+    See :func:`raw_poly_roots`.  Raises ZeroPolynomial for an empty or
+    all-zero coefficient list.
+    """
+    coeffs = list(coeffs)
+    if not coeffs:
+        raise ZeroPolynomial("no coefficients given")
+    field = coeffs[0].field
+    for c in coeffs[1:]:
+        if c.field != field:
+            raise FieldMismatch("polynomial coefficients from different fields")
+    if not any(coeffs):
+        raise ZeroPolynomial("the zero polynomial vanishes everywhere")
+    return {Scalar._make(field, r) for r in raw_poly_roots(field.p, [c.value for c in coeffs])}
+
+
+def raw_poly_roots(p, coeffs) -> set:
+    """The roots in GF(p) (Q when p is None) of a nonzero polynomial given
+    by raw coefficients, ascending, as raw values, without checks.
+
     Over GF(p) the answer is complete and costs time polynomial in the
     degree and log p: after the root 0 is taken out, the nonzero roots
     are those of g = gcd(t^p - t, f), with t^p reduced modulo f by
@@ -329,40 +348,27 @@ def poly_roots_in_field(coeffs) -> set[Scalar]:
     rational-root theorem is applied after clearing denominators;
     irrational and complex roots are silently absent, which is the
     correct contract for eigenvalue searches over Q.
-
-    Raises ZeroPolynomial for an empty or all-zero coefficient list.
     """
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise ZeroPolynomial("no coefficients given")
-    field = coeffs[0].field
-    for c in coeffs[1:]:
-        if c.field != field:
-            raise FieldMismatch("polynomial coefficients from different fields")
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
-        raise ZeroPolynomial("the zero polynomial vanishes everywhere")
+    coeffs = _trim(list(coeffs))
     if len(coeffs) == 1:
         return set()
-    if field.p is not None:
-        return {Scalar._make(field, r) for r in _gf_roots([c.value for c in coeffs], field.p)}
-
-    roots: set[Scalar] = set()
+    if p is not None:
+        return set(_gf_roots(coeffs, p))
     low = 0
     while not coeffs[low]:
         low += 1
-    if low:
-        roots.add(field.zero())
+    roots = {Fraction(0)} if low else set()
     tail = coeffs[low:]
     if len(tail) == 1:
         return roots
-    den = lcm(*(c.value.denominator for c in tail))
-    ints = [int(c.value * den) for c in tail]
+    den = lcm(*(c.denominator for c in tail))
+    ints = [int(c * den) for c in tail]
     for num in _divisors(abs(ints[0])):
         for d in _divisors(abs(ints[-1])):
             for cand in (Fraction(num, d), Fraction(-num, d)):
-                s = Scalar._make(field, cand)
-                if not poly_eval(coeffs, s):
-                    roots.add(s)
+                acc = 0
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if not acc:
+                    roots.add(cand)
     return roots

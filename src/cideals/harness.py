@@ -24,16 +24,19 @@ T10  B is a c-ideal of L  ⟺  B/I is one of L/I, for ideals I inside B
 T11  a c-ideal lying in a Frattini subalgebra is an ideal inside the
      Frattini ideal
 
-Suites that need exhaustive enumeration report ``skipped`` over Q, as
-does any suite whose hypothesis mismatches the field; a suite never
-silently narrows its claim.  A budget overrun inside a suite also
-surfaces as ``skipped`` with the reason.  Subspaces move into
-subalgebras and quotients through :class:`~cideals.linalg.Subspace`'s
-coordinate maps, on raw rows: no suite but T5-T8 makes a Scalar.
+Every suite but T2 and T8 needs exhaustive enumeration and reports
+``skipped`` over Q, as does any suite whose hypothesis mismatches the
+field; a suite never silently narrows its claim.  A budget overrun
+inside a suite also surfaces as ``skipped`` with the reason.  Subspaces
+move into subalgebras and quotients through
+:class:`~cideals.linalg.Subspace`'s coordinate maps, lines are scanned
+as raw projective points and the line classifier and the line families
+run on raw rows, so no suite makes a Scalar.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -43,23 +46,24 @@ from .linalg import Subspace, subspace_text, vector_text
 from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
+    _projective_raw,
     enum_ideals,
     enum_subalgebras,
+    gaussian_binomial,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
-    projective_points,
     subspace_points,
 )
 from .cideal import (
     YES,
+    _line_cideal,
     frattini_consequence_check,
     is_cideal,
     is_cideal_by_scan,
-    line_cideal,
 )
 from .structure import (
     CASE_NEITHER,
-    classify_line_cideals,
+    _line_shape,
     frattini_of_subalgebra,
     supersolvable_flag,
 )
@@ -70,6 +74,8 @@ FAIL = "fail"
 SKIP = "skipped"
 
 _SKIP_Q_ENUM = "exhaustive enumeration is not possible over Q"
+# The suites that run over Q; every other one enumerates and is skipped there.
+_OVER_Q = ("T2", "T8")
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,6 @@ class TheoremReport:
 
 
 def _t1(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     solvable = is_solvable(l)
     counter = None
     for m in maximal_subalgebras(l, budget):
@@ -150,8 +154,6 @@ def _t2(l, budget, decide):
 
 
 def _t3(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     for c in maximal_nilpotent_subalgebras(l, budget):
         v = decide(l, c, budget)
         if v.answer != YES:
@@ -169,8 +171,6 @@ def _t3(l, budget, decide):
 
 
 def _t4(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     ours = maximal_nilpotent_subalgebras(l, budget)
     checked = 0
     for a in enum_ideals(l, budget):
@@ -186,65 +186,52 @@ def _t4(l, budget, decide):
     return PASS, None, {"pairs_checked": checked}
 
 
-def _nilpotent_maximal_premise(l, budget, decide):
-    """Is every maximal subalgebra of every maximal nilpotent subalgebra
-    a c-ideal of l?  Returns (True, None) or (False, witness dict)."""
+def _supersolvable_if_premise(l, budget, decide, failure):
+    """The shared conclusion of T5 and T6: if every maximal subalgebra of
+    every maximal nilpotent subalgebra is a c-ideal of l, l has a flag of
+    ideals; ``failure`` is the reason reported when it has none."""
     for c in maximal_nilpotent_subalgebras(l, budget):
         for m in maximal_subalgebras(algebra_on(l, c), budget):
             b = c.from_coords(m)
             v = decide(l, b, budget)
             if v.answer != YES:
-                return False, {
+                return PASS, None, {
+                    "premise_holds": False,
                     "maximal_nilpotent": subspace_text(c),
                     "maximal_subalgebra_of_it": subspace_text(b),
                     "verdict": v.as_dict(),
                 }
-    return True, None
-
-
-def _t5(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
-    if not is_solvable(l):
-        return PASS, None, {"premise_holds": False, "solvable": False}
-    premise, counter = _nilpotent_maximal_premise(l, budget, decide)
-    if not premise:
-        return PASS, None, {"premise_holds": False, **counter}
     flag = supersolvable_flag(l)
     if flag is not None:
         witnesses = {"premise_holds": True, "flag": [subspace_text(w) for w in flag]}
         return PASS, None, witnesses
-    return FAIL, "premise holds on a solvable algebra that is not supersolvable", {
-        "premise_holds": True
-    }
+    return FAIL, failure, {"premise_holds": True}
+
+
+def _t5(l, budget, decide):
+    if not is_solvable(l):
+        return PASS, None, {"premise_holds": False, "solvable": False}
+    return _supersolvable_if_premise(
+        l, budget, decide, "premise holds on a solvable algebra that is not supersolvable"
+    )
 
 
 def _t6(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     maxnilp = maximal_nilpotent_subalgebras(l, budget)
     dims = sorted(c.dim for c in maxnilp)
     if dims and dims[0] < 2:
         return PASS, None, {"premise_holds": False, "min_maximal_nilpotent_dim": dims[0]}
-    premise, counter = _nilpotent_maximal_premise(l, budget, decide)
-    if not premise:
-        return PASS, None, {"premise_holds": False, **counter}
-    flag = supersolvable_flag(l)
-    if flag is not None:
-        witnesses = {"premise_holds": True, "flag": [subspace_text(w) for w in flag]}
-        return PASS, None, witnesses
-    return FAIL, "premise holds but the algebra is not supersolvable", {"premise_holds": True}
+    return _supersolvable_if_premise(
+        l, budget, decide, "premise holds but the algebra is not supersolvable"
+    )
 
 
 def _t7(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     checked = 0
-    for x in projective_points(l.field, l.dim):
-        quick = line_cideal(l, x)
-        scan = is_cideal_by_scan(
-            l, Subspace.from_vectors(l.field, l.dim, [x]), budget
-        )
+    for x in _projective_raw(l.field.p, l.dim):
+        line = Subspace.from_raw(l.field, l.dim, [x])
+        quick = _line_cideal(l, line)
+        scan = is_cideal_by_scan(l, line, budget)
         if quick.answer != scan.answer:
             witnesses = {
                 "point": vector_text(x),
@@ -256,63 +243,48 @@ def _t7(l, budget, decide):
     return PASS, None, {"lines_checked": checked}
 
 
-def _spot_vectors(space: Subspace):
-    vecs = list(space.vectors())
-    out = list(vecs)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            out.append(tuple(a + b for a, b in zip(vecs[i], vecs[j])))
-    return out
+def _first_non_cideal(l, points):
+    """The first (raw point, verdict) whose line is not a c-ideal, or None."""
+    for x in points:
+        v = _line_cideal(l, Subspace.from_raw(l.field, l.dim, [x]))
+        if v.answer != YES:
+            return x, v
+    return None
+
+
+def _spot_vectors(space: Subspace) -> list:
+    """The canonical rows of a subspace of Q^n and the sums of two of them."""
+    pairs = itertools.combinations(space.rows, 2)
+    return list(space.rows) + [tuple(a + b for a, b in zip(u, v)) for u, v in pairs]
 
 
 def _t8(l, budget, decide):
     p = l.field.p
     if p is not None:
-        lines = (p**l.dim - 1) // (p - 1)
+        lines = gaussian_binomial(l.dim, 1, p)
         if lines > budget:
             raise BudgetExceeded(f"{lines} lines of GF({p})^{l.dim} exceed the budget of {budget}")
-    classification = classify_line_cideals(l)
-    positive = classification.case != CASE_NEITHER
+    case = _line_shape(l)[0]
+    positive = case != CASE_NEITHER
     if p is not None:
-        bad = None
-        for x in projective_points(l.field, l.dim):
-            v = line_cideal(l, x)
-            if v.answer != YES:
-                bad = (x, v)
-                break
-        all_lines = bad is None
-        witnesses = {"case": classification.case, "all_lines_cideal": all_lines}
+        bad = _first_non_cideal(l, _projective_raw(p, l.dim))
+        witnesses = {"case": case, "all_lines_cideal": bad is None}
         if bad is not None:
             witnesses["point"] = vector_text(bad[0])
             witnesses["verdict"] = bad[1].as_dict()
-        if positive == all_lines:
+        if positive == (bad is None):
             return PASS, None, witnesses
         return FAIL, "classifier and the line scan disagree", witnesses
-    if positive:
-        for x in _spot_vectors(l.full_space()):
-            v = line_cideal(l, x)
-            if v.answer != YES:
-                witnesses = {
-                    "case": classification.case,
-                    "point": vector_text(x),
-                    "verdict": v.as_dict(),
-                }
-                return FAIL, "classifier-positive algebra has a non-c-ideal line", witnesses
-        return PASS, None, {"case": classification.case, "check": "spot lines only"}
     full = l.full_space()
-    squared = l.span_product(full, full)
-    for x in _spot_vectors(squared):
-        if not any(x):
-            continue
-        v = line_cideal(l, x)
-        if v.answer != YES:
-            witnesses = {
-                "case": classification.case,
-                "point": vector_text(x),
-                "verdict": v.as_dict(),
-            }
-            return PASS, None, witnesses
-    return SKIP, "no counterexample line was located over Q", {"case": classification.case}
+    bad = _first_non_cideal(l, _spot_vectors(full if positive else l.span_product(full, full)))
+    if bad is None:
+        if positive:
+            return PASS, None, {"case": case, "check": "spot lines only"}
+        return SKIP, "no counterexample line was located over Q", {"case": case}
+    witnesses = {"case": case, "point": vector_text(bad[0]), "verdict": bad[1].as_dict()}
+    if positive:
+        return FAIL, "classifier-positive algebra has a non-c-ideal line", witnesses
+    return PASS, None, witnesses
 
 
 def _inside(space: Subspace, candidates):
@@ -353,8 +325,6 @@ def _t9(l, budget, decide):
     subalgebra containing it, by point-set containment: K >= B exactly
     when K holds every canonical row of B.
     """
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     checked = 0
     for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget)):
         v = decide(l, b, budget)
@@ -379,8 +349,6 @@ def _t10(l, budget, decide):
     point-set containment: I <= B exactly when every canonical row of I
     is a projective point of B.
     """
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     ideals = enum_ideals(l, budget)
     checked = 0
     for b in enum_subalgebras(l, budget):
@@ -400,8 +368,6 @@ def _t10(l, budget, decide):
 
 
 def _t11(l, budget, decide):
-    if l.field.p is None:
-        return SKIP, _SKIP_Q_ENUM, {}
     subalgebras = enum_subalgebras(l, budget)
     checked = 0
     for c_sub in subalgebras:
@@ -476,10 +442,12 @@ def run_suite(
     restricted and quotient algebras share one verdict.  The memo lives
     only for this call.  The c-ideal questions of T1-T6 and T9-T11 go
     through ``decide``.  T7 deliberately does not use it: its claim is
-    that :func:`cideals.cideal.line_cideal` agrees with
-    :func:`cideals.cideal.is_cideal_by_scan`, so it calls those two
-    directly, and T8 checks the line classifier against ``line_cideal``
-    itself.  Budget overruns inside a suite produce a skipped report.
+    that the line rule of :func:`cideals.cideal.line_cideal` agrees with
+    :func:`cideals.cideal.is_cideal_by_scan`, so it runs those two
+    directly on each raw projective point, and T8 checks the line
+    classifier against the line rule itself.  Over Q every suite outside
+    ``_OVER_Q`` is skipped here, inside its timed section.  Budget
+    overruns inside a suite produce a skipped report.
     """
     ids = normalize_suites(suites)
     if decide is None:
@@ -497,7 +465,10 @@ def run_suite(
     for sid in ids:
         start = time.perf_counter()
         try:
-            status, reason, witnesses = _SUITES[sid](l, budget, decide_once)
+            if l.field.p is None and sid not in _OVER_Q:
+                status, reason, witnesses = SKIP, _SKIP_Q_ENUM, {}
+            else:
+                status, reason, witnesses = _SUITES[sid](l, budget, decide_once)
         except BudgetExceeded as e:
             status, reason, witnesses = SKIP, f"budget exceeded: {e}", {}
         elapsed = round(time.perf_counter() - start, 6)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
-from .fields import Field, poly_roots_in_field
-from .linalg import Subspace, _box, char_poly, eigenspace
+from .fields import Field, raw_poly_roots
+from .linalg import Subspace, _box, _units, raw_char_poly, raw_eigenspace
 from .liealg import LieAlgebra, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
@@ -320,11 +320,12 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
 def _line_families(l: LieAlgebra) -> tuple:
     if l.dim == 0:
         return ()
+    p = l.field.p
     spaces = []  # per basis vector e_i, the eigenspaces of ad(e_i)
-    for i in range(l.dim):
-        ad = l.ad_matrix(l.basis_vector(i))
-        roots = sorted(poly_roots_in_field(char_poly(ad)), key=lambda s: s.value)
-        spaces.append([eigenspace(ad, lam) for lam in roots])
+    for e in _units(p, l.dim, range(l.dim)):
+        ad = l.ad_matrix_raw(e)
+        roots = sorted(raw_poly_roots(p, raw_char_poly(p, ad)))
+        spaces.append([raw_eigenspace(l.field, ad, lam) for lam in roots])
     families = []
 
     def recurse(i: int, space: Subspace):

@@ -28,8 +28,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _box,
-    _boxed_matrix,
     _unbox,
+    _units,
     _zero_one,
     raw_kernel,
     standard_vector,
@@ -199,11 +199,12 @@ class LieAlgebra:
 
     def ad_matrix(self, x: tuple) -> Matrix:
         """The matrix of y -> [x, y] on the chosen basis (columns are [x, e_j])."""
-        x = self._unbox_vector(x)
-        n = self.dim
-        zero, one = _zero_one(self.field.p)
-        cols = [self.bracket_raw(x, [one if k == j else zero for k in range(n)]) for j in range(n)]
-        return _boxed_matrix(self.field, list(zip(*cols)), n)
+        return Matrix._from_raw(self.field, self.ad_matrix_raw(self._unbox_vector(x)), self.dim)
+
+    def ad_matrix_raw(self, x) -> tuple:
+        """The raw rows of :meth:`ad_matrix` for a raw row x, without checks."""
+        units = _units(self.field.p, self.dim, range(self.dim))
+        return tuple(zip(*(self.bracket_raw(x, e) for e in units)))
 
     def validate(self) -> list:
         """Jacobi-identity violations as ``(i, j, k, residual)`` tuples.

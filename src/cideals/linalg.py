@@ -1,14 +1,16 @@
 """Exact dense linear algebra: matrices, canonical subspaces, kernels.
 
 At the public boundary vectors are plain tuples of
-:class:`~cideals.fields.Scalar` and matrices are :class:`Matrix`es of
-them.  Inside, one raw-value kernel does the elimination: a raw value is
-an int residue in ``[0, p)`` over GF(p) or a ``Fraction`` over Q, a raw
-row is a tuple of them, each Scalar is checked against the field once on
-entry, and Scalars are made again only on the way out.  A
-:class:`Subspace` stores its reduced-row-echelon basis as raw rows, so
-two subspaces are equal exactly when they are the same set of vectors
-and every subspace has one canonical representation.
+:class:`~cideals.fields.Scalar`.  Inside, one raw-value kernel does all
+the arithmetic: a raw value is an int residue in ``[0, p)`` over GF(p)
+or a ``Fraction`` over Q, and a raw row is a tuple of them.  Every row
+in the library is a raw row: a :class:`Matrix` holds its entries as raw
+rows and a :class:`Subspace` its reduced-row-echelon basis, so two
+subspaces are equal exactly when they are the same set of vectors and
+every subspace has one canonical representation.  Each Scalar is
+checked against the field once on entry, and Scalars are made again
+only where a public function returns them.  The ``raw_*`` functions are
+the kernel's forms of the public ones, without checks.
 
 :class:`Subspace` owns the coordinates of subalgebras and quotients;
 library code maps subspaces through them on raw rows and boxes nothing.
@@ -17,7 +19,7 @@ library code maps subspaces through them on raw rows and boxes nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -46,17 +48,14 @@ def vector(field: Field, coords) -> tuple:
     return tuple(field.scalar(c) for c in coords)
 
 
-def scale_vector(c: Scalar, v: tuple) -> tuple:
-    return tuple(c * a for a in v)
-
-
 def vector_is_zero(v: tuple) -> bool:
     return not any(v)
 
 
 def vector_text(v: tuple) -> str:
-    """Canonical comma-separated form, e.g. ``"1,0,-1/2"``."""
-    return ",".join(s.text() for s in v)
+    """Canonical comma-separated form, e.g. ``"1,0,-1/2"``, of a vector
+    of Scalars or of a raw row (a Scalar's text is its raw value's)."""
+    return ",".join(str(x) for x in v)
 
 
 def parse_vector(field: Field, n: int, text: str) -> tuple:
@@ -70,115 +69,124 @@ def parse_vector(field: Field, n: int, text: str) -> tuple:
 # matrices
 
 class Matrix:
-    """An immutable dense matrix over a single field, row-major."""
+    """An immutable dense matrix over a single field.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    The entries are held once, as raw rows (``raw``, a tuple of tuples of
+    raw values).  Entries passed in are coerced through
+    :meth:`~cideals.fields.Field.scalar`; :meth:`entry`, :meth:`row`,
+    :meth:`column` and :attr:`entries` box on the way out, and the
+    arithmetic runs on the raw rows.
+    """
+
+    __slots__ = ("field", "rows", "cols", "raw")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        """``entries`` lists the rows x cols entries row by row, as ints,
+        Fractions, strings or Scalars over ``field``."""
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        flat = [field.scalar(x).value for x in entries]
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.raw = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+
+    @classmethod
+    def _from_raw(cls, field: Field, raw: tuple, cols: int) -> "Matrix":
+        # The constructor without coercion or checks: ``raw`` is a tuple of
+        # ``cols``-long tuples of normalized raw values.
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(raw)
+        m.cols = cols
+        m.raw = raw
+        return m
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        rows = [tuple(field.scalar(x) for x in r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        flat = tuple(x for r in rows for x in r)
-        return cls(field, len(rows), ncols, flat)
+        raw = tuple(tuple(field.scalar(x).value for x in r) for r in rows)
+        ncols = len(raw[0]) if raw else 0
+        if any(len(r) != ncols for r in raw):
+            raise DimensionMismatch("ragged rows")
+        return cls._from_raw(field, raw, ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(field, n, n, flat)
+        return cls._from_raw(field, _units(field.p, n, range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (field.zero(),) * (rows * cols))
+        return cls._from_raw(field, (_zero_one(field.p)[:1] * cols,) * rows, cols)
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry, row by row, as Scalars."""
+        return tuple(x for r in self.raw for x in _box(self.field, r))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        return Scalar._make(self.field, self.raw[i][j])
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _box(self.field, self.raw[i])
 
     def column(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
+        return _box(self.field, (r[j] for r in self.raw))
 
     def transpose(self) -> "Matrix":
-        flat = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, flat)
+        raw = tuple(zip(*self.raw)) if self.rows else ((),) * self.cols
+        return Matrix._from_raw(self.field, raw, self.rows)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise NotSquare(f"trace of {self.rows}x{self.cols} matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
+        p = self.field.p
+        total = sum((r[i] for i, r in enumerate(self.raw)), _zero_one(p)[0])
+        return Scalar._make(self.field, total if p is None else total % p)
+
+    def _elementwise(self, op, other) -> "Matrix":
+        self._same_shape(other)
+        p = self.field.p
+        raw = tuple(_normalized(p, map(op, r, s)) for r, s in zip(self.raw, other.raw))
+        return Matrix._from_raw(self.field, raw, self.cols)
 
     def __add__(self, other):
-        self._same_shape(other)
-        flat = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.rows, self.cols, flat)
+        return self._elementwise(add, other)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        flat = tuple(a - b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.rows, self.cols, flat)
+        return self._elementwise(sub, other)
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, tuple(-a for a in self.entries))
+        return self.scale(self.field.scalar(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(c * a for a in self.entries))
+        c = self.field.scalar(c).value
+        p = self.field.p
+        raw = tuple(_normalized(p, (c * a for a in r)) for r in self.raw)
+        return Matrix._from_raw(self.field, raw, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch("matrix product across fields")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = r[k]
-                    if a:
-                        acc = acc + a * other.entry(k, j)
-                out.append(acc)
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        p = self.field.p
+        raw = tuple(_combination(p, r, other.raw, other.cols) for r in self.raw)
+        return Matrix._from_raw(self.field, raw, other.cols)
 
     def mul_vector(self, v: tuple) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} matrix times length-{len(v)} vector")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            r = self.row(i)
-            for k in range(self.cols):
-                if r[k] and v[k]:
-                    acc = acc + r[k] * v[k]
-            out.append(acc)
-        return tuple(out)
+        columns = tuple(zip(*self.raw))
+        return _box(self.field, _combination(self.field.p, _unbox(self.field, v), columns, self.rows))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack with different column counts")
         if self.field != other.field:
             raise FieldMismatch("vstack across fields")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._from_raw(self.field, self.raw + other.raw, self.cols)
 
     def _same_shape(self, other):
         if not isinstance(other, Matrix):
@@ -194,14 +202,14 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self.raw))
 
     def __repr__(self):
-        body = "; ".join(vector_text(self.row(i)) for i in range(self.rows))
+        body = "; ".join(vector_text(r) for r in self.raw)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
@@ -210,6 +218,24 @@ class Matrix:
 
 def _zero_one(p):
     return (0, 1) if p is not None else (Fraction(0), Fraction(1))
+
+
+def _units(p, n: int, columns) -> tuple:
+    """The standard raw rows of length n with their 1 at the given columns."""
+    zero, one = _zero_one(p)
+    return tuple(tuple(one if k == c else zero for k in range(n)) for c in columns)
+
+
+def _normalized(p, values) -> tuple:
+    return tuple(values) if p is None else tuple(x % p for x in values)
+
+
+def _combination(p, w, rows, n: int) -> tuple:
+    """sum_k w[k] * rows[k] for raw rows of length n, without checks."""
+    if not rows:
+        return _zero_one(p)[:1] * n
+    sums = (sum(map(mul, w, column)) for column in zip(*rows))
+    return tuple(sums) if p is None else tuple(s % p for s in sums)
 
 
 def _unbox(field: Field, v) -> tuple:
@@ -228,15 +254,6 @@ def _unbox(field: Field, v) -> tuple:
 def _box(field: Field, row) -> tuple:
     make = Scalar._make
     return tuple(make(field, x) for x in row)
-
-
-def _raw_rows(m: Matrix) -> list:
-    return [_unbox(m.field, m.row(i)) for i in range(m.rows)]
-
-
-def _boxed_matrix(field: Field, rows, cols: int) -> Matrix:
-    make = Scalar._make
-    return Matrix(field, len(rows), cols, tuple(make(field, x) for r in rows for x in r))
 
 
 def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
@@ -302,30 +319,37 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns ``(R, pivots)`` where ``pivots`` are the pivot column
     indices in increasing order.  The row space is preserved exactly.
     """
-    red, pivots = raw_rref(m.field.p, _raw_rows(m), m.cols)
-    return _boxed_matrix(m.field, red, m.cols), pivots
+    red, pivots = raw_rref(m.field.p, m.raw, m.cols)
+    return Matrix._from_raw(m.field, red, m.cols), pivots
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """The kernel of ``m`` as a subspace of F^cols."""
-    return raw_kernel(m.field, _raw_rows(m), m.cols)
+    return raw_kernel(m.field, m.raw, m.cols)
 
 
 def char_poly(m: Matrix) -> tuple[Scalar, ...]:
     """Monic characteristic polynomial of a square matrix.
 
     Coefficients are returned ascending: index k holds the coefficient
-    of t**k, and the top coefficient is 1.  The matrix is reduced to
-    upper Hessenberg form H by similarity, then the polynomials p_k of
-    the leading k x k blocks of H follow from the Hessenberg recurrence.
-    The only divisions are by nonzero pivots, so one path serves Q and
-    every GF(p), whatever the characteristic.
+    of t**k, and the top coefficient is 1.  See :func:`raw_char_poly`.
     """
     if m.rows != m.cols:
         raise NotSquare(f"characteristic polynomial of {m.rows}x{m.cols} matrix")
-    h = [list(r) for r in _raw_rows(m)]
-    n = m.rows
-    p = m.field.p
+    return _box(m.field, raw_char_poly(m.field.p, m.raw))
+
+
+def raw_char_poly(p, rows) -> list:
+    """The characteristic polynomial of the square raw matrix ``rows``
+    over GF(p) (Q when p is None), ascending, without checks.
+
+    The matrix is reduced to upper Hessenberg form H by similarity, then
+    the polynomials p_k of the leading k x k blocks of H follow from the
+    Hessenberg recurrence.  The only divisions are by nonzero pivots, so
+    one path serves Q and every GF(p), whatever the characteristic.
+    """
+    h = [list(r) for r in rows]
+    n = len(h)
     norm = (lambda x: x) if p is None else (lambda x: x % p)
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
@@ -355,7 +379,7 @@ def char_poly(m: Matrix) -> tuple[Scalar, ...]:
             if i:
                 sub = norm(sub * h[i][i - 1])
         polys.append(acc)
-    return _box(m.field, polys[-1])
+    return polys[-1]
 
 
 def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
@@ -364,13 +388,18 @@ def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
         raise NotSquare("eigenspace of a non-square matrix")
     if lam.field != m.field:
         raise FieldMismatch("eigenvalue from a different field")
-    p = m.field.p
-    shifted = []
-    for i, row in enumerate(_raw_rows(m)):
-        row = list(row)
-        row[i] = row[i] - lam.value if p is None else (row[i] - lam.value) % p
-        shifted.append(row)
-    return raw_kernel(m.field, shifted, m.cols)
+    return raw_eigenspace(m.field, m.raw, lam.value)
+
+
+def raw_eigenspace(field: Field, rows, lam) -> "Subspace":
+    """The kernel of (rows - lam * I) for a square raw matrix and a raw
+    value lam, without checks."""
+    p = field.p
+    shifted = [
+        r[:i] + ((r[i] - lam if p is None else (r[i] - lam) % p),) + r[i + 1 :]
+        for i, r in enumerate(rows)
+    ]
+    return raw_kernel(field, shifted, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +454,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        zero, one = _zero_one(field.p)
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
+        rows = _units(field.p, ambient_dim, range(ambient_dim))
         return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
@@ -438,8 +463,8 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        """The canonical basis as a Scalar matrix, one row per vector."""
-        return _boxed_matrix(self.field, self.rows, self.ambient_dim)
+        """The canonical basis as a matrix, one row per vector."""
+        return Matrix._from_raw(self.field, self.rows, self.ambient_dim)
 
     def vectors(self) -> tuple:
         return tuple(_box(self.field, r) for r in self.rows)
@@ -520,9 +545,7 @@ class Subspace:
         n = self.ambient_dim
         pivots = set(self.pivots)
         free = tuple(c for c in range(n) if c not in pivots)
-        zero, one = _zero_one(self.field.p)
-        rows = tuple(tuple(one if k == c else zero for k in range(n)) for c in free)
-        return Subspace(self.field, n, rows, free)
+        return Subspace(self.field, n, _units(self.field.p, n, free), free)
 
     def complement_reps(self) -> tuple:
         """The canonical basis of :meth:`complement`, as Scalar vectors."""
@@ -539,11 +562,7 @@ class Subspace:
 
     def from_coords_raw(self, w) -> tuple:
         """The member with coordinates w: the combination of the canonical rows."""
-        p = self.field.p
-        if not self.rows:
-            return _zero_one(p)[:1] * self.ambient_dim
-        sums = (sum(map(mul, w, column)) for column in zip(*self.rows))
-        return tuple(sums) if p is None else tuple(s % p for s in sums)
+        return _combination(self.field.p, w, self.rows, self.ambient_dim)
 
     def coords(self, u: "Subspace") -> "Subspace":
         """A subspace u of this one, in the coordinates of its canonical rows."""
@@ -604,7 +623,7 @@ def subspace_text(u: Subspace) -> str:
     """Semicolon-joined basis vectors; the zero subspace prints as ``"0"``."""
     if u.dim == 0:
         return "0"
-    return "; ".join(",".join(str(x) for x in r) for r in u.rows)
+    return "; ".join(vector_text(r) for r in u.rows)
 
 
 def parse_subspace(field: Field, ambient_dim: int, text: str) -> Subspace:

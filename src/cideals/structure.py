@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Subspace, scale_vector, subspace_text
+from .linalg import Subspace, _box, subspace_text, vector_text
 from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_nilpotent, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
@@ -190,29 +190,39 @@ def almost_abelian_witness(l: LieAlgebra):
     one-dimensional algebra does not qualify (its derived algebra is
     zero).
     """
+    x = _almost_abelian_raw(l)
+    return None if x is None else _box(l.field, x)
+
+
+def _almost_abelian_raw(l: LieAlgebra):
+    # almost_abelian_witness as a raw row.
     full = l.full_space()
     squared = l.span_product(full, full)
     if squared.dim == 0 or l.dim - squared.dim != 1:
         return None
     if l.span_product(squared, squared).dim != 0:
         return None
-    return _scaling_vector(l, squared.complement_reps()[0], squared)
+    return _scaling_vector(l, squared.complement().rows[0], squared)
 
 
 def _scaling_vector(l: LieAlgebra, w: tuple, squared: Subspace):
-    # The multiple x of w with [x, y] = y for every y in squared, or None.
-    rows = squared.vectors()
-    lam = l.bracket(w, rows[0])[squared.pivots[0]]
+    # The multiple x of the raw row w with [x, y] = y for every y in
+    # squared, as a raw row, or None.
+    p = l.field.p
+
+    def scaled(c, row) -> list:
+        return [c * a if p is None else c * a % p for a in row]
+
+    lam = l.bracket_raw(w, squared.rows[0])[squared.pivots[0]]
     if not lam:
         return None
-    for b in rows:
-        if l.bracket(w, b) != scale_vector(lam, b):
-            return None
-    return scale_vector(lam.inverse(), w)
+    if any(l.bracket_raw(w, b) != scaled(lam, b) for b in squared.rows):
+        return None
+    return tuple(scaled(1 / lam if p is None else pow(lam, -1, p), w))
 
 
 def is_almost_abelian(l: LieAlgebra) -> bool:
-    return almost_abelian_witness(l) is not None
+    return _almost_abelian_raw(l) is not None
 
 
 @dataclass(frozen=True)
@@ -232,8 +242,6 @@ class LineClassification:
     scaling_vector: tuple | None = None
 
     def as_dict(self) -> dict:
-        from .linalg import vector_text
-
         return {
             "case": self.case,
             "abelian_part": None if self.abelian_part is None else subspace_text(self.abelian_part),
@@ -254,23 +262,32 @@ def classify_line_cideals(l: LieAlgebra) -> LineClassification:
     the centre, B is [L,L] plus the scaled complement vector) and then
     re-verified part by part before being returned.
     """
+    case, split = _line_shape(l)
+    if split is None:
+        return LineClassification(case)
+    a_part, b_part, x = split
+    return LineClassification(case, a_part, b_part, _box(l.field, x))
+
+
+def _line_shape(l: LieAlgebra) -> tuple:
+    # (case, None), or (CASE_SPLIT, (A, B, x)) with x a raw row.
     full = l.full_space()
     squared = l.span_product(full, full)
     if l.span_product(full, squared).dim == 0:
-        return LineClassification(CASE_CUBE_ZERO)
+        return CASE_CUBE_ZERO, None
     if l.span_product(squared, squared).dim != 0:
-        return LineClassification(CASE_NEITHER)
+        return CASE_NEITHER, None
     centre = l.centre()
     if (centre & squared).dim != 0:
-        return LineClassification(CASE_NEITHER)
+        return CASE_NEITHER, None
     fixed = centre + squared
     if l.dim - fixed.dim != 1:
-        return LineClassification(CASE_NEITHER)
-    x = _scaling_vector(l, fixed.complement_reps()[0], squared)
+        return CASE_NEITHER, None
+    x = _scaling_vector(l, fixed.complement().rows[0], squared)
     if x is None:
-        return LineClassification(CASE_NEITHER)
+        return CASE_NEITHER, None
     a_part = centre
-    b_part = Subspace.from_vectors(l.field, l.dim, squared.vectors() + (x,))
+    b_part = Subspace.from_raw(l.field, l.dim, squared.rows + (x,))
     split_ok = (
         l.is_ideal(a_part)
         and l.is_ideal(b_part)
@@ -281,7 +298,7 @@ def classify_line_cideals(l: LieAlgebra) -> LineClassification:
     )
     if not split_ok:
         raise AssertionError("split reconstruction failed its own verification")
-    return LineClassification(CASE_SPLIT, a_part, b_part, x)
+    return CASE_SPLIT, (a_part, b_part, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """Scalars are made at the public boundary only.
 
 The decision engine and the claim suites map subspaces into
-subalgebras and quotients on raw rows, so deciding a c-ideal, a line or
-a suite builds no :class:`~cideals.fields.Scalar` at all.  T5-T8 are
-left out: they reach the line families' root finding or the public
-projective scan, which box by design.  Each count starts cold: from an
-empty table of canonical algebras, on a fresh algebra whose memo is
-unset, so no derived object computed earlier can hide a Scalar.
+subalgebras and quotients on raw rows, the line families go from the ad
+rows to eigenspaces on raw rows, and the line classifier and T7/T8 scan
+raw projective points, so deciding a c-ideal, a line or a suite, or
+listing line ideals, builds no :class:`~cideals.fields.Scalar` at all;
+:func:`classify_line_cideals` boxes only the vector it returns.  Each
+count starts cold: from an empty table of canonical algebras, on a
+fresh algebra whose memo is unset, so no derived object computed
+earlier can hide a Scalar.  Entries coming in are checked: a
+:class:`Matrix` coerces each one into its field.
 """
 
 import pytest
 
-from cideals import GF, builtin, enum_subalgebras, is_cideal, line_cideal, projective_points
-from cideals import liealg, random_solvable, run_suite
+from cideals import GF, BadParams, FieldMismatch, Matrix, builtin, classify_line_cideals
+from cideals import enum_subalgebras, is_cideal, is_supersolvable, line_cideal, liealg
+from cideals import one_dim_ideals, projective_points, random_solvable, run_suite
 from cideals.fields import Scalar
+from cideals.lattice import ideal_line_families
 
 _ALGEBRAS = {
     "heisenberg(3)+abelian(1)/GF(3)": lambda: builtin("heisenberg(3)+abelian(1)", GF(3)),
@@ -54,11 +59,22 @@ class TestNoScalarsInside:
         points = list(projective_points(shape.field, shape.dim))
         assert _scalars_made(monkeypatch, name, lambda l: [line_cideal(l, x) for x in points]) == 0
 
-    @pytest.mark.parametrize("suite", ["T1", "T2", "T3", "T4", "T9", "T10", "T11"])
+    @pytest.mark.parametrize("suite", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11"])
     def test_suite(self, monkeypatch, name, suite):
         reports = []
         assert _scalars_made(monkeypatch, name, lambda l: reports.extend(run_suite(l, suite))) == 0
         assert [r.status for r in reports] in (["pass"], ["skipped"])
+
+    @pytest.mark.parametrize("work", [one_dim_ideals, is_supersolvable, ideal_line_families])
+    def test_line_ideals(self, monkeypatch, name, work):
+        assert _scalars_made(monkeypatch, name, work) == 0
+
+    def test_classifier_boxes_only_its_vector(self, monkeypatch, name):
+        out = []
+        made = _scalars_made(monkeypatch, name, lambda l: out.append(classify_line_cideals(l)))
+        x = out[0].scaling_vector
+        assert made == (0 if x is None else len(x))
+        assert (x is None) == (out[0].case != "abelian_plus_almost_abelian")
 
 
 @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
@@ -83,3 +99,19 @@ def test_restricted_and_quotient_algebras_take_raw_constants(monkeypatch, name):
 
     assert _scalars_made(monkeypatch, name, work) == 0
     assert inits[0] == 0
+
+
+class TestMatrixEntriesAreChecked:
+    def test_scalar_over_another_field(self):
+        with pytest.raises(FieldMismatch):
+            Matrix(GF(5), 2, 2, (GF(3).scalar(1),) * 4)
+
+    def test_float(self):
+        with pytest.raises(BadParams):
+            Matrix(GF(5), 1, 2, (GF(5).scalar(1), 0.5))
+
+    def test_bare_values_are_coerced(self):
+        m = Matrix(GF(5), 1, 2, (GF(5).scalar(1), 7))
+        assert m.entry(0, 1) == GF(5).scalar(2)
+        assert m == Matrix.from_rows(GF(5), [[1, 2]])
+        assert repr(m) == "Matrix(GF(5), 1x2: 1,2)"
