@@ -205,21 +205,9 @@ def poly_eval(coeffs, x: Scalar) -> Scalar:
     return acc
 
 
-def _divisors(n: int):
-    # Positive divisors of n > 0, unsorted.
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
-# polynomials over GF(p) on raw int coefficients, ascending, no trailing zeros
+# polynomials over GF(p) (Q when p is None) on raw coefficients, ascending,
+# no trailing zeros
 
 def _trim(a: list) -> list:
     while a and not a[-1]:
@@ -227,23 +215,26 @@ def _trim(a: list) -> list:
     return a
 
 
-def _monic(a: list, p: int) -> list:
+def _monic(a: list, p) -> list:
+    if p is None:
+        inv = 1 / Fraction(a[-1])
+        return [c * inv for c in a]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def _divmod_monic(a, m: list, p: int) -> tuple[list, list]:
+def _divmod_monic(a, m: list, p) -> tuple[list, list]:
     # Quotient and remainder of a by the monic m.
     a = list(a)
     dm = len(m) - 1
     q = [0] * max(len(a) - dm, 0)
     for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
+        c = a[i] if p is None else a[i] % p
         if c:
             q[i - dm] = c
             for j in range(dm):
                 a[i - dm + j] -= c * m[j]
-    return q, _trim([c % p for c in a[:dm]])
+    return q, _trim(a[:dm] if p is None else [c % p for c in a[:dm]])
 
 
 def _mulmod(a: list, b: list, m: list, p: int) -> list:
@@ -269,7 +260,7 @@ def _powmod(base: list, e: int, m: list, p: int) -> list:
     return out
 
 
-def _gcd(a: list, b: list, p: int) -> list:
+def _gcd(a: list, b: list, p) -> list:
     # The monic gcd; [] when both are zero.
     while b:
         b = _monic(b, p)
@@ -317,6 +308,14 @@ def _gf_roots(f: list, p: int) -> list:
     return out
 
 
+def _horner(a: list, x):
+    # a(x) on raw coefficients, unreduced.
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 def poly_roots_in_field(coeffs) -> set[Scalar]:
     """Roots, inside the coefficient field, of sum(coeffs[k] * t**k).
 
@@ -339,36 +338,47 @@ def raw_poly_roots(p, coeffs) -> set:
     """The roots in GF(p) (Q when p is None) of a nonzero polynomial given
     by raw coefficients, ascending, as raw values, without checks.
 
-    Over GF(p) the answer is complete and costs time polynomial in the
-    degree and log p: after the root 0 is taken out, the nonzero roots
-    are those of g = gcd(t^p - t, f), with t^p reduced modulo f by
-    repeated squaring, and g is split into its linear factors by
+    The answer is complete and costs time polynomial in the degree and
+    the bit length of p or of the coefficients.  Over GF(p), after the
+    root 0 is taken out, the nonzero roots are those of
+    g = gcd(t^p - t, f), with t^p reduced modulo f by repeated squaring,
+    and g is split into its linear factors by
     gcd(g, (t + a)^((p-1)/2) - 1) for the shifts a = 1, 2, ...
-    (Cantor-Zassenhaus with deterministic shifts).  Over Q the
-    rational-root theorem is applied after clearing denominators;
-    irrational and complex roots are silently absent, which is the
-    correct contract for eigenvalue searches over Q.
+    (Cantor-Zassenhaus with deterministic shifts).  Over Q the monic
+    squarefree part h = f / gcd(f, f') is scaled to the monic integer
+    g(s) = a^d h(s/a), a the common denominator of h, whose rational
+    roots are integers s = a t.  At the least prime q with g squarefree
+    mod q the roots of g mod q come from the GF(q) finder; each is
+    Newton-lifted mod q^2, q^4, ... until the modulus passes twice
+    Cauchy's bound on |s|, and its symmetric residue is kept when it is
+    an exact root.  Irrational and complex roots are absent, which is
+    the correct contract for eigenvalue searches over Q.
     """
     coeffs = _trim(list(coeffs))
     if len(coeffs) == 1:
         return set()
     if p is not None:
         return set(_gf_roots(coeffs, p))
-    low = 0
-    while not coeffs[low]:
-        low += 1
+    low = next(k for k, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if low else set()
-    tail = coeffs[low:]
-    if len(tail) == 1:
+    if len(coeffs) - low == 1:
         return roots
-    den = lcm(*(c.denominator for c in tail))
-    ints = [int(c * den) for c in tail]
-    for num in _divisors(abs(ints[0])):
-        for d in _divisors(abs(ints[-1])):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                acc = 0
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if not acc:
-                    roots.add(cand)
+    f = _monic(coeffs[low:], None)
+    h = _divmod_monic(f, _gcd(f, [k * c for k, c in enumerate(f)][1:], None), None)[0]
+    a = lcm(*(c.denominator for c in h))
+    d = len(h) - 1
+    g = [int(c * a ** (d - k)) for k, c in enumerate(h)]
+    dg = [k * c for k, c in enumerate(g)][1:]
+    bound = 2 * (1 + max(map(abs, g[:-1])))
+    q = 2
+    while not _is_prime(q) or len(_gcd([c % q for c in g], _trim([c % q for c in dg]), q)) > 1:
+        q += 1
+    for r in _gf_roots([c % q for c in g], q):
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, m)) % m
+        s = r if 2 * r <= m else r - m
+        if not _horner(g, s):
+            roots.add(Fraction(s, a))
     return roots

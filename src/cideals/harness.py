@@ -46,6 +46,7 @@ from .linalg import Subspace, subspace_text, vector_text
 from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
+    _check_budget,
     _projective_raw,
     enum_ideals,
     enum_subalgebras,
@@ -261,9 +262,7 @@ def _spot_vectors(space: Subspace) -> list:
 def _t8(l, budget, decide):
     p = l.field.p
     if p is not None:
-        lines = gaussian_binomial(l.dim, 1, p)
-        if lines > budget:
-            raise BudgetExceeded(f"{lines} lines of GF({p})^{l.dim} exceed the budget of {budget}")
+        _check_budget(gaussian_binomial(l.dim, 1, p), f"lines of GF({p})^{l.dim}", budget)
     case = _line_shape(l)[0]
     positive = case != CASE_NEITHER
     if p is not None:

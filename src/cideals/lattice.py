@@ -61,14 +61,18 @@ def _require_finite(l: LieAlgebra):
         raise FieldNotFinite("enumeration needs a finite field")
 
 
-def _check_budget(l: LieAlgebra, dims, budget: int):
+def _check_budget(count: int, what: str, budget: int):
+    """The one budget policy: raise BudgetExceeded unless the budget is
+    positive and the ``count`` of ``what`` (a plural noun phrase) fits."""
     if budget < 1:
         raise BudgetExceeded(f"budget must be positive, got {budget}")
-    total = subspace_count(l.dim, l.field.p, dims)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} subspaces of GF({l.field.p})^{l.dim} exceed the budget of {budget}"
-        )
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed the budget of {budget}")
+
+
+def _check_subspace_budget(l: LieAlgebra, dims, budget: int):
+    count = subspace_count(l.dim, l.field.p, dims)
+    _check_budget(count, f"subspaces of GF({l.field.p})^{l.dim}", budget)
 
 
 def enum_subspaces(l: LieAlgebra, dims=None, budget: int = DEFAULT_BUDGET):
@@ -80,7 +84,7 @@ def enum_subspaces(l: LieAlgebra, dims=None, budget: int = DEFAULT_BUDGET):
     """
     _require_finite(l)
     dims = _normalize_dims(l, dims)
-    _check_budget(l, dims, budget)
+    _check_subspace_budget(l, dims, budget)
     return _subspace_iter(l.field, l.dim, dims)
 
 
@@ -186,7 +190,7 @@ def enum_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     budget are checked before any memo is read.
     """
     _require_finite(l)
-    _check_budget(l, None, budget)
+    _check_subspace_budget(l, None, budget)
     return l._memoized("subalgebras", lambda: _subalgebras(l))
 
 
@@ -356,18 +360,11 @@ def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     listed: a deterministic set of representatives, complete exactly
     when every family is a line.
     """
-    if budget < 1:
-        raise BudgetExceeded(f"budget must be positive, got {budget}")
     field = l.field
     p = field.p
     families = ideal_line_families(l)
-    if p is not None:
-        total = sum((p**fam.dim - 1) // (p - 1) for fam in families)
-        if total > budget:
-            raise BudgetExceeded(
-                f"{total} one-dimensional ideals of a dim-{l.dim} algebra over "
-                f"GF({p}) exceed the budget of {budget}"
-            )
+    total = 0 if p is None else sum((p**fam.dim - 1) // (p - 1) for fam in families)
+    _check_budget(total, f"one-dimensional ideals of a dim-{l.dim} algebra over {field}", budget)
     lines = []
     for fam in families:
         # A canonical row, and a projective point, leads with a 1: it is

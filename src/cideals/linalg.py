@@ -181,13 +181,6 @@ class Matrix:
         columns = tuple(zip(*self.raw))
         return _box(self.field, _combination(self.field.p, _unbox(self.field, v), columns, self.rows))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack with different column counts")
-        if self.field != other.field:
-            raise FieldMismatch("vstack across fields")
-        return Matrix._from_raw(self.field, self.raw + other.raw, self.cols)
-
     def _same_shape(self, other):
         if not isinstance(other, Matrix):
             raise DimensionMismatch("not a matrix")
@@ -546,10 +539,6 @@ class Subspace:
         pivots = set(self.pivots)
         free = tuple(c for c in range(n) if c not in pivots)
         return Subspace(self.field, n, _units(self.field.p, n, free), free)
-
-    def complement_reps(self) -> tuple:
-        """The canonical basis of :meth:`complement`, as Scalar vectors."""
-        return self.complement().vectors()
 
     # -- coordinates, fixed here and nowhere else: a member of K has as
     # coordinates on K's canonical rows its entries at K's pivot columns;

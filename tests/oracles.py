@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from math import isqrt, lcm
 
 from cideals import (
     Matrix,
@@ -36,6 +37,35 @@ def oracle_poly_roots(coeffs) -> set:
             acc = (acc * x + c) % p
         if not acc:
             roots.add(field.scalar(x))
+    return roots
+
+
+def _divisors(n: int) -> set:
+    """The positive divisors of n > 0, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return set(small + [n // d for d in small])
+
+
+def oracle_rational_roots(coeffs) -> set:
+    """Rational roots of sum(coeffs[k] * t**k) over Q, by the rational-root
+    theorem: after t^k is taken out and the denominators are cleared,
+    every +-s/d with s | c_0 and d | c_n is tried, as c(s/d) * d^n == 0.
+    The cost grows as sqrt |c_0| + sqrt |c_n|, so keep coefficients small.
+    """
+    field = coeffs[0].field
+    raw = [c.value for c in coeffs]
+    while not raw[-1]:
+        raw.pop()
+    low = next(k for k, c in enumerate(raw) if c)
+    roots = {field.zero()} if low else set()
+    den = lcm(*(c.denominator for c in raw[low:]))
+    ints = [int(c * den) for c in raw[low:]]
+    n = len(ints) - 1
+    for num in _divisors(abs(ints[0])):
+        for d in _divisors(abs(ints[-1])):
+            for s in (num, -num):
+                if not sum(c * s**k * d ** (n - k) for k, c in enumerate(ints)):
+                    roots.add(field.scalar(Fraction(s, d)))
     return roots
 
 

@@ -13,22 +13,24 @@ from cideals import (
     GF,
     Q,
     ZeroPolynomial,
+    catalog_algebras,
+    char_poly,
     poly_eval,
     poly_roots_in_field,
 )
 
-from oracles import oracle_poly_roots
+from oracles import oracle_poly_roots, oracle_rational_roots
 
 _ROOT_PRIMES = (2, 3, 5, 7, 101, 103)
 
 
-def _times(a, b, p):
-    # a * b on ascending raw coefficients
+def _times(a, b, p=None):
+    # a * b on ascending raw coefficients, reduced mod p unless p is None
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+            out[i + j] += x * y
+    return out if p is None else [c % p for c in out]
 
 
 def _times_linear(poly, r, p):
@@ -273,3 +275,47 @@ class TestPolynomials:
         roots = poly_roots_in_field(coeffs)
         assert roots == {f.scalar(r) for r in (0, 1, 2, p - 1)}
         assert all(not poly_eval(coeffs, r) for r in roots)
+
+
+# Small enough that the oracle's divisor search stays quick.
+_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+
+
+class TestRationalRoots:
+    @given(
+        st.lists(_RATIONALS, max_size=5),
+        st.sampled_from(("monic", "irreducible", "scaled")),
+        st.data(),
+    )
+    def test_rational_roots_match_oracle(self, roots, base, data):
+        # Products of linear factors, repeats being multiplicities and 0
+        # among the roots, on top of 1, an irreducible quadratic or a
+        # nonzero rational constant.
+        if base == "monic":
+            poly = [Fraction(1)]
+        elif base == "irreducible":
+            # (2t + b)^2 + c with c > 0 has no real root
+            b = data.draw(st.integers(-5, 5), label="b")
+            c = data.draw(st.integers(1, 9), label="c")
+            poly = [Fraction(b * b + c), Fraction(4 * b), Fraction(4)]
+        else:
+            poly = [data.draw(_RATIONALS.filter(bool), label="scale")]
+        for r in roots:
+            poly = _times(poly, [-r, 1])
+        coeffs = tuple(Q.scalar(c) for c in poly)
+        got = poly_roots_in_field(coeffs)
+        assert got == oracle_rational_roots(coeffs)
+        assert {r.value for r in got} == set(roots)
+
+    def test_catalog_char_polys_match_oracle(self):
+        for name, l in catalog_algebras(Q):
+            for x in l.basis():
+                coeffs = char_poly(l.ad_matrix(x))
+                assert poly_roots_in_field(coeffs) == oracle_rational_roots(coeffs), name
+
+    def test_large_roots_found_by_lifting(self):
+        # (t + 10^40 + 121)(t - 3)(t^2 + 1): far past any divisor search
+        e = 10**40 + 121
+        poly = _times(_times([e, 1], [-3, 1]), [1, 0, 1])
+        roots = poly_roots_in_field(tuple(Q.scalar(c) for c in poly))
+        assert roots == {Q.scalar(-e), Q.scalar(3)}

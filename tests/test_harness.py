@@ -99,6 +99,12 @@ class TestRunSuite:
         (report,) = run_suite(h3_gf2, "T8", budget=6)
         assert report.status == SKIP and "7 lines" in report.reason
 
+    def test_nonpositive_budget_reason_shared(self, h3_gf2):
+        # T8 states the same policy as the enumerating suites
+        for report in run_suite(h3_gf2, "T1,T8", budget=0):
+            assert report.status == SKIP
+            assert report.reason == "budget exceeded: budget must be positive, got 0"
+
     def test_q_reports(self, h3_q):
         reports = {r.theorem_id: r for r in run_suite(h3_q)}
         assert reports["T2"].status == PASS

@@ -224,12 +224,13 @@ class TestSubspace:
         assert small < big
         assert not big <= small
 
-    def test_complement_reps(self):
+    def test_complement(self):
         u = Subspace.from_vectors(Q, 3, [vec(Q, [1, 0, 2])])
-        reps = u.complement_reps()
-        assert len(reps) == 2
-        total = Subspace.from_vectors(Q, 3, list(u.vectors()) + list(reps))
-        assert total.dim == 3
+        comp = u.complement()
+        assert comp.dim == 2
+        assert comp.vectors() == (vec(Q, [0, 1, 0]), vec(Q, [0, 0, 1]))
+        assert (u + comp).dim == 3
+        assert (u & comp).dim == 0
 
     def test_zero_and_full(self):
         z = Subspace.zero(GF(2), 3)

@@ -9,6 +9,7 @@ from cideals import (
     CASE_NEITHER,
     CASE_SPLIT,
     GF,
+    LieAlgebra,
     Q,
     Subspace,
     builtin,
@@ -115,6 +116,14 @@ class TestSupersolvable:
     def test_large_prime_without_listing_lines(self):
         # 44,734 lines over GF(211): listing them all took seconds
         l = builtin("t(2)+abelian(2)", GF(211))
+        start = time.perf_counter()
+        assert is_supersolvable(l)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_rational_eigenvalue(self):
+        # ad(e_0) has eigenvalues 0, 10^30 + 57 and 1: no divisor search
+        e = 10**30 + 57
+        l = LieAlgebra(Q, 3, None, {(0, 1): (0, e, 0), (0, 2): (0, 0, 1)})
         start = time.perf_counter()
         assert is_supersolvable(l)
         assert time.perf_counter() - start < 1.0
