@@ -151,7 +151,21 @@ def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdea
 
     Exact over finite fields.  Over Q the answer is yes (verified
     certificate), no (only from the decisive line rule) or unknown.
+
+    Each (l, b, budget) value is decided once: the verdict is kept in
+    l's memo under (b, budget), so value-equal algebras share it, and a
+    repeat returns the same frozen verdict, its certificate verified
+    when it was first made.  A call that raises stores nothing.
     """
+    verdicts = l._memoized("cideal_verdicts", dict)
+    key = (b, budget)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _is_cideal(l, b, budget)
+    return verdict
+
+
+def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     if not l.is_subalgebra(b):
         raise NotSubalgebra("c-ideal decisions apply to subalgebras")
     if l.is_ideal(b):

@@ -345,7 +345,8 @@ def raw_poly_roots(p, coeffs) -> set:
     and g is split into its linear factors by
     gcd(g, (t + a)^((p-1)/2) - 1) for the shifts a = 1, 2, ...
     (Cantor-Zassenhaus with deterministic shifts).  Over Q the monic
-    squarefree part h = f / gcd(f, f') is scaled to the monic integer
+    squarefree part h = f / gcd(f, f') is taken; when it is linear its
+    root is read off, and otherwise it is scaled to the monic integer
     g(s) = a^d h(s/a), a the common denominator of h, whose rational
     roots are integers s = a t.  At the least prime q with g squarefree
     mod q the roots of g mod q come from the GF(q) finder; each is
@@ -363,8 +364,11 @@ def raw_poly_roots(p, coeffs) -> set:
     roots = {Fraction(0)} if low else set()
     if len(coeffs) - low == 1:
         return roots
-    f = _monic(coeffs[low:], None)
-    h = _divmod_monic(f, _gcd(f, [k * c for k, c in enumerate(f)][1:], None), None)[0]
+    h = _monic(coeffs[low:], None)
+    if len(h) > 2:  # a linear h is already squarefree
+        h = _divmod_monic(h, _gcd(h, [k * c for k, c in enumerate(h)][1:], None), None)[0]
+    if len(h) == 2:
+        return roots | {-h[0]}
     a = lcm(*(c.denominator for c in h))
     d = len(h) - 1
     g = [int(c * a ** (d - k)) for k, c in enumerate(h)]

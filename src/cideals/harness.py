@@ -27,8 +27,9 @@ T11  a c-ideal lying in a Frattini subalgebra is an ideal inside the
 Every suite but T2 and T8 needs exhaustive enumeration and reports
 ``skipped`` over Q, as does any suite whose hypothesis mismatches the
 field; a suite never silently narrows its claim.  A budget overrun
-inside a suite also surfaces as ``skipped`` with the reason.  Subspaces
-move into subalgebras and quotients through
+inside a suite also surfaces as ``skipped`` with the reason, and so do
+the pair walks of T9-T11 when what they would scan passes the budget.
+Subspaces move into subalgebras and quotients through
 :class:`~cideals.linalg.Subspace`'s coordinate maps, lines are scanned
 as raw projective points and the line classifier and the line families
 run on raw rows, so no suite makes a Scalar.
@@ -292,17 +293,21 @@ def _inside(space: Subspace, candidates):
     return (c for c in candidates if points.issuperset(c.rows))
 
 
-def _proper_overalgebras(l, subalgebras):
+def _proper_overalgebras(l, subalgebras, budget):
     """Each subalgebra B with an iterator over the proper subalgebras
     K >= B, both in enumeration order.
 
-    A point -> holders index over the proper subalgebras is built once;
-    the K containing B are those holding every canonical row of B.
+    A point -> holders index over the proper subalgebras is built once,
+    its size charged to the budget first; the K containing B are those
+    holding every canonical row of B.
     """
+    p = l.field.p
     proper = [k for k in subalgebras if k.dim < l.dim]
+    size = sum((p**k.dim - 1) // (p - 1) for k in proper)
+    _check_budget(size, "points of proper subalgebras to index", budget)
     holders = {}
     for j, k in enumerate(proper):
-        for x in subspace_points(l.field.p, k):
+        for x in subspace_points(p, k):
             holders.setdefault(x, []).append(j)
 
     def above(rows):
@@ -325,7 +330,7 @@ def _t9(l, budget, decide):
     when K holds every canonical row of B.
     """
     checked = 0
-    for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget)):
+    for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget), budget):
         v = decide(l, b, budget)
         if v.answer != YES:
             continue
@@ -349,8 +354,10 @@ def _t10(l, budget, decide):
     is a projective point of B.
     """
     ideals = enum_ideals(l, budget)
-    checked = 0
+    checked = scanned = 0
     for b in enum_subalgebras(l, budget):
+        scanned += len(ideals)
+        _check_budget(scanned, "candidate (subalgebra, ideal) pairs", budget)
         v_outer = decide(l, b, budget)
         for i in _inside(b, ideals):
             v_inner = decide(algebra_modulo(l, i), i.modulo(b), budget)
@@ -368,8 +375,12 @@ def _t10(l, budget, decide):
 
 def _t11(l, budget, decide):
     subalgebras = enum_subalgebras(l, budget)
-    checked = 0
+    checked = scanned = 0
     for c_sub in subalgebras:
+        # Charged before F(c_sub) is found: for c_sub = L that finds the
+        # maximal subalgebras, a scan of the same lattice.
+        scanned += len(subalgebras)
+        _check_budget(scanned, "candidate (subalgebra, subalgebra) pairs", budget)
         f_c = frattini_of_subalgebra(l, c_sub, budget)
         if f_c.dim == 0:
             continue
@@ -438,15 +449,20 @@ def run_suite(
     It must be a pure function of (algebra, subalgebra, budget): each
     distinct triple, compared by value, is decided once per call and
     its verdict reused by every suite of the call, so value-equal
-    restricted and quotient algebras share one verdict.  The memo lives
-    only for this call.  The c-ideal questions of T1-T6 and T9-T11 go
-    through ``decide``.  T7 deliberately does not use it: its claim is
-    that the line rule of :func:`cideals.cideal.line_cideal` agrees with
-    :func:`cideals.cideal.is_cideal_by_scan`, so it runs those two
-    directly on each raw projective point, and T8 checks the line
-    classifier against the line rule itself.  Over Q every suite outside
-    ``_OVER_Q`` is skipped here, inside its timed section.  Budget
-    overruns inside a suite produce a skipped report.
+    restricted and quotient algebras share one verdict.  That memo
+    lives only for this call and keeps the contract for a ``decide``
+    passed in; the default also keeps its verdicts in the algebras'
+    shared memo, across calls.  The c-ideal questions of T1-T6 and
+    T9-T11 go through ``decide``.  T7 deliberately does not use it: its
+    claim is that the line rule of :func:`cideals.cideal.line_cideal`
+    agrees with :func:`cideals.cideal.is_cideal_by_scan`, so it runs
+    those two directly on each raw projective point, and T8 checks the
+    line classifier against the line rule itself.  Over Q every suite
+    outside ``_OVER_Q`` is skipped here, inside its timed section.
+    Budget overruns inside a suite produce a skipped report; the pair
+    walks of T9-T11 charge what they scan to the budget too, T9 the
+    points of its holders index and T10/T11 every candidate of every
+    outer subspace, before they scan.
     """
     ids = normalize_suites(suites)
     if decide is None:

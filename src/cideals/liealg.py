@@ -67,8 +67,8 @@ class LieAlgebra:
     Objects derived from the value live in one memo dict, the library's
     only cache of them (see :func:`canonical`), read through the
     ``_memo`` slot, which stays out of equality and hashing: lattices,
-    flags, and per subspace the algebra on it or modulo it
-    (:func:`algebra_on`, :func:`algebra_modulo`).
+    flags, c-ideal verdicts, and per subspace the algebra on it or
+    modulo it (:func:`algebra_on`, :func:`algebra_modulo`).
     """
 
     __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")

@@ -536,9 +536,12 @@ class Subspace:
         and its canonical rows are those standard vectors.
         """
         n = self.ambient_dim
-        pivots = set(self.pivots)
-        free = tuple(c for c in range(n) if c not in pivots)
+        free = self._free_columns()
         return Subspace(self.field, n, _units(self.field.p, n, free), free)
+
+    def _free_columns(self) -> tuple:
+        pivots = set(self.pivots)
+        return tuple(c for c in range(self.ambient_dim) if c not in pivots)
 
     # -- coordinates, fixed here and nowhere else: a member of K has as
     # coordinates on K's canonical rows its entries at K's pivot columns;
@@ -554,8 +557,19 @@ class Subspace:
         return _combination(self.field.p, w, self.rows, self.ambient_dim)
 
     def coords(self, u: "Subspace") -> "Subspace":
-        """A subspace u of this one, in the coordinates of its canonical rows."""
-        return Subspace.from_raw(self.field, self.dim, [self.coords_raw(r) for r in u.rows])
+        """A subspace u of this one, in the coordinates of its canonical rows.
+
+        When u's pivots are among this subspace's, as they are for every
+        u inside it, u's coordinate rows are already canonical: each has
+        its 1 at its pivot's place among this subspace's pivots and 0 at
+        the other rows' places, so no elimination is run.
+        """
+        rows = tuple(self.coords_raw(r) for r in u.rows)
+        place = {c: i for i, c in enumerate(self.pivots)}
+        pivots = tuple(place.get(c) for c in u.pivots)
+        if None in pivots:
+            return Subspace.from_raw(self.field, self.dim, rows)
+        return Subspace(self.field, self.dim, rows, pivots)
 
     def from_coords(self, w: "Subspace") -> "Subspace":
         """The inverse of :meth:`coords`: w in F^dim carried back into F^n."""
@@ -563,10 +577,14 @@ class Subspace:
         return Subspace.from_raw(self.field, self.ambient_dim, rows)
 
     def modulo(self, u: "Subspace") -> "Subspace":
-        """The image (u + I) / I of u in the quotient by this subspace I."""
-        comp = self.complement()
-        rows = [comp.coords_raw(self.reduce_raw(r)) for r in u.rows]
-        return Subspace.from_raw(self.field, comp.dim, rows)
+        """The image (u + I) / I of u in the quotient by this subspace I.
+
+        The coordinates of v + I are the entries of I.reduce(v) at I's
+        non-pivot columns, read off directly.
+        """
+        free = self._free_columns()
+        rows = [tuple(v[c] for c in free) for v in map(self.reduce_raw, u.rows)]
+        return Subspace.from_raw(self.field, len(free), rows)
 
     def preimage(self, w: "Subspace") -> "Subspace":
         """The preimage in F^n of a subspace w of the quotient by this subspace."""

@@ -307,6 +307,24 @@ class TestRationalRoots:
         assert got == oracle_rational_roots(coeffs)
         assert {r.value for r in got} == set(roots)
 
+    @given(
+        _RATIONALS.filter(bool),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        _RATIONALS.filter(bool),
+    )
+    def test_linear_squarefree_part_matches_oracle(self, r, zeros, power, scale):
+        # c t^k (t - r)^m, as t^k (t - 1) and (t + 1)^2: one nonzero root
+        poly = [scale]
+        for _ in range(zeros):
+            poly = _times(poly, [0, 1])
+        for _ in range(power):
+            poly = _times(poly, [-r, 1])
+        coeffs = tuple(Q.scalar(c) for c in poly)
+        got = poly_roots_in_field(coeffs)
+        assert got == oracle_rational_roots(coeffs)
+        assert {s.value for s in got} == ({r, 0} if zeros else {r})
+
     def test_catalog_char_polys_match_oracle(self):
         for name, l in catalog_algebras(Q):
             for x in l.basis():

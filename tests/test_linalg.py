@@ -351,6 +351,45 @@ class TestSubspace:
         assert (u & v) <= u <= (u + v)
 
 
+class TestCoordinateShortcuts:
+    """``coords`` and ``modulo`` skip the elimination or the complement;
+    both must give what the ``from_raw`` route gives, rows and pivots.
+
+    With ``inside`` the rows of U are combinations of K's rows, so U's
+    pivots are among K's.  The examples pin U outside K with pivots
+    among K's, U with pivots (0, 2) inside K with pivots (0, 2, 3), so
+    at places (0, 1), and U with a pivot that is not one of K's.
+    """
+
+    @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=4),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=4),
+           st.booleans())
+    @example(GF(3), [[1, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], False)
+    @example(Q, [[1, 0, 2], [0, 1, 1]], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], True)
+    @example(GF(2), [[0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], False)
+    def test_match_the_raw_route(self, f, coeffs, rows_k, inside):
+        k = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_k])
+        rows_u = coeffs
+        if inside:
+            rows_u = [
+                [sum(c * row[j] for c, row in zip(cs, k.rows)) for j in range(4)]
+                for cs in coeffs
+            ]
+        u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_u])
+        if inside:
+            assert set(u.pivots) <= set(k.pivots)
+
+        got = k.coords(u)
+        want = Subspace.from_raw(f, k.dim, [k.coords_raw(r) for r in u.rows])
+        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+
+        comp = k.complement()
+        got = k.modulo(u)
+        want = Subspace.from_raw(f, comp.dim, [comp.coords_raw(k.reduce_raw(r)) for r in u.rows])
+        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+
+
 class TestTextForms:
     def test_vector_round_trip(self):
         v = vec(Q, ["1", "0", "-1/2"])

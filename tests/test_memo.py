@@ -5,15 +5,21 @@ Each algebra value has a canonical instance, the first one seen, held in
 its memo dict is read by every value-equal algebra.  A warm memo must
 never answer a call that is over budget, sharing must leave equality
 and hashing alone, and the cap must bound the table without changing
-any answer.
+any answer.  c-ideal verdicts live there too, one per (subalgebra,
+budget), and must match the verdicts of a cold table.
 """
 
 import pytest
 
 from cideals import (
     GF,
+    YES,
+    AmbientMismatch,
     BudgetExceeded,
+    FieldMismatch,
     LieAlgebra,
+    NotSubalgebra,
+    Subspace,
     abelian_socle,
     builtin,
     catalog_algebras,
@@ -21,13 +27,16 @@ from cideals import (
     enum_subalgebras,
     frattini,
     frattini_of_subalgebra,
+    is_cideal,
+    is_cideal_by_scan,
     is_supersolvable,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     radicals,
     subspace_count,
+    verify_certificate,
 )
-from cideals import liealg
+from cideals import cideal, liealg
 
 from oracles import (
     oracle_is_ideal,
@@ -149,3 +158,87 @@ class TestCap:
                 got = (enum_ideals(l), maximal_nilpotent_subalgebras(l), is_supersolvable(l))
                 assert got == want
                 assert len(liealg._canonical) <= cap
+
+
+def _verdict_corpus():
+    corpus = [l for p in (2, 3) for _, l in catalog_algebras(GF(p), max_dim=4)]
+    return corpus + [builtin("sl2", GF(5))]
+
+
+def _borel(l):
+    # span{e, h} in sl2: a subalgebra, not an ideal, with core 0, so its
+    # verdict enumerates the ideals of all of sl2.
+    return Subspace.span(l.field, 3, [[1, 0, 0], [0, 0, 1]])
+
+
+class TestCidealVerdicts:
+    """``is_cideal`` keeps each verdict in the algebra's memo under
+    (subalgebra, budget)."""
+
+    def test_memoized_verdicts_match_a_cold_table(self, empty_table, monkeypatch):
+        warm = {}
+        for l in _verdict_corpus():
+            for b in enum_subalgebras(l):
+                first = is_cideal(l, b)
+                assert is_cideal(l, b) is first
+                warm[(l, b)] = first
+                if first.answer == YES:
+                    assert verify_certificate(l, b, first.certificate)
+        monkeypatch.setattr(liealg, "_canonical", {})
+        for l in _verdict_corpus():
+            for b in enum_subalgebras(l):
+                assert is_cideal(l, b).as_dict() == warm[(l, b)].as_dict()
+
+    def test_each_algebra_keeps_its_own_verdicts(self, empty_table):
+        # The same subspace asked of many algebras in a row: every answer
+        # must be that algebra's own, and some subspaces get both answers.
+        corpus = [l for _, l in catalog_algebras(GF(3), max_dim=3)]
+        mixed = 0
+        for n in {l.dim for l in corpus}:
+            for b in enum_subalgebras(builtin("abelian", GF(3), n)):
+                answers = set()
+                for l in corpus:
+                    if l.dim == n and l.is_subalgebra(b):
+                        answers.add(is_cideal(l, b).answer)
+                        assert is_cideal(l, b).answer == is_cideal_by_scan(l, b).answer
+                mixed += len(answers) > 1
+        assert mixed > 0
+
+    def test_value_equal_copy_reads_the_verdict(self, empty_table, monkeypatch):
+        calls = []
+        decide = cideal._is_cideal
+
+        def counting(l, b, budget):
+            calls.append((l, b, budget))
+            return decide(l, b, budget)
+
+        monkeypatch.setattr(cideal, "_is_cideal", counting)
+        first = builtin("sl2", GF(5))
+        verdict = is_cideal(first, _borel(first))
+        copy = builtin("sl2", GF(5))
+        assert copy is not first and copy._memo is None
+        assert is_cideal(copy, _borel(copy)) is verdict
+        assert len(calls) == 1
+
+    def test_budget_is_part_of_the_key(self, empty_table):
+        l = builtin("sl2", GF(5))
+        limit = subspace_count(3, 5)
+        verdict = is_cideal(l, _borel(l), budget=limit)
+        assert verdict.answer != YES and verdict.exhaustive
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                is_cideal(l, _borel(l), budget=limit - 1)
+        assert is_cideal(builtin("sl2", GF(5)), _borel(l), budget=limit) is verdict
+
+    def test_bad_inputs_raise_on_every_call(self, empty_table):
+        l = builtin("sl2", GF(5))
+        bad = [
+            (Subspace.span(l.field, 3, [[1, 0, 0], [0, 1, 0]]), NotSubalgebra),
+            (Subspace.span(GF(3), 3, [[1, 0, 0]]), FieldMismatch),
+            (Subspace.span(l.field, 2, [[1, 0]]), AmbientMismatch),
+        ]
+        for b, error in bad:
+            for _ in range(2):
+                with pytest.raises(error):
+                    is_cideal(l, b)
+        assert l._memoized("cideal_verdicts", dict) == {}
