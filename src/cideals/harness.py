@@ -354,10 +354,10 @@ def _t10(l, budget, decide):
     is a projective point of B.
     """
     ideals = enum_ideals(l, budget)
-    checked = scanned = 0
-    for b in enum_subalgebras(l, budget):
-        scanned += len(ideals)
-        _check_budget(scanned, "candidate (subalgebra, ideal) pairs", budget)
+    subalgebras = enum_subalgebras(l, budget)
+    _check_budget(len(subalgebras) * len(ideals), "candidate (subalgebra, ideal) pairs", budget)
+    checked = 0
+    for b in subalgebras:
         v_outer = decide(l, b, budget)
         for i in _inside(b, ideals):
             v_inner = decide(algebra_modulo(l, i), i.modulo(b), budget)
@@ -374,16 +374,18 @@ def _t10(l, budget, decide):
 
 
 def _t11(l, budget, decide):
+    """Scans the subalgebras for those inside F(c_sub), for each c_sub
+    with F(c_sub) nonzero; each such scan is charged to the budget
+    before it runs.
+    """
     subalgebras = enum_subalgebras(l, budget)
     checked = scanned = 0
     for c_sub in subalgebras:
-        # Charged before F(c_sub) is found: for c_sub = L that finds the
-        # maximal subalgebras, a scan of the same lattice.
-        scanned += len(subalgebras)
-        _check_budget(scanned, "candidate (subalgebra, subalgebra) pairs", budget)
         f_c = frattini_of_subalgebra(l, c_sub, budget)
         if f_c.dim == 0:
             continue
+        scanned += len(subalgebras)
+        _check_budget(scanned, "candidate (subalgebra, subalgebra) pairs", budget)
         for b in _inside(f_c, subalgebras):
             if b.dim == 0:
                 continue
@@ -445,35 +447,37 @@ def run_suite(
     """Run the selected suites on one algebra.
 
     ``decide`` replaces the c-ideal decision procedure and exists for
-    harness self-tests; the default is :func:`cideals.cideal.is_cideal`.
-    It must be a pure function of (algebra, subalgebra, budget): each
-    distinct triple, compared by value, is decided once per call and
-    its verdict reused by every suite of the call, so value-equal
-    restricted and quotient algebras share one verdict.  That memo
-    lives only for this call and keeps the contract for a ``decide``
-    passed in; the default also keeps its verdicts in the algebras'
-    shared memo, across calls.  The c-ideal questions of T1-T6 and
-    T9-T11 go through ``decide``.  T7 deliberately does not use it: its
-    claim is that the line rule of :func:`cideals.cideal.line_cideal`
-    agrees with :func:`cideals.cideal.is_cideal_by_scan`, so it runs
-    those two directly on each raw projective point, and T8 checks the
-    line classifier against the line rule itself.  Over Q every suite
+    harness self-tests.  The default, :func:`cideals.cideal.is_cideal`,
+    decides each (algebra, subalgebra, budget) value once and keeps the
+    verdict in the algebra's shared memo, across calls.  A ``decide``
+    passed in must be a pure function of that triple: each distinct
+    triple, compared by value, is decided once per call and its verdict
+    reused by every suite of the call, so value-equal restricted and
+    quotient algebras share one verdict; that memo lives only for this
+    call.  The c-ideal questions of T1-T6 and T9-T11 go through
+    ``decide``.  T7 deliberately does not use it: its claim is that the
+    line rule of :func:`cideals.cideal.line_cideal` agrees with
+    :func:`cideals.cideal.is_cideal_by_scan`, so it runs those two
+    directly on each raw projective point, and T8 checks the line
+    classifier against the line rule itself.  Over Q every suite
     outside ``_OVER_Q`` is skipped here, inside its timed section.
     Budget overruns inside a suite produce a skipped report; the pair
-    walks of T9-T11 charge what they scan to the budget too, T9 the
-    points of its holders index and T10/T11 every candidate of every
-    outer subspace, before they scan.
+    walks of T9-T11 charge what they scan to the budget too, before
+    they scan: T9 the points of its holders index, T10 every
+    (subalgebra, ideal) pair and T11 every subalgebra for each c_sub
+    whose Frattini subalgebra is nonzero.
     """
     ids = normalize_suites(suites)
     if decide is None:
-        decide = is_cideal
-    verdicts = {}
+        decide_once = is_cideal
+    else:
+        verdicts = {}
 
-    def decide_once(alg, b, bud):
-        key = (alg, b, bud)
-        if key not in verdicts:
-            verdicts[key] = decide(alg, b, bud)
-        return verdicts[key]
+        def decide_once(alg, b, bud):
+            key = (alg, b, bud)
+            if key not in verdicts:
+                verdicts[key] = decide(alg, b, bud)
+            return verdicts[key]
 
     aid = algebra_id if algebra_id is not None else f"<{l.field} dim {l.dim}>"
     reports = []

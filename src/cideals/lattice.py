@@ -19,6 +19,7 @@ every entry point checks the budget before it reads the memo.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, raw_poly_roots
@@ -201,14 +202,40 @@ def enum_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
 
 
 def _maximal_among(candidates, proper_of_dim: int) -> tuple:
-    """Subspaces of the list not strictly contained in another member."""
-    picked = []
+    """Subspaces of the list not strictly contained in another member.
+
+    Each candidate is tested only against the members kept so far of
+    larger dimension, by their annihilators.
+    """
+    picked = []  # (member, its annihilator)
+    dim = larger = None  # picked[:larger] are the kept members above dim
     for u in sorted(candidates, key=lambda s: -s.dim):
         if u.dim >= proper_of_dim:
             continue
-        if not any(u.dim < m.dim and u <= m for m in picked):
-            picked.append(u)
-    return tuple(picked)
+        if u.dim != dim:
+            dim, larger = u.dim, len(picked)
+        p = u.field.p
+        for _, annihilator in itertools.islice(picked, larger):
+            if not any(sum(map(operator.mul, a, r)) % p for a in annihilator for r in u.rows):
+                break
+        else:
+            picked.append((u, _annihilator(u)))
+    return tuple(m for m, _ in picked)
+
+
+def _annihilator(m: Subspace) -> tuple:
+    """Raw rows a with m = {v : a . v = 0 for every a}, one per non-pivot
+    column j of m: e_j minus row[j] * e_c over m's rows, c each row's
+    pivot (v is in m exactly when it is the sum of v[c] * row)."""
+    p, n = m.field.p, m.ambient_dim
+    out = []
+    for j in m.complement().pivots:
+        a = [0] * n
+        a[j] = 1
+        for row, c in zip(m.rows, m.pivots):
+            a[c] = -row[j] % p
+        out.append(a)
+    return tuple(out)
 
 
 def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:

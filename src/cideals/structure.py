@@ -144,8 +144,12 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
 def _frattini_subalgebra(l: LieAlgebra, budget: int) -> Subspace:
     # F(L), the intersection of the maximal subalgebras.
     maxes = maximal_subalgebras(l, budget)
-    f = l.full_space() if maxes else l.zero_space()
-    for m in maxes:
+    return l._memoized("frattini_subalgebra", lambda: _intersection(l, maxes))
+
+
+def _intersection(l: LieAlgebra, subspaces) -> Subspace:
+    f = l.full_space() if subspaces else l.zero_space()
+    for m in subspaces:
         f = f & m
     return f
 

@@ -99,25 +99,31 @@ class TestRunSuite:
         (report,) = run_suite(h3_gf2, "T8", budget=6)
         assert report.status == SKIP and "7 lines" in report.reason
 
-    def test_pair_walks_skipped_before_the_scan(self):
-        # 20,608 subalgebras: the walks would scan about 10^6 pairs each
+    def test_pair_walks_bounded_on_a_large_lattice(self):
+        # 20,608 subalgebras: T9 and T10 would scan about 10^6 pairs each;
+        # every Frattini subalgebra is 0, so T11 scans nothing
         l = builtin("abelian(3)", GF(101))
         start = time.perf_counter()
         reports = run_suite(l, "T9,T10,T11")
         assert time.perf_counter() - start < 5.0
-        assert [r.status for r in reports] == [SKIP] * 3
+        assert [r.status for r in reports] == [SKIP, SKIP, PASS]
         assert "1061209 points of proper subalgebras to index" in reports[0].reason
-        assert "1009792 candidate (subalgebra, ideal) pairs" in reports[1].reason
-        assert "1009792 candidate (subalgebra, subalgebra) pairs" in reports[2].reason
+        assert "424689664 candidate (subalgebra, ideal) pairs" in reports[1].reason
+        assert reports[2].witnesses == {"pairs_checked": 0}
 
     @pytest.mark.parametrize(
-        "suite, scanned",
-        # GF(2)^3: 16 subspaces, every one an ideal; the proper ones hold
-        # 7 * 1 + 7 * 3 points
-        [("T9", 28), ("T10", 16 * 16), ("T11", 16 * 16)],
+        "name, suite, scanned",
+        [
+            # GF(2)^3: 16 subspaces, every one an ideal; the proper ones
+            # hold 7 * 1 + 7 * 3 points
+            ("abelian(3)", "T9", 28),
+            ("abelian(3)", "T10", 16 * 16),
+            # 43 subalgebras, 5 of them with a nonzero Frattini subalgebra
+            ("heisenberg(3)+abelian(1)", "T11", 5 * 43),
+        ],
     )
-    def test_pair_walk_budget_equal_to_scan_runs(self, suite, scanned):
-        l = builtin("abelian(3)", GF(2))
+    def test_pair_walk_budget_equal_to_scan_runs(self, name, suite, scanned):
+        l = builtin(name, GF(2))
         (report,) = run_suite(l, suite, budget=scanned)
         assert report.status == PASS
         assert report.as_dict() == {**run_suite(l, suite)[0].as_dict(), "seconds": report.seconds}
