@@ -23,7 +23,7 @@ import operator
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, raw_poly_roots
-from .linalg import Subspace, _box, _units, raw_char_poly, raw_eigenspace
+from .linalg import Subspace, _box, _units, raw_char_poly, raw_eigenspace, raw_kernel
 from .liealg import LieAlgebra, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
@@ -287,19 +287,29 @@ def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
 def core(l: LieAlgebra, b: Subspace) -> Subspace:
     """The largest ideal of L contained in the subalgebra b.
 
-    Computed as the limit of B_{i+1} = {x in B_i : [x, L] <= B_i}; each
-    step is one linear solve, and the chain strictly descends until the
-    fixed point, which is an ideal.
+    Computed as the limit of B_{i+1} = {x in B_i : [e_j, x] in B_i for
+    every j}.  Each step is one linear solve on B_i's own coordinates:
+    x = sum_i w_i r_i over B_i's canonical rows r_i, and [e_j, x] lies in
+    B_i exactly when the reduction of sum_i w_i [e_j, r_i] by B_i is zero
+    at B_i's non-pivot columns (it is zero at the pivot columns always).
+    The kernel is mapped back into L; the chain strictly descends until
+    the kernel is the whole coordinate space, and that fixed point is an
+    ideal.  Works over any field.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("core is defined for subalgebras")
-    full = l.full_space()
     cur = b
-    while True:
-        nxt = cur & l.transporter(full, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    while cur.dim:
+        free = cur._free_columns()
+        equations = []
+        for j in range(l.dim):
+            images = [cur.reduce_raw(l.ad_raw(j, r)) for r in cur.rows]
+            equations.extend([v[c] for v in images] for c in free)
+        kernel = raw_kernel(l.field, equations, cur.dim)
+        if kernel.dim == cur.dim:
+            break
+        cur = cur.from_coords(kernel)
+    return cur
 
 
 def normalizer(l: LieAlgebra, u: Subspace) -> Subspace:
@@ -322,11 +332,43 @@ def subspace_points(p: int, u: Subspace):
     """The projective points of u over GF(p), as raw rows, one at a time.
 
     These are the nonzero vectors of u whose first nonzero entry is 1,
-    one per line of u.  Each canonical row of a subspace is such a
-    point, so U <= V exactly when ``U.rows`` lies inside
-    ``set(subspace_points(p, V))``.
+    one per line of u: r_m + sum_{k>m} t_k r_k over u's canonical rows
+    r_k.  Each canonical row of a subspace is such a point, so U <= V
+    exactly when ``U.rows`` lies inside ``set(subspace_points(p, V))``.
+
+    They come out with the lead index m ascending, then the tail
+    coefficients t_{m+1}, t_{m+2}, ... in product order (the first
+    varying slowest).  That is ``(pivot, row)`` order: the point's pivot
+    is r_m's, its entry at the pivot of r_k (k > m) is t_k, and every
+    column before that pivot depends on t_{<k} alone.  Over GF(p) that
+    is the :meth:`Subspace.sort_key` order of the points' lines, which
+    starts with the line of ``u.rows[0]``: :func:`one_dim_ideals` sorts
+    its families' points as already-sorted runs, and
+    :func:`first_line_ideal` reads each family's first line off its
+    first row.
+
+    Each point is a running sum: the p multiples of every row are made
+    once, a partial sum is extended one row at a time, and the sum is
+    reduced mod p once, at the leaf.
     """
-    return (u.from_coords_raw(coeffs) for coeffs in _projective_raw(p, u.dim))
+    rows = u.rows
+    # The multiples of every row but the first, which only ever leads.
+    multiples = [[tuple(t * x for x in r) for t in range(p)] for r in rows[1:]]
+    for m, lead in enumerate(rows):
+        yield from _running_sums(p, lead, multiples[m:])
+
+
+def _running_sums(p: int, acc, multiples):
+    # acc plus one entry of each list of multiples, in product order, mod p.
+    if not multiples:
+        yield acc
+    elif len(multiples) == 1:
+        for t_row in multiples[0]:
+            yield tuple([(a + b) % p for a, b in zip(acc, t_row)])
+    else:
+        rest = multiples[1:]
+        for t_row in multiples[0]:
+            yield from _running_sums(p, list(map(operator.add, acc, t_row)), rest)
 
 
 def projective_points(field: Field, n: int):
@@ -379,26 +421,31 @@ def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     :func:`ideal_line_families`, whose nonzero vectors are exactly the
     spanning vectors of one-dimensional ideals.  Over a finite field
     every line of every family is listed, one per projective point of
-    the family's own coordinates, so the list is complete; the count,
-    (p^d - 1)/(p - 1) for a family of dimension d, is checked against
-    the budget before any line is made, and BudgetExceeded is raised
-    when it is over.  Over Q a family of dimension >= 2 holds infinitely
-    many lines, so only the lines of its canonical basis vectors are
-    listed: a deterministic set of representatives, complete exactly
-    when every family is a line.
+    the family, so the list is complete; the count, (p^d - 1)/(p - 1)
+    for a family of dimension d, is checked against the budget before
+    any line is made, and BudgetExceeded is raised when it is over.
+    Each family's points come out of :func:`subspace_points` in
+    ``(pivot, row)`` order, which over GF(p) is the ``sort_key`` order of
+    their lines, and the families are disjoint; so the raw pairs of all
+    families are sorted (a merge of sorted runs) and each line is built
+    once, with no sort key per line.  Over Q a family of dimension >= 2
+    holds infinitely many lines, so only the lines of its canonical
+    basis vectors are listed, sorted by ``sort_key`` (whose order on
+    Fractions is not their value order): a deterministic set of
+    representatives, complete exactly when every family is a line.
     """
     field = l.field
     p = field.p
     families = ideal_line_families(l)
     total = 0 if p is None else sum((p**fam.dim - 1) // (p - 1) for fam in families)
     _check_budget(total, f"one-dimensional ideals of a dim-{l.dim} algebra over {field}", budget)
-    lines = []
-    for fam in families:
-        # A canonical row, and a projective point, leads with a 1: it is
-        # already the one-row RREF of its line.
-        vecs = fam.rows if p is None else subspace_points(p, fam)
-        lines.extend(Subspace(field, l.dim, (v,), (v.index(1),)) for v in vecs)
-    return tuple(sorted(lines, key=Subspace.sort_key))
+    # A canonical row, and a projective point, leads with a 1: it is
+    # already the one-row RREF of its line.
+    if p is None:
+        lines = (Subspace(field, l.dim, (v,), (v.index(1),)) for fam in families for v in fam.rows)
+        return tuple(sorted(lines, key=Subspace.sort_key))
+    points = sorted((v.index(1), v) for fam in families for v in subspace_points(p, fam))
+    return tuple(Subspace(field, l.dim, (v,), (c,)) for c, v in points)
 
 
 def first_line_ideal(l: LieAlgebra) -> Subspace | None:

@@ -347,3 +347,35 @@ def oracle_t11_pairs(l) -> list:
         if f_c.dim:
             pairs += [(c, b) for b in subalgebras if b.dim and b <= f_c]
     return pairs
+
+
+def oracle_subspace_points(p: int, u: Subspace) -> set:
+    """The projective points of u over GF(p): the nonzero combinations
+    of u's rows, each scaled so that its first nonzero entry is 1.
+
+    The rows are independent, so every nonzero combination is a nonzero
+    multiple of exactly one whose first nonzero coefficient is 1; only
+    those (p^dim - 1)/(p - 1) coefficient tuples are tried, each by a
+    plain matrix-vector product and an explicit scaling."""
+    columns = list(zip(*u.rows))
+    points = set()
+    for lead in range(u.dim):
+        for tail in itertools.product(range(p), repeat=u.dim - 1 - lead):
+            coeffs = (0,) * lead + (1,) + tail
+            v = [sum(a * b for a, b in zip(coeffs, col)) % p for col in columns]
+            inv = pow(next(x for x in v if x), -1, p)
+            points.add(tuple(x * inv % p for x in v))
+    return points
+
+
+def oracle_core_by_transporter(l, b: Subspace) -> Subspace:
+    """Largest ideal of l inside the subalgebra b, as the limit of
+    B_{i+1} = B_i ∩ {x in L : [x, L] <= B_i}: each step a transporter
+    solve over all of L and a Zassenhaus intersection.  Works over Q."""
+    full = l.full_space()
+    cur = b
+    while True:
+        nxt = cur & l.transporter(full, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cideals import (
     BudgetExceeded,
@@ -24,13 +26,16 @@ from cideals import (
     random_solvable,
     subspace_count,
 )
+from cideals.lattice import first_line_ideal, ideal_line_families, subspace_points
 
 from oracles import (
     oracle_cartan_subalgebras,
     oracle_core,
+    oracle_core_by_transporter,
     oracle_maximal,
     oracle_maximal_nilpotent_subalgebras,
     oracle_subalgebras,
+    oracle_subspace_points,
 )
 
 
@@ -251,6 +256,32 @@ class TestCoreAndNormalizer:
             for b in enum_subalgebras(l):
                 assert core(l, b) == oracle_core(l, b)
 
+    def test_core_matches_oracle_gf3_catalog_and_sl2_gf5(self):
+        algebras = [l for _, l in catalog_algebras(GF(3), max_dim=4)] + [builtin("sl2", GF(5))]
+        shrunk = 0
+        for l in algebras:
+            for b in enum_subalgebras(l):
+                got = core(l, b)
+                assert got == oracle_core(l, b)
+                shrunk += got != b
+        assert shrunk > 100
+
+    def test_core_matches_transporter_route_over_q(self):
+        # Series terms and their centralizers are ideals, so their core
+        # is themselves; the basis lines and their centralizers need not be.
+        shrunk = 0
+        for _, l in catalog_algebras(Q):
+            subalgebras = {Subspace.from_raw(l.field, l.dim, [r]) for r in l.full_space().rows}
+            for series in (l.derived_series(), l.lower_central_series()):
+                subalgebras.update(series.terms)
+            subalgebras.update([l.centralizer(u) for u in subalgebras])
+            for b in subalgebras:
+                got = core(l, b)
+                assert got == oracle_core_by_transporter(l, b)
+                assert l.is_ideal(got) and got <= b
+                shrunk += got.dim < b.dim
+        assert shrunk > 10
+
     def test_core_requires_subalgebra(self, sl2_gf5):
         with pytest.raises(NotSubalgebra):
             core(sl2_gf5, span(sl2_gf5, [1, 0, 0], [0, 1, 0]))
@@ -261,6 +292,43 @@ class TestCoreAndNormalizer:
 
     def test_normalizer_of_ideal_is_full(self, h3_q):
         assert normalizer(h3_q, h3_q.centre()) == h3_q.full_space()
+
+
+@st.composite
+def _points_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, 5))
+    rows = st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n)
+    return p, Subspace.from_raw(GF(p), n, draw(rows))
+
+
+class TestSubspacePoints:
+    @given(_points_case())
+    def test_points_are_complete_distinct_and_in_pivot_row_order(self, case):
+        p, u = case
+        points = list(subspace_points(p, u))
+        assert len(set(points)) == len(points)
+        assert set(points) == oracle_subspace_points(p, u)
+        key = [(next(i for i, x in enumerate(v) if x), v) for v in points]
+        assert key == sorted(key)
+        assert points[:1] == list(u.rows[:1])
+
+    @pytest.mark.parametrize(
+        "name, p, shape",
+        [("abelian(3)", 101, [3]), ("t(2)+abelian(2)", 31, [1, 3]), ("almost_abelian(3)+abelian(2)", 31, [2, 2])],
+    )
+    def test_one_dim_ideals_are_the_family_points_sorted(self, name, p, shape):
+        l = builtin(name, GF(p))
+        families = ideal_line_families(l)
+        assert sorted(f.dim for f in families) == shape
+        expected = sorted(
+            (Subspace.from_raw(l.field, l.dim, [x]) for f in families for x in oracle_subspace_points(p, f)),
+            key=Subspace.sort_key,
+        )
+        lines = one_dim_ideals(l)
+        assert lines == tuple(expected)
+        assert [s.pivots for s in lines] == [s.pivots for s in expected]
+        assert first_line_ideal(l) == lines[0]
 
 
 class TestLines:
