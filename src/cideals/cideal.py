@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
 from .linalg import Subspace, _zero_one, raw_rref, subspace_text, vector_is_zero
-from .liealg import LieAlgebra, algebra_modulo
+from .liealg import LieAlgebra, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, core, enum_ideals
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
 
@@ -102,10 +102,6 @@ def _yes(l, b, c, method) -> CIdealVerdict:
     return CIdealVerdict(YES, c, method, True)
 
 
-def _derived_subspace(l: LieAlgebra) -> Subspace:
-    return l._memoized("derived", lambda: l.span_product(l.full_space(), l.full_space()))
-
-
 def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     """Decide the line Fx, exactly, over any field.
 
@@ -121,7 +117,7 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
 def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
     if l.is_ideal(line):
         return _yes(l, line, l.full_space(), METHOD_LINE)
-    derived = _derived_subspace(l)
+    derived = derived_subspace(l)
     rest = derived.reduce_raw(line.rows[0])
     q = next((c for c, x in enumerate(rest) if x), None)
     if q is None:

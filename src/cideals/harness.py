@@ -28,11 +28,14 @@ Every suite but T2 and T8 needs exhaustive enumeration and reports
 ``skipped`` over Q, as does any suite whose hypothesis mismatches the
 field; a suite never silently narrows its claim.  A budget overrun
 inside a suite also surfaces as ``skipped`` with the reason, and so do
-the pair walks of T9-T11 when what they would scan passes the budget.
-Subspaces move into subalgebras and quotients through
-:class:`~cideals.linalg.Subspace`'s coordinate maps, lines are scanned
-as raw projective points and the line classifier and the line families
-run on raw rows, so no suite makes a Scalar.
+the pair walks of T9-T11 when the lattices they would search pass the
+budget.  Each walk enumerates the lattice its statement is about: the
+subalgebras of each intermediate K (T9), of each quotient L/I (T10) and
+of each Frattini subalgebra F(C) (T11), through the algebras on and
+modulo those subspaces and :class:`~cideals.linalg.Subspace`'s
+coordinate maps.  Lines are scanned as raw projective points and the
+line classifier and the line families run on raw rows, so no suite
+makes a Scalar.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from .errors import BadParams, BudgetExceeded, FieldNotFinite
 from .fields import Field
 from .linalg import Subspace, subspace_text, vector_text
-from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_solvable
+from .liealg import LieAlgebra, algebra_modulo, algebra_on, derived_subspace, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
     _check_budget,
@@ -54,7 +57,7 @@ from .lattice import (
     gaussian_binomial,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
-    subspace_points,
+    subspace_count,
 )
 from .cideal import (
     YES,
@@ -143,8 +146,7 @@ def _t2(l, budget, decide):
         return SKIP, "no maximal subalgebras in dimension zero", {}
     if not solvable:
         return SKIP, "no certificate-backed premise instance is constructible over Q", {}
-    full = l.full_space()
-    squared = l.span_product(full, full)
+    squared = derived_subspace(l)
     m = Subspace.from_raw(l.field, l.dim, squared.rows + squared.complement().rows[1:])
     v = decide(l, m, budget)
     if v.answer == YES and v.certificate is not None:
@@ -275,8 +277,7 @@ def _t8(l, budget, decide):
         if positive == (bad is None):
             return PASS, None, witnesses
         return FAIL, "classifier and the line scan disagree", witnesses
-    full = l.full_space()
-    bad = _first_non_cideal(l, _spot_vectors(full if positive else l.span_product(full, full)))
+    bad = _first_non_cideal(l, _spot_vectors(l.full_space() if positive else derived_subspace(l)))
     if bad is None:
         if positive:
             return PASS, None, {"case": case, "check": "spot lines only"}
@@ -287,55 +288,24 @@ def _t8(l, budget, decide):
     return PASS, None, witnesses
 
 
-def _inside(space: Subspace, candidates):
-    """The candidates contained in ``space``, in their given order."""
-    points = set(subspace_points(space.field.p, space))
-    return (c for c in candidates if points.issuperset(c.rows))
-
-
-def _proper_overalgebras(l, subalgebras, budget):
-    """Each subalgebra B with an iterator over the proper subalgebras
-    K >= B, both in enumeration order.
-
-    A point -> holders index over the proper subalgebras is built once,
-    its size charged to the budget first; the K containing B are those
-    holding every canonical row of B.
-    """
-    p = l.field.p
-    proper = [k for k in subalgebras if k.dim < l.dim]
-    size = sum((p**k.dim - 1) // (p - 1) for k in proper)
-    _check_budget(size, "points of proper subalgebras to index", budget)
-    holders = {}
-    for j, k in enumerate(proper):
-        for x in subspace_points(p, k):
-            holders.setdefault(x, []).append(j)
-
-    def above(rows):
-        if not rows:
-            yield from proper
-            return
-        common = set(holders.get(rows[0], ())).intersection(
-            *(holders.get(r, ()) for r in rows[1:])
-        )
-        for j in sorted(common):
-            yield proper[j]
-
-    for b in subalgebras:
-        yield b, above(b.rows)
-
-
 def _t9(l, budget, decide):
-    """Walks the (B, K) pairs with B a c-ideal of L and K a proper
-    subalgebra containing it, by point-set containment: K >= B exactly
-    when K holds every canonical row of B.
+    """Walks the (B, K) pairs with K a proper subalgebra and B a c-ideal
+    of L inside it: for each K, the subalgebras of the algebra on K,
+    carried back into L.  The subspaces of every K are charged to the
+    budget before the walk starts.
     """
+    proper = [k for k in enum_subalgebras(l, budget) if k.dim < l.dim]
+    searched = sum(subspace_count(k.dim, l.field.p) for k in proper)
+    _check_budget(searched, "subspaces of proper subalgebras", budget)
     checked = 0
-    for b, above in _proper_overalgebras(l, enum_subalgebras(l, budget), budget):
-        v = decide(l, b, budget)
-        if v.answer != YES:
-            continue
-        for k in above:
-            vk = decide(algebra_on(l, k), k.coords(b), budget)
+    for k in proper:
+        on_k = algebra_on(l, k)
+        for w in enum_subalgebras(on_k, budget):
+            b = k.from_coords(w)
+            v = decide(l, b, budget)
+            if v.answer != YES:
+                continue
+            vk = decide(on_k, w, budget)
             if vk.answer != YES:
                 witnesses = {
                     "cideal": subspace_text(b),
@@ -349,18 +319,21 @@ def _t9(l, budget, decide):
 
 
 def _t10(l, budget, decide):
-    """Walks the (B, I) pairs with I an ideal inside the subalgebra B, by
-    point-set containment: I <= B exactly when every canonical row of I
-    is a projective point of B.
+    """Walks the (B, I) pairs with I an ideal inside the subalgebra B: for
+    each I, the subalgebras w of L/I, with B the preimage of w and so
+    B/I = w.  The subspaces of every L/I are charged to the budget before
+    the walk starts.
     """
     ideals = enum_ideals(l, budget)
-    subalgebras = enum_subalgebras(l, budget)
-    _check_budget(len(subalgebras) * len(ideals), "candidate (subalgebra, ideal) pairs", budget)
+    searched = sum(subspace_count(l.dim - i.dim, l.field.p) for i in ideals)
+    _check_budget(searched, "subspaces of quotients by ideals", budget)
     checked = 0
-    for b in subalgebras:
-        v_outer = decide(l, b, budget)
-        for i in _inside(b, ideals):
-            v_inner = decide(algebra_modulo(l, i), i.modulo(b), budget)
+    for i in ideals:
+        reduced = algebra_modulo(l, i)
+        for w in enum_subalgebras(reduced, budget):
+            b = i.preimage(w)
+            v_outer = decide(l, b, budget)
+            v_inner = decide(reduced, w, budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
                     "subalgebra": subspace_text(b),
@@ -374,21 +347,22 @@ def _t10(l, budget, decide):
 
 
 def _t11(l, budget, decide):
-    """Scans the subalgebras for those inside F(c_sub), for each c_sub
-    with F(c_sub) nonzero; each such scan is charged to the budget
-    before it runs.
+    """Walks the (C, B) pairs with B a nonzero subalgebra inside a nonzero
+    Frattini subalgebra F(C): for each such C, the subalgebras of the
+    algebra on F(C), carried back into L.  The subspaces of each F(C) are
+    added to a running count charged to the budget before they are walked.
     """
-    subalgebras = enum_subalgebras(l, budget)
-    checked = scanned = 0
-    for c_sub in subalgebras:
+    checked = searched = 0
+    for c_sub in enum_subalgebras(l, budget):
         f_c = frattini_of_subalgebra(l, c_sub, budget)
         if f_c.dim == 0:
             continue
-        scanned += len(subalgebras)
-        _check_budget(scanned, "candidate (subalgebra, subalgebra) pairs", budget)
-        for b in _inside(f_c, subalgebras):
-            if b.dim == 0:
+        searched += subspace_count(f_c.dim, l.field.p)
+        _check_budget(searched, "subspaces of Frattini subalgebras", budget)
+        for w in enum_subalgebras(algebra_on(l, f_c), budget):
+            if w.dim == 0:
                 continue
+            b = f_c.from_coords(w)
             report = frattini_consequence_check(l, b, c_sub, budget, decide)
             if not report.passed:
                 witnesses = {
@@ -447,38 +421,29 @@ def run_suite(
     """Run the selected suites on one algebra.
 
     ``decide`` replaces the c-ideal decision procedure and exists for
-    harness self-tests.  The default, :func:`cideals.cideal.is_cideal`,
-    decides each (algebra, subalgebra, budget) value once and keeps the
-    verdict in the algebra's shared memo, across calls.  A ``decide``
-    passed in must be a pure function of that triple: each distinct
-    triple, compared by value, is decided once per call and its verdict
-    reused by every suite of the call, so value-equal restricted and
-    quotient algebras share one verdict; that memo lives only for this
-    call.  The c-ideal questions of T1-T6 and T9-T11 go through
-    ``decide``.  T7 deliberately does not use it: its claim is that the
-    line rule of :func:`cideals.cideal.line_cideal` agrees with
-    :func:`cideals.cideal.is_cideal_by_scan`, so it runs those two
-    directly on each raw projective point, and T8 checks the line
-    classifier against the line rule itself.  Over Q every suite
+    harness self-tests; it is called as ``decide(algebra, b, budget)``
+    for every question a suite asks.  The default,
+    :func:`cideals.cideal.is_cideal`, decides each (algebra, subalgebra,
+    budget) value once and keeps the verdict in the algebra's shared
+    memo, so value-equal restricted and quotient algebras share one
+    verdict across suites and calls.  The c-ideal questions of T1-T6 and
+    T9-T11 go through ``decide``.  T7 deliberately does not use it: its
+    claim is that the line rule of :func:`cideals.cideal.line_cideal`
+    agrees with :func:`cideals.cideal.is_cideal_by_scan`, so it runs
+    those two directly on each raw projective point, and T8 checks the
+    line classifier against the line rule itself.  Over Q every suite
     outside ``_OVER_Q`` is skipped here, inside its timed section.
     Budget overruns inside a suite produce a skipped report; the pair
-    walks of T9-T11 charge what they scan to the budget too, before
-    they scan: T9 the points of its holders index, T10 every
-    (subalgebra, ideal) pair and T11 every subalgebra for each c_sub
-    whose Frattini subalgebra is nonzero.
+    walks of T9-T11 charge the subspaces they search to the budget too,
+    before they search them: T9 those of every proper subalgebra, T10
+    those of every quotient by an ideal and T11 those of each nonzero
+    Frattini subalgebra, as a running count.  Each walk's pairs are
+    among those subspaces, so a passing walk checks at most ``budget``
+    pairs.
     """
     ids = normalize_suites(suites)
     if decide is None:
-        decide_once = is_cideal
-    else:
-        verdicts = {}
-
-        def decide_once(alg, b, bud):
-            key = (alg, b, bud)
-            if key not in verdicts:
-                verdicts[key] = decide(alg, b, bud)
-            return verdicts[key]
-
+        decide = is_cideal
     aid = algebra_id if algebra_id is not None else f"<{l.field} dim {l.dim}>"
     reports = []
     for sid in ids:
@@ -487,7 +452,7 @@ def run_suite(
             if l.field.p is None and sid not in _OVER_Q:
                 status, reason, witnesses = SKIP, _SKIP_Q_ENUM, {}
             else:
-                status, reason, witnesses = _SUITES[sid](l, budget, decide_once)
+                status, reason, witnesses = _SUITES[sid](l, budget, decide)
         except BudgetExceeded as e:
             status, reason, witnesses = SKIP, f"budget exceeded: {e}", {}
         elapsed = round(time.perf_counter() - start, 6)
@@ -529,12 +494,11 @@ def fuzz(
     ambient_n: int = 3,
     suites=None,
     budget: int = DEFAULT_BUDGET,
-    target_dim: int | None = None,
 ) -> FuzzResult:
     """Run suites over ``count`` generated solvable algebras.
 
-    Instance k uses seed ``seed + k``; when ``target_dim`` is None the
-    sample dimension varies deterministically with the seed.  Failures
+    Instance k uses seed ``seed + k``, and its target dimension, 2 to 5
+    by the seed, is clamped to the ambient t(``ambient_n``).  Failures
     carry the offending algebra's full document.
     """
     if field.p is None:
@@ -546,8 +510,7 @@ def fuzz(
     failures = []
     for k in range(count):
         s = seed + k
-        tdim = target_dim if target_dim is not None else 2 + (s % 4)
-        tdim = max(1, min(tdim, ambient_dim))
+        tdim = max(1, min(2 + s % 4, ambient_dim))
         algebra = random_solvable(s, field, ambient_n, tdim)
         aid = f"fuzz(seed={s},t({ambient_n}),{field})"
         for report in run_suite(algebra, suites, budget, aid):

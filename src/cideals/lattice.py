@@ -333,8 +333,7 @@ def subspace_points(p: int, u: Subspace):
 
     These are the nonzero vectors of u whose first nonzero entry is 1,
     one per line of u: r_m + sum_{k>m} t_k r_k over u's canonical rows
-    r_k.  Each canonical row of a subspace is such a point, so U <= V
-    exactly when ``U.rows`` lies inside ``set(subspace_points(p, V))``.
+    r_k.
 
     They come out with the lead index m ascending, then the tail
     coefficients t_{m+1}, t_{m+2}, ... in product order (the first

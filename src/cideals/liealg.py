@@ -478,6 +478,11 @@ def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     return l._memoized(("modulo", ideal), lambda: canonical(l.quotient(ideal)[0]))
 
 
+def derived_subspace(l: LieAlgebra) -> Subspace:
+    """[L, L], kept in l's memo."""
+    return l._memoized("derived", lambda: l.span_product(l.full_space(), l.full_space()))
+
+
 def restricted_algebra(l: LieAlgebra, u: Subspace):
     """``l.restrict(u)``, made once per (value of l, u)."""
     return l._memoized(("restricted", u), lambda: l.restrict(u))

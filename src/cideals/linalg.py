@@ -572,9 +572,15 @@ class Subspace:
         return Subspace(self.field, self.dim, rows, pivots)
 
     def from_coords(self, w: "Subspace") -> "Subspace":
-        """The inverse of :meth:`coords`: w in F^dim carried back into F^n."""
-        rows = [self.from_coords_raw(r) for r in w.rows]
-        return Subspace.from_raw(self.field, self.ambient_dim, rows)
+        """The inverse of :meth:`coords`: w in F^dim carried back into F^n.
+
+        The images of w's canonical rows are already canonical: each
+        leads with 1 at this subspace's pivot for its row's pivot, and
+        has 0 at the others' pivots because w is reduced, so no
+        elimination is run.
+        """
+        rows = tuple(self.from_coords_raw(r) for r in w.rows)
+        return Subspace(self.field, self.ambient_dim, rows, tuple(self.pivots[c] for c in w.pivots))
 
     def modulo(self, u: "Subspace") -> "Subspace":
         """The image (u + I) / I of u in the quotient by this subspace I.

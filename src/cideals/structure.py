@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Subspace, _box, subspace_text, vector_text
-from .liealg import LieAlgebra, algebra_modulo, algebra_on, is_nilpotent, is_solvable
+from .liealg import (
+    LieAlgebra,
+    algebra_modulo,
+    algebra_on,
+    derived_subspace,
+    is_nilpotent,
+    is_solvable,
+)
 from .lattice import (
     DEFAULT_BUDGET,
     core,
@@ -200,8 +207,7 @@ def almost_abelian_witness(l: LieAlgebra):
 
 def _almost_abelian_raw(l: LieAlgebra):
     # almost_abelian_witness as a raw row.
-    full = l.full_space()
-    squared = l.span_product(full, full)
+    squared = derived_subspace(l)
     if squared.dim == 0 or l.dim - squared.dim != 1:
         return None
     if l.span_product(squared, squared).dim != 0:
@@ -276,7 +282,7 @@ def classify_line_cideals(l: LieAlgebra) -> LineClassification:
 def _line_shape(l: LieAlgebra) -> tuple:
     # (case, None), or (CASE_SPLIT, (A, B, x)) with x a raw row.
     full = l.full_space()
-    squared = l.span_product(full, full)
+    squared = derived_subspace(l)
     if l.span_product(full, squared).dim == 0:
         return CASE_CUBE_ZERO, None
     if l.span_product(squared, squared).dim != 0:

@@ -22,6 +22,7 @@ from cideals import (
     is_nilpotent,
     normalizer,
     nullspace,
+    quotient_algebra,
 )
 
 
@@ -325,16 +326,26 @@ def oracle_all_lines_cideal(l) -> bool:
 
 def oracle_t9_pairs(l) -> list:
     """(B, K) with K a proper subalgebra containing the subalgebra B, by
-    testing every pair in enumeration order."""
+    testing every pair: K in enumeration order, then B in enumeration
+    order."""
     subalgebras = enum_subalgebras(l)
-    return [(b, k) for b in subalgebras for k in subalgebras if k.dim != l.dim and b <= k]
+    return [(b, k) for k in subalgebras if k.dim != l.dim for b in subalgebras if b <= k]
 
 
 def oracle_t10_pairs(l) -> list:
     """(B, I) with I an ideal inside the subalgebra B, by testing every
-    pair in enumeration order."""
-    ideals = enum_ideals(l)
-    return [(b, i) for b in enum_subalgebras(l) for i in ideals if i <= b]
+    pair: I in enumeration order, then B in the order of B/I, taken
+    through the boxed projection of :func:`quotient_algebra`."""
+    pairs = []
+    for i in enum_ideals(l):
+        _, project, _ = quotient_algebra(l, i)
+
+        def image(b):
+            return Subspace.from_vectors(l.field, l.dim - i.dim, [project(v) for v in b.vectors()])
+
+        above = [b for b in enum_subalgebras(l) if i <= b]
+        pairs += [(b, i) for b in sorted(above, key=lambda b: image(b).sort_key())]
+    return pairs
 
 
 def oracle_t11_pairs(l) -> list:

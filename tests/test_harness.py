@@ -100,26 +100,29 @@ class TestRunSuite:
         assert report.status == SKIP and "7 lines" in report.reason
 
     def test_pair_walks_bounded_on_a_large_lattice(self):
-        # 20,608 subalgebras: T9 and T10 would scan about 10^6 pairs each;
-        # every Frattini subalgebra is 0, so T11 scans nothing
+        # 20,608 subalgebras, every one an ideal: T9 and T10 would search
+        # about 1.1 * 10^6 subspaces (and as many pairs) each; every
+        # Frattini subalgebra is 0, so T11 searches nothing
         l = builtin("abelian(3)", GF(101))
         start = time.perf_counter()
         reports = run_suite(l, "T9,T10,T11")
         assert time.perf_counter() - start < 5.0
         assert [r.status for r in reports] == [SKIP, SKIP, PASS]
-        assert "1061209 points of proper subalgebras to index" in reports[0].reason
-        assert "424689664 candidate (subalgebra, ideal) pairs" in reports[1].reason
+        assert "1092119 subspaces of proper subalgebras" in reports[0].reason
+        assert "1112727 subspaces of quotients by ideals" in reports[1].reason
         assert reports[2].witnesses == {"pairs_checked": 0}
 
     @pytest.mark.parametrize(
         "name, suite, scanned",
         [
             # GF(2)^3: 16 subspaces, every one an ideal; the proper ones
-            # hold 7 * 1 + 7 * 3 points
-            ("abelian(3)", "T9", 28),
-            ("abelian(3)", "T10", 16 * 16),
-            # 43 subalgebras, 5 of them with a nonzero Frattini subalgebra
-            ("heisenberg(3)+abelian(1)", "T11", 5 * 43),
+            # (1 of dim 0, 7 of dim 1, 7 of dim 2) hold 1 + 7 * 2 + 7 * 5
+            # subspaces, and the quotients by them 16 + 7 * 5 + 7 * 2 + 1
+            ("abelian(3)", "T9", 50),
+            ("abelian(3)", "T10", 66),
+            # 5 subalgebras with a nonzero Frattini subalgebra, each a line
+            # of 2 subspaces: the 67 subspaces of GF(2)^4 bind first
+            ("heisenberg(3)+abelian(1)", "T11", 67),
         ],
     )
     def test_pair_walk_budget_equal_to_scan_runs(self, name, suite, scanned):
@@ -160,29 +163,6 @@ def _stable(reports):
 
 
 class TestVerdictMemo:
-    @pytest.mark.parametrize(
-        "name, p, shared", [("heisenberg(3)+abelian(1)", 3, True), ("abelian(4)", 2, False)]
-    )
-    def test_each_distinct_question_decided_once(self, name, p, shared):
-        l = builtin(name, GF(p))
-        calls = []
-
-        def counting(alg, b, budget):
-            calls.append((alg, b, budget))
-            return is_cideal(alg, b, budget)
-
-        reports = run_suite(l, decide=counting)
-        assert all(r.status != FAIL for r in reports)
-        # the memo compares by value: restricted and quotient algebras
-        # rebuilt by different suites still share one verdict
-        assert len(calls) == len(set(calls)) > 1
-        assert any(alg != l for alg, _, _ in calls)
-        # ... but the same subspace in two different algebras is two questions
-        algebras_per_subspace = {}
-        for alg, b, _ in calls:
-            algebras_per_subspace.setdefault(b, set()).add(alg)
-        assert any(len(a) > 1 for a in algebras_per_subspace.values()) == shared
-
     def test_one_call_reports_match_one_call_per_suite(self):
         corpus = [l for p in (2, 3) for _, l in catalog_algebras(GF(p), max_dim=3)]
         corpus.append(builtin("sl2", GF(5)))
@@ -265,14 +245,6 @@ def _first_seen(questions):
     return list(dict.fromkeys(questions))
 
 
-def _partners(pairs):
-    """First member -> second members, in order."""
-    out = {}
-    for x, y in pairs:
-        out.setdefault(x, []).append(y)
-    return out
-
-
 def _recorded_questions(l, suite):
     """The distinct questions a suite puts to ``decide``, in order, and its report."""
     calls = []
@@ -282,7 +254,7 @@ def _recorded_questions(l, suite):
         return is_cideal(alg, b, budget)
 
     (report,) = run_suite(l, suite, decide=recording)
-    return calls, report
+    return _first_seen(calls), report
 
 
 class TestContainmentWalks:
@@ -295,29 +267,25 @@ class TestContainmentWalks:
         cideal = {b for b in enum_subalgebras(l) if is_cideal(l, b).answer == YES}
 
         pairs = oracle_t9_pairs(l)
-        above = _partners(pairs)
         expected = []
-        for b in enum_subalgebras(l):
+        for b, k in pairs:
             expected.append((l, b))
             if b in cideal:
-                for k in above.get(b, ()):
-                    alg, to_coords, _ = restricted_algebra(l, k)
-                    coords = [to_coords(w) for w in b.vectors()]
-                    expected.append((alg, Subspace.from_vectors(alg.field, alg.dim, coords)))
+                alg, to_coords, _ = restricted_algebra(l, k)
+                coords = [to_coords(w) for w in b.vectors()]
+                expected.append((alg, Subspace.from_vectors(alg.field, alg.dim, coords)))
         calls, report = _recorded_questions(l, "T9")
         assert report.status == PASS
         assert report.witnesses == {"pairs_checked": sum(b in cideal for b, _ in pairs)}
         assert calls == _first_seen(expected)
 
         pairs = oracle_t10_pairs(l)
-        inside = _partners(pairs)
         expected = []
-        for b in enum_subalgebras(l):
+        for b, i in pairs:
+            reduced, project, _ = quotient_algebra(l, i)
+            coords = [project(w) for w in b.vectors()]
             expected.append((l, b))
-            for i in inside.get(b, ()):
-                reduced, project, _ = quotient_algebra(l, i)
-                coords = [project(w) for w in b.vectors()]
-                expected.append((reduced, Subspace.from_vectors(reduced.field, reduced.dim, coords)))
+            expected.append((reduced, Subspace.from_vectors(reduced.field, reduced.dim, coords)))
         calls, report = _recorded_questions(l, "T10")
         assert report.status == PASS
         assert report.witnesses == {"pairs_checked": len(pairs)}
@@ -328,6 +296,24 @@ class TestContainmentWalks:
         assert report.status == PASS
         assert report.witnesses == {"pairs_checked": len(pairs)}
         assert calls == _first_seen((l, b) for _, b in pairs)
+
+
+class TestWalkBudgets:
+    """Each walk charges the subspaces it searches, which bound its pairs,
+    so a walk that passes has checked at most ``budget`` pairs."""
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_passing_walks_check_at_most_budget_pairs(self, l):
+        budget = 1
+        while True:
+            reports = run_suite(l, "T9,T10,T11", budget=budget)
+            assert all(r.status in (PASS, SKIP) for r in reports)
+            for r in reports:
+                if r.status == PASS:
+                    assert r.witnesses["pairs_checked"] <= budget, (r.theorem_id, budget)
+            if all(r.status == PASS for r in reports):
+                break
+            budget *= 2
 
 
 class TestWitnessOrder:

@@ -352,8 +352,9 @@ class TestSubspace:
 
 
 class TestCoordinateShortcuts:
-    """``coords`` and ``modulo`` skip the elimination or the complement;
-    both must give what the ``from_raw`` route gives, rows and pivots.
+    """``coords``, ``from_coords`` and ``modulo`` skip the elimination or
+    the complement; each must give what the ``from_raw`` route gives,
+    rows and pivots.
 
     With ``inside`` the rows of U are combinations of K's rows, so U's
     pivots are among K's.  The examples pin U outside K with pivots
@@ -388,6 +389,17 @@ class TestCoordinateShortcuts:
         got = k.modulo(u)
         want = Subspace.from_raw(f, comp.dim, [comp.coords_raw(k.reduce_raw(r)) for r in u.rows])
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+
+    @given(st.sampled_from([GF(2), GF(3), GF(5), GF(7), Q]),
+           st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5),
+           st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5))
+    def test_from_coords_matches_the_raw_route(self, f, rows_k, rows_w):
+        k = Subspace.from_vectors(f, 5, [vec(f, r) for r in rows_k])
+        w = Subspace.from_vectors(f, k.dim, [vec(f, r[: k.dim]) for r in rows_w])
+        got = k.from_coords(w)
+        want = Subspace.from_raw(f, 5, [k.from_coords_raw(r) for r in w.rows])
+        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+        assert k.coords(got) == w
 
 
 class TestTextForms:

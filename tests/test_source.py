@@ -40,3 +40,19 @@ def test_module_level_caches_do_not_grow():
                 hits = []
             found += [f"{path.name}:{node.lineno}" for _ in hits]
     assert found == []
+
+
+def test_oracles_import_only_the_public_namespace():
+    # The oracles cross-check the library, so they reach it only through
+    # the names the top-level package exports: no submodule, no _-name.
+    path = Path(__file__).parent / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("cideals.")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cideals":
+            if node.module != "cideals":
+                found.append(node.module)
+            found += [a.name for a in node.names if a.name not in cideals.__all__]
+    assert found == []
