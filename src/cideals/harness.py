@@ -175,15 +175,17 @@ def _t3(l, budget, decide):
 
 
 def _t4(l, budget, decide):
+    """Compares in each quotient L/A: C + A is the preimage of w exactly
+    when (C + A)/A = w, so no sum C + A is formed."""
     ours = maximal_nilpotent_subalgebras(l, budget)
     checked = 0
     for a in enum_ideals(l, budget):
+        images = {a.modulo(c) for c in ours}
         for w_red in maximal_nilpotent_subalgebras(algebra_modulo(l, a), budget):
-            preimage = a.preimage(w_red)
-            if not any((c + a) == preimage for c in ours):
+            if w_red not in images:
                 witnesses = {
                     "ideal": subspace_text(a),
-                    "preimage": subspace_text(preimage),
+                    "preimage": subspace_text(a.preimage(w_red)),
                 }
                 return FAIL, "a maximal nilpotent subalgebra of the quotient does not lift", witnesses
             checked += 1
@@ -231,6 +233,9 @@ def _t6(l, budget, decide):
 
 
 def _t7(l, budget, decide):
+    # Every line is a subspace, so the scan's own subspace gate bounds
+    # the lines too; it is checked before the first one.
+    enum_ideals(l, budget)
     checked = 0
     for x in _projective_raw(l.field.p, l.dim):
         line = Subspace.from_raw(l.field, l.dim, [x])

@@ -321,11 +321,23 @@ def normalizer(l: LieAlgebra, u: Subspace) -> Subspace:
 # one-dimensional ideals
 
 def _projective_raw(p: int, n: int):
-    # One raw vector per line of GF(p)^n, first nonzero entry 1.
+    # One raw vector per line of GF(p)^n, first nonzero entry 1: lead
+    # index ascending, then the tails in product order, built lazily
+    # (itertools.product would hold range(p) in memory).
     for lead in range(n):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=n - 1 - lead):
-            yield head + tail
+        yield from _tails(p, (0,) * lead + (1,), n - 1 - lead)
+
+
+def _tails(p: int, head: tuple, k: int):
+    # head followed by each tail of k residues, in product order.
+    if k == 0:
+        yield head
+    elif k == 1:
+        for x in range(p):
+            yield head + (x,)
+    else:
+        for x in range(p):
+            yield from _tails(p, head + (x,), k - 1)
 
 
 def subspace_points(p: int, u: Subspace):

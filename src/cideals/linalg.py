@@ -593,10 +593,40 @@ class Subspace:
         return Subspace.from_raw(self.field, len(free), rows)
 
     def preimage(self, w: "Subspace") -> "Subspace":
-        """The preimage in F^n of a subspace w of the quotient by this subspace."""
-        comp = self.complement()
-        rows = [comp.from_coords_raw(r) for r in w.rows] + list(self.rows)
-        return Subspace.from_raw(self.field, self.ambient_dim, rows)
+        """The preimage I + lift(w) in F^n of a subspace w of F^n / I, with
+        I this subspace.
+
+        Each canonical row of w is lifted by putting its entries at I's
+        non-pivot columns: the lift of the row with pivot q leads with 1
+        at free[q], is 0 at the other lifts' pivots because w is
+        reduced, and is 0 at I's pivots.  Each row of I is then cleared
+        at the lifts' pivots.  It keeps its 1 at its own pivot and its 0s
+        at I's other pivots: a lift is subtracted only where the row is
+        nonzero, at a pivot after the row's own, and the lift is 0 before
+        that pivot and at I's pivots.  Every pivot column now has a
+        single nonzero entry, so the two row sets, merged by pivot, are
+        already canonical and no elimination is run.
+        """
+        if w.dim == 0:
+            return self
+        n, p = self.ambient_dim, self.field.p
+        free = self._free_columns()
+        zero = _zero_one(p)[0]
+        lifts = {}  # pivot -> lifted row
+        for r, q in zip(w.rows, w.pivots):
+            lift = [zero] * n
+            for c, x in zip(free, r):
+                lift[c] = x
+            lifts[free[q]] = tuple(lift)
+        rows = dict(lifts)
+        for row, c in zip(self.rows, self.pivots):
+            for q, lift in lifts.items():
+                f = row[q]
+                if f:
+                    row = [a - f * b for a, b in zip(row, lift)]
+            rows[c] = _normalized(p, row)
+        pivots = tuple(sorted(rows))
+        return Subspace(self.field, n, tuple(rows[c] for c in pivots), pivots)
 
     def sort_key(self):
         return (

@@ -220,6 +220,22 @@ def oracle_intersection(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(field, n, vecs)
 
 
+def oracle_preimage(i: Subspace, w: Subspace) -> Subspace:
+    """The preimage in F^n of a subspace w of F^n / I, as the span of I
+    and the lifts of w's rows: each lift is the combination, in Scalars,
+    of the standard vectors of ``I.complement()`` with the row's
+    coordinates, and the span is eliminated from scratch."""
+    field = i.field
+    comp = i.complement().vectors()
+    lifts = []
+    for coords in w.vectors():
+        acc = (field.zero(),) * i.ambient_dim
+        for c, unit in zip(coords, comp):
+            acc = tuple(a + c * b for a, b in zip(acc, unit))
+        lifts.append(acc)
+    return Subspace.from_vectors(field, i.ambient_dim, lifts + list(i.vectors()))
+
+
 def oracle_subalgebras(l) -> tuple:
     """Every bracket-closed subspace, by testing each subspace that
     :func:`enum_subspaces` lists, in its order."""

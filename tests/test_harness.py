@@ -20,8 +20,10 @@ from cideals import (
     enum_ideals,
     enum_subalgebras,
     frattini,
+    frattini_of_subalgebra,
     fuzz,
     is_cideal,
+    maximal_nilpotent_subalgebras,
     parse,
     parse_subspace,
     quotient_algebra,
@@ -30,8 +32,10 @@ from cideals import (
     run_suite,
     subspace_text,
 )
+import cideals.harness
 from cideals.harness import FAIL, PASS, SKIP, normalize_suites
-from cideals.lattice import subspace_points as _points
+from cideals.lattice import subspace_count, subspace_points as _points
+from cideals.liealg import algebra_modulo
 from oracles import oracle_t9_pairs, oracle_t10_pairs, oracle_t11_pairs
 
 
@@ -314,6 +318,79 @@ class TestWalkBudgets:
             if all(r.status == PASS for r in reports):
                 break
             budget *= 2
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(3)"])
+    def test_t11_charges_a_running_sum(self, name, monkeypatch):
+        l = builtin(name, GF(2))
+        charges = []
+        check = cideals.harness._check_budget
+
+        def recording(count, what, budget):
+            charges.append((count, what))
+            check(count, what, budget)
+
+        monkeypatch.setattr(cideals.harness, "_check_budget", recording)
+        (report,) = run_suite(l, "T11")
+        assert report.status == PASS
+        expected, total = [], 0
+        for c in enum_subalgebras(l):
+            f_c = frattini_of_subalgebra(l, c)
+            if f_c.dim:
+                total += subspace_count(f_c.dim, 2)
+                expected.append(total)
+        assert len(expected) > 1
+        assert [n for n, what in charges if what == "subspaces of Frattini subalgebras"] == expected
+
+
+class TestQuotientComparison:
+    """T4 compares in L/A: for a subalgebra C and an ideal A, (C + A)/A is
+    w exactly when C + A is the preimage of w, so testing the images of
+    the maximal nilpotent subalgebras replaces forming every sum."""
+
+    @pytest.mark.parametrize(
+        "l",
+        [builtin("heisenberg(3)+abelian(1)", GF(2)), builtin("t(2)", GF(3)), random_solvable(3, GF(2), 3, 4)],
+    )
+    def test_images_match_preimages(self, l):
+        subalgebras = enum_subalgebras(l)
+        for a in enum_ideals(l):
+            quotient = enum_subalgebras(algebra_modulo(l, a))
+            for w in quotient:
+                lifted = a.preimage(w)
+                for c in subalgebras:
+                    assert (a.modulo(c) == w) == (c + a == lifted)
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_t4_walk_matches_the_sum_route(self, l):
+        ours = maximal_nilpotent_subalgebras(l)
+        pairs = 0
+        for a in enum_ideals(l):
+            for w in maximal_nilpotent_subalgebras(algebra_modulo(l, a)):
+                assert any(c + a == a.preimage(w) for c in ours)
+                pairs += 1
+        (report,) = run_suite(l, "T4")
+        assert (report.status, report.witnesses) == (PASS, {"pairs_checked": pairs})
+
+
+class TestLargePrimes:
+    """Every suite answers or skips quickly at primes up to 2^31: the
+    enumerating suites are gated by the subspace count, T8 by the line
+    count, and no suite walks the field's elements."""
+
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+    @pytest.mark.parametrize("name", ["nonabelian2", "abelian(2)", "heisenberg(3)"])
+    def test_every_suite_finishes_or_skips(self, name, p):
+        l = builtin(name, GF(p))
+        for suite in SUITE_IDS:
+            start = time.perf_counter()
+            (report,) = run_suite(l, suite)
+            assert time.perf_counter() - start < 2.0, suite
+            assert report.status in (PASS, SKIP), (suite, report.reason)
+
+    def test_t7_skips_on_the_subspace_gate(self):
+        (report,) = run_suite(builtin("heisenberg(3)", GF(2**31 - 1)), "T7")
+        assert report.status == SKIP
+        assert report.reason.endswith("subspaces of GF(2147483647)^3 exceed the budget of 1000000")
 
 
 class TestWitnessOrder:

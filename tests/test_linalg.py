@@ -24,7 +24,7 @@ from cideals import (
     vector_text,
 )
 
-from oracles import oracle_char_poly, oracle_intersection
+from oracles import oracle_char_poly, oracle_intersection, oracle_preimage
 
 
 def mat(field, rows):
@@ -352,9 +352,9 @@ class TestSubspace:
 
 
 class TestCoordinateShortcuts:
-    """``coords``, ``from_coords`` and ``modulo`` skip the elimination or
-    the complement; each must give what the ``from_raw`` route gives,
-    rows and pivots.
+    """``coords``, ``from_coords``, ``modulo`` and ``preimage`` skip the
+    elimination or the complement; each must give what the ``from_raw``
+    route (for ``preimage``, ``oracle_preimage``) gives, rows and pivots.
 
     With ``inside`` the rows of U are combinations of K's rows, so U's
     pivots are among K's.  The examples pin U outside K with pivots
@@ -400,6 +400,22 @@ class TestCoordinateShortcuts:
         want = Subspace.from_raw(f, 5, [k.from_coords_raw(r) for r in w.rows])
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
         assert k.coords(got) == w
+
+    @given(st.sampled_from([GF(2), GF(3), GF(5), GF(7), Q]),
+           st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5),
+           st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5))
+    @example(GF(2), [], [[1, 1, 0, 1, 0], [0, 0, 1, 1, 0]])
+    @example(GF(3), [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], [])
+    @example(GF(5), [[1, 2, 0, 0, 1], [0, 0, 1, 3, 4]], [])
+    @example(GF(7), [[0, 1, 2, 0, 0], [0, 0, 0, 1, 3]], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+    @example(Q, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 0]], [[1, 2, 3, 0, 0], [0, 0, 1, 0, 0]])
+    def test_preimage_matches_the_oracle(self, f, rows_i, rows_w):
+        i = Subspace.from_vectors(f, 5, [vec(f, r) for r in rows_i])
+        w = Subspace.from_vectors(f, 5 - i.dim, [vec(f, r[: 5 - i.dim]) for r in rows_w])
+        got = i.preimage(w)
+        want = oracle_preimage(i, w)
+        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+        assert i <= got and i.modulo(got) == w
 
 
 class TestTextForms:
