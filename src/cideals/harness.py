@@ -33,9 +33,9 @@ budget.  Each walk enumerates the lattice its statement is about: the
 subalgebras of each intermediate K (T9), of each quotient L/I (T10) and
 of each Frattini subalgebra F(C) (T11), through the algebras on and
 modulo those subspaces and :class:`~cideals.linalg.Subspace`'s
-coordinate maps.  Lines are scanned as raw projective points and the
-line classifier and the line families run on raw rows, so no suite
-makes a Scalar.
+coordinate maps.  Lines are scanned as raw projective points, each
+spanned by :func:`~cideals.lattice.point_line`, and the line classifier
+and the line families run on raw rows, so no suite makes a Scalar.
 """
 
 from __future__ import annotations
@@ -51,13 +51,14 @@ from .liealg import LieAlgebra, algebra_modulo, algebra_on, derived_subspace, is
 from .lattice import (
     DEFAULT_BUDGET,
     _check_budget,
-    _projective_raw,
     enum_ideals,
     enum_subalgebras,
     gaussian_binomial,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
+    point_line,
     subspace_count,
+    subspace_points,
 )
 from .cideal import (
     YES,
@@ -237,8 +238,8 @@ def _t7(l, budget, decide):
     # the lines too; it is checked before the first one.
     enum_ideals(l, budget)
     checked = 0
-    for x in _projective_raw(l.field.p, l.dim):
-        line = Subspace.from_raw(l.field, l.dim, [x])
+    for x in subspace_points(l.field.p, l.full_space()):
+        line = point_line(l.field, x)
         quick = _line_cideal(l, line)
         scan = is_cideal_by_scan(l, line, budget)
         if quick.answer != scan.answer:
@@ -255,14 +256,15 @@ def _t7(l, budget, decide):
 def _first_non_cideal(l, points):
     """The first (raw point, verdict) whose line is not a c-ideal, or None."""
     for x in points:
-        v = _line_cideal(l, Subspace.from_raw(l.field, l.dim, [x]))
+        v = _line_cideal(l, point_line(l.field, x))
         if v.answer != YES:
             return x, v
     return None
 
 
 def _spot_vectors(space: Subspace) -> list:
-    """The canonical rows of a subspace of Q^n and the sums of two of them."""
+    """The canonical rows of a subspace of Q^n and the sums of two of them,
+    each leading with its first row's 1."""
     pairs = itertools.combinations(space.rows, 2)
     return list(space.rows) + [tuple(a + b for a, b in zip(u, v)) for u, v in pairs]
 
@@ -274,7 +276,7 @@ def _t8(l, budget, decide):
     case = _line_shape(l)[0]
     positive = case != CASE_NEITHER
     if p is not None:
-        bad = _first_non_cideal(l, _projective_raw(p, l.dim))
+        bad = _first_non_cideal(l, subspace_points(p, l.full_space()))
         witnesses = {"case": case, "all_lines_cideal": bad is None}
         if bad is not None:
             witnesses["point"] = vector_text(bad[0])

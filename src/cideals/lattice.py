@@ -23,8 +23,8 @@ import operator
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, raw_poly_roots
-from .linalg import Subspace, _box, _units, raw_char_poly, raw_eigenspace, raw_kernel
-from .liealg import LieAlgebra, is_nilpotent
+from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel
+from .liealg import LieAlgebra, derived_subspace, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
 
@@ -320,24 +320,10 @@ def normalizer(l: LieAlgebra, u: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # one-dimensional ideals
 
-def _projective_raw(p: int, n: int):
-    # One raw vector per line of GF(p)^n, first nonzero entry 1: lead
-    # index ascending, then the tails in product order, built lazily
-    # (itertools.product would hold range(p) in memory).
-    for lead in range(n):
-        yield from _tails(p, (0,) * lead + (1,), n - 1 - lead)
-
-
-def _tails(p: int, head: tuple, k: int):
-    # head followed by each tail of k residues, in product order.
-    if k == 0:
-        yield head
-    elif k == 1:
-        for x in range(p):
-            yield head + (x,)
-    else:
-        for x in range(p):
-            yield from _tails(p, head + (x,), k - 1)
+def point_line(field: Field, x) -> Subspace:
+    """The line of a raw row x whose first nonzero entry is 1: x is its
+    own reduced echelon form, so no elimination is run."""
+    return Subspace(field, len(x), (x,), (x.index(1),))
 
 
 def subspace_points(p: int, u: Subspace):
@@ -345,7 +331,8 @@ def subspace_points(p: int, u: Subspace):
 
     These are the nonzero vectors of u whose first nonzero entry is 1,
     one per line of u: r_m + sum_{k>m} t_k r_k over u's canonical rows
-    r_k.
+    r_k.  With u the full space they are the projective points of
+    GF(p)^n.
 
     They come out with the lead index m ascending, then the tail
     coefficients t_{m+1}, t_{m+2}, ... in product order (the first
@@ -358,35 +345,39 @@ def subspace_points(p: int, u: Subspace):
     :func:`first_line_ideal` reads each family's first line off its
     first row.
 
-    Each point is a running sum: the p multiples of every row are made
-    once, a partial sum is extended one row at a time, and the sum is
-    reduced mod p once, at the leaf.
+    Each point is a running sum, and t_k counts up by adding r_k once
+    per step, so nothing of size p is held and the first point comes
+    at once even when p is near 2^31.
     """
     rows = u.rows
-    # The multiples of every row but the first, which only ever leads.
-    multiples = [[tuple(t * x for x in r) for t in range(p)] for r in rows[1:]]
     for m, lead in enumerate(rows):
-        yield from _running_sums(p, lead, multiples[m:])
+        yield from _running_sums(p, lead, rows[m + 1:])
 
 
-def _running_sums(p: int, acc, multiples):
-    # acc plus one entry of each list of multiples, in product order, mod p.
-    if not multiples:
+def _running_sums(p: int, acc: tuple, rows: tuple):
+    # acc plus t_k * rows[k] for every tail t, in product order, mod p; a
+    # step adds rows[0] at its nonzero columns only.
+    if not rows:
         yield acc
-    elif len(multiples) == 1:
-        for t_row in multiples[0]:
-            yield tuple([(a + b) % p for a, b in zip(acc, t_row)])
-    else:
-        rest = multiples[1:]
-        for t_row in multiples[0]:
-            yield from _running_sums(p, list(map(operator.add, acc, t_row)), rest)
+        return
+    row, rest = rows[0], rows[1:]
+    support = [(c, x) for c, x in enumerate(row) if x]
+    cur = list(acc)
+    for t in range(p):
+        if t:
+            for c, x in support:
+                cur[c] = (cur[c] + x) % p
+        if rest:
+            yield from _running_sums(p, tuple(cur), rest)
+        else:
+            yield tuple(cur)
 
 
 def projective_points(field: Field, n: int):
     """One canonical vector per line of GF(p)^n (first nonzero entry 1)."""
     if field.p is None:
         raise FieldNotFinite("projective scan needs a finite field")
-    return (_box(field, v) for v in _projective_raw(field.p, n))
+    return (_box(field, v) for v in subspace_points(field.p, Subspace.full(field, n)))
 
 
 def ideal_line_families(l: LieAlgebra) -> tuple:
@@ -402,27 +393,20 @@ def ideal_line_families(l: LieAlgebra) -> tuple:
 
 
 def _line_families(l: LieAlgebra) -> tuple:
-    if l.dim == 0:
-        return ()
+    # If x != 0 has [y, x] = lambda(y) x for every y, Jacobi gives
+    # lambda([a, b]) = 0: x lies in C_L([L, L]) and lambda is fixed on a
+    # complement W of [L, L].  Conversely, an x in C_L([L, L]) that is an
+    # eigenvector of ad(w) for every row w of W spans an ideal.  So only
+    # the dim L/[L, L] maps ad(w) are factored, each cutting C_L([L, L]).
     p = l.field.p
-    spaces = []  # per basis vector e_i, the eigenspaces of ad(e_i)
-    for e in _units(p, l.dim, range(l.dim)):
-        ad = l.ad_matrix_raw(e)
+    derived = derived_subspace(l)
+    families = [l.centralizer(derived)]
+    for w in derived.complement().rows:
+        ad = l.ad_matrix_raw(w)
         roots = sorted(raw_poly_roots(p, raw_char_poly(p, ad)))
-        spaces.append([raw_eigenspace(l.field, ad, lam) for lam in roots])
-    families = []
-
-    def recurse(i: int, space: Subspace):
-        if space.dim == 0:
-            return
-        if i == l.dim:
-            families.append(space)
-            return
-        for eig in spaces[i]:
-            recurse(i + 1, space & eig)
-
-    recurse(0, l.full_space())
-    return tuple(sorted(families, key=Subspace.sort_key))
+        eigenspaces = [raw_eigenspace(l.field, ad, lam) for lam in roots]
+        families = [cut for fam in families for eig in eigenspaces if (cut := fam & eig).dim]
+    return tuple(sorted((fam for fam in families if fam.dim), key=Subspace.sort_key))
 
 
 def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -448,15 +432,13 @@ def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     field = l.field
     p = field.p
     families = ideal_line_families(l)
-    total = 0 if p is None else sum((p**fam.dim - 1) // (p - 1) for fam in families)
+    total = 0 if p is None else sum(gaussian_binomial(fam.dim, 1, p) for fam in families)
     _check_budget(total, f"one-dimensional ideals of a dim-{l.dim} algebra over {field}", budget)
-    # A canonical row, and a projective point, leads with a 1: it is
-    # already the one-row RREF of its line.
     if p is None:
-        lines = (Subspace(field, l.dim, (v,), (v.index(1),)) for fam in families for v in fam.rows)
+        lines = (point_line(field, v) for fam in families for v in fam.rows)
         return tuple(sorted(lines, key=Subspace.sort_key))
     points = sorted((v.index(1), v) for fam in families for v in subspace_points(p, fam))
-    return tuple(Subspace(field, l.dim, (v,), (c,)) for c, v in points)
+    return tuple(point_line(field, v) for _, v in points)
 
 
 def first_line_ideal(l: LieAlgebra) -> Subspace | None:
@@ -467,7 +449,7 @@ def first_line_ideal(l: LieAlgebra) -> Subspace | None:
     the other pivots), so the first line of all is the least such span.
     """
     return min(
-        (Subspace.from_raw(l.field, l.dim, fam.rows[:1]) for fam in ideal_line_families(l)),
+        (point_line(l.field, fam.rows[0]) for fam in ideal_line_families(l)),
         key=Subspace.sort_key,
         default=None,
     )

@@ -579,6 +579,7 @@ class Subspace:
         has 0 at the others' pivots because w is reduced, so no
         elimination is run.
         """
+        self._same_ambient(w, self.dim)
         rows = tuple(self.from_coords_raw(r) for r in w.rows)
         return Subspace(self.field, self.ambient_dim, rows, tuple(self.pivots[c] for c in w.pivots))
 
@@ -588,6 +589,7 @@ class Subspace:
         The coordinates of v + I are the entries of I.reduce(v) at I's
         non-pivot columns, read off directly.
         """
+        self._same_ambient(u)
         free = self._free_columns()
         rows = [tuple(v[c] for c in free) for v in map(self.reduce_raw, u.rows)]
         return Subspace.from_raw(self.field, len(free), rows)
@@ -607,6 +609,7 @@ class Subspace:
         single nonzero entry, so the two row sets, merged by pivot, are
         already canonical and no elimination is run.
         """
+        self._same_ambient(w, self.ambient_dim - self.dim)
         if w.dim == 0:
             return self
         n, p = self.ambient_dim, self.field.p
@@ -635,15 +638,16 @@ class Subspace:
             tuple((x.numerator, x.denominator) for r in self.rows for x in r),
         )
 
-    def _same_ambient(self, other):
+    def _same_ambient(self, other, n: int | None = None):
+        # Raise unless other is a subspace of F^n over this field, n being
+        # this ambient dimension unless given (a quotient's or coordinates').
         if not isinstance(other, Subspace):
             raise AmbientMismatch("not a subspace")
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"subspaces over {self.field} and {other.field}")
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch(
-                f"ambient dimensions {self.ambient_dim} and {other.ambient_dim}"
-            )
+        n = self.ambient_dim if n is None else n
+        if other.ambient_dim != n:
+            raise AmbientMismatch(f"ambient dimensions {n} and {other.ambient_dim}")
 
     def __eq__(self, other):
         return (

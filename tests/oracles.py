@@ -15,6 +15,8 @@ from math import isqrt, lcm
 from cideals import (
     Matrix,
     Subspace,
+    char_poly,
+    eigenspace,
     enum_ideals,
     enum_subalgebras,
     enum_subspaces,
@@ -22,6 +24,7 @@ from cideals import (
     is_nilpotent,
     normalizer,
     nullspace,
+    poly_roots_in_field,
     quotient_algebra,
 )
 
@@ -406,3 +409,27 @@ def oracle_core_by_transporter(l, b: Subspace) -> Subspace:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def oracle_line_families(l) -> tuple:
+    """The maximal joint eigenspaces of ad(e_i) over every basis vector
+    e_i, sorted by ``sort_key``: one eigenspace of each ad(e_i) is chosen
+    in every possible way, depth first, and each nonzero intersection of
+    all n choices is a family."""
+    spaces = []
+    for e in l.full_space().vectors():
+        ad = l.ad_matrix(e)
+        spaces.append([eigenspace(ad, lam) for lam in poly_roots_in_field(char_poly(ad))])
+    families = []
+
+    def recurse(i, space):
+        if space.dim == 0:
+            return
+        if i == l.dim:
+            families.append(space)
+            return
+        for eig in spaces[i]:
+            recurse(i + 1, space & eig)
+
+    recurse(0, l.full_space())
+    return tuple(sorted(families, key=Subspace.sort_key))

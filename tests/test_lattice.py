@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,12 +29,15 @@ from cideals import (
     random_solvable,
     subspace_count,
 )
-from cideals.lattice import first_line_ideal, ideal_line_families, subspace_points
+from cideals.harness import _spot_vectors
+from cideals.lattice import first_line_ideal, ideal_line_families, point_line, subspace_points
+from cideals.liealg import algebra_modulo, derived_subspace
 
 from oracles import (
     oracle_cartan_subalgebras,
     oracle_core,
     oracle_core_by_transporter,
+    oracle_line_families,
     oracle_maximal,
     oracle_maximal_nilpotent_subalgebras,
     oracle_subalgebras,
@@ -313,6 +319,34 @@ class TestSubspacePoints:
         assert key == sorted(key)
         assert points[:1] == list(u.rows[:1])
 
+    def test_full_space_points_are_the_projective_points(self):
+        # A unit row leads; the tails follow in product order.
+        for p in (2, 3, 5, 7, 101):
+            for n in range(5 if p < 101 else 4):
+                points = list(subspace_points(p, Subspace.full(GF(p), n)))
+                want = [
+                    (0,) * lead + (1,) + tail
+                    for lead in range(n)
+                    for tail in itertools.product(range(p), repeat=n - 1 - lead)
+                ]
+                assert points == want
+
+    @staticmethod
+    def _first_point_peak(make) -> int:
+        tracemalloc.start()
+        try:
+            next(make())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_first_point_holds_nothing_of_size_p(self):
+        # A table of p multiples per row would take megabytes here.
+        p = 100003
+        u = Subspace.from_raw(GF(p), 3, [(1, 2, 3), (0, 1, 5)])
+        assert self._first_point_peak(lambda: subspace_points(p, u)) < 1_000_000
+        assert self._first_point_peak(lambda: projective_points(GF(p), 3)) < 1_000_000
+
     @pytest.mark.parametrize(
         "name, p, shape",
         [("abelian(3)", 101, [3]), ("t(2)+abelian(2)", 31, [1, 3]), ("almost_abelian(3)+abelian(2)", 31, [2, 2])],
@@ -329,6 +363,46 @@ class TestSubspacePoints:
         assert lines == tuple(expected)
         assert [s.pivots for s in lines] == [s.pivots for s in expected]
         assert first_line_ideal(l) == lines[0]
+
+
+def _with_quotients(l):
+    # l, then l modulo its centre and modulo [l, l] when those are proper.
+    out = [l]
+    for ideal in (l.centre(), derived_subspace(l)):
+        if 0 < ideal.dim < l.dim:
+            out.append(algebra_modulo(l, ideal))
+    return out
+
+
+class TestLineFamilies:
+    """The families from C_L([L, L]) and a complement of [L, L] are the
+    joint eigenspaces of every basis vector's adjoint map."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), Q], ids=str)
+    def test_match_the_basis_recursion_on_the_catalog(self, field):
+        for _, l in catalog_algebras(field):
+            for a in _with_quotients(l):
+                assert ideal_line_families(a) == oracle_line_families(a)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_match_the_basis_recursion_on_random_solvable(self, p):
+        for s in range(12):
+            l = random_solvable(s, GF(p), 3 + s % 2, 2 + s % 4)
+            for a in _with_quotients(l):
+                assert ideal_line_families(a) == oracle_line_families(a)
+
+    def test_point_line_is_the_reduced_line(self):
+        for p in (2, 3, 5):
+            f = GF(p)
+            for n in range(1, 5):
+                for x in subspace_points(p, Subspace.full(f, n)):
+                    got, want = point_line(f, x), Subspace.from_raw(f, n, [x])
+                    assert (got.rows, got.pivots) == (want.rows, want.pivots)
+        for _, l in catalog_algebras(Q):
+            for space in (l.full_space(), derived_subspace(l)):
+                for x in _spot_vectors(space):
+                    got, want = point_line(Q, x), Subspace.from_raw(Q, l.dim, [x])
+                    assert (got.rows, got.pivots) == (want.rows, want.pivots)
 
 
 class TestLines:

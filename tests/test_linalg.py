@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cideals import (
+    AmbientMismatch,
     DimensionMismatch,
     FieldMismatch,
     GF,
@@ -416,6 +417,22 @@ class TestCoordinateShortcuts:
         want = oracle_preimage(i, w)
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
         assert i <= got and i.modulo(got) == w
+
+    def test_foreign_arguments_raise(self):
+        # A quotient of GF(3)^3 by 0 is 3-dimensional, coordinates on a
+        # 2-dim subspace are GF(3)^2, and modulo takes subspaces of F^3.
+        with pytest.raises(AmbientMismatch):
+            Subspace.zero(GF(3), 3).preimage(Subspace.full(GF(3), 2))
+        with pytest.raises(FieldMismatch):
+            Subspace.full(GF(3), 2).from_coords(Subspace.full(GF(5), 2))
+        with pytest.raises(AmbientMismatch):
+            Subspace.zero(GF(3), 3).modulo(Subspace.full(GF(3), 2))
+        with pytest.raises(FieldMismatch):
+            Subspace.zero(GF(3), 3).modulo(Subspace.full(GF(5), 3))
+        with pytest.raises(AmbientMismatch):
+            Subspace.full(GF(3), 2).from_coords(Subspace.full(GF(3), 3))
+        with pytest.raises(FieldMismatch):
+            Subspace.zero(GF(3), 2).preimage(Subspace.zero(Q, 2))
 
 
 class TestTextForms:

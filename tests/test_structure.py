@@ -22,6 +22,7 @@ from cideals import (
     is_abelian,
     is_almost_abelian,
     is_nilpotent,
+    is_solvable,
     is_supersolvable,
     maximal_nilpotent_subalgebras,
     abelian_socle,
@@ -30,11 +31,13 @@ from cideals import (
     one_dim_ideals,
     radicals,
     restricted_algebra,
+    run_suite,
     structure_profile,
     supersolvable_flag,
     upper_central_series,
 )
 
+from cideals.harness import PASS
 from cideals.lattice import first_line_ideal
 
 from oracles import oracle_supersolvable
@@ -106,6 +109,18 @@ class TestSupersolvable:
             assert not is_supersolvable(l)
             assert not oracle_supersolvable(l)
         assert not is_supersolvable(builtin("sl2+abelian(2)", Q))
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_solvable_but_not_supersolvable(self, p):
+        # e(2): [x, a1] = a2, [x, a2] = -a1.  With p = 3 mod 4, -1 is not
+        # a square, so ad(x) has no eigenvector on span(a1, a2) and no
+        # line is an ideal.
+        l = LieAlgebra(GF(p), 3, ["x", "a1", "a2"], {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+        assert is_solvable(l)
+        assert supersolvable_flag(l) is None
+        assert not oracle_supersolvable(l)
+        assert one_dim_ideals(l) == ()
+        assert [r.status for r in run_suite(l, "T5,T6")] == [PASS, PASS]
 
     def test_first_line_ideal_matches_listing(self):
         for field in (GF(2), GF(3), GF(5), GF(7), Q):
