@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
-from .linalg import Subspace, _zero_one, raw_rref, subspace_text, vector_is_zero
+from .linalg import Subspace, raw_rref, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, core, enum_ideals
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
@@ -130,14 +130,13 @@ def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:
     # leads at column q: every column but q is a pivot, and the row at
     # pivot c is e_c plus (row c of [L, L])[q] times e_q.
     n = l.dim
-    zero, one = _zero_one(l.field.p)
     at_q = {c: r[q] for c, r in zip(derived.pivots, derived.rows)}
     pivots = tuple(c for c in range(n) if c != q)
     rows = []
     for c in pivots:
-        row = [zero] * n
-        row[c] = one
-        row[q] = at_q.get(c, zero)
+        row = [0] * n
+        row[c] = 1
+        row[q] = at_q.get(c, 0)
         rows.append(tuple(row))
     return Subspace(l.field, n, tuple(rows), pivots)
 

@@ -3,7 +3,14 @@
 A :class:`Field` is either Q (``p is None``) or GF(p) for a word-sized
 prime p.  A :class:`Scalar` wraps a ``fractions.Fraction`` over Q and an
 int residue in ``[0, p)`` over GF(p); arithmetic never leaves the field
-and mixing fields is a hard error.  No floats appear anywhere.
+and mixing fields is a hard error.  Below the Scalars, a raw rational is
+an int when it is integral and a Fraction otherwise (see
+:mod:`cideals.linalg`); :func:`_qdiv` is its one division.
+
+No floats appear anywhere.  ``Field.scalar`` refuses them, and the only
+true divisions in the package are :func:`_qdiv` and the Fraction-typed
+ones in :func:`_monic` and :meth:`Scalar.inverse`, which
+``tests/test_source.py`` checks on the source.
 """
 
 from __future__ import annotations
@@ -98,6 +105,23 @@ Q = Field()
 def GF(p: int) -> Field:
     """The prime field with p elements."""
     return Field(p)
+
+
+def _qraw(x):
+    # The raw form of the rational x: the int when x is integral, else x.
+    return x.numerator if x.denominator == 1 else x
+
+
+def _qdiv(x, d):
+    """x / d for raw rationals x and d != 0, as a raw rational.
+
+    The one division on raw values: an int over an int would give a
+    float, so an integral quotient comes back as an int and any other
+    as a Fraction.
+    """
+    if type(x) is int and type(d) is int:
+        return Fraction(x, d) if x % d else x // d
+    return _qraw(x / d)
 
 
 class Scalar:
@@ -331,7 +355,7 @@ def poly_roots_in_field(coeffs) -> set[Scalar]:
             raise FieldMismatch("polynomial coefficients from different fields")
     if not any(coeffs):
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
-    return {Scalar._make(field, r) for r in raw_poly_roots(field.p, [c.value for c in coeffs])}
+    return {Scalar(field, r) for r in raw_poly_roots(field.p, [c.value for c in coeffs])}
 
 
 def raw_poly_roots(p, coeffs) -> set:
@@ -361,14 +385,14 @@ def raw_poly_roots(p, coeffs) -> set:
     if p is not None:
         return set(_gf_roots(coeffs, p))
     low = next(k for k, c in enumerate(coeffs) if c)
-    roots = {Fraction(0)} if low else set()
+    roots = {0} if low else set()
     if len(coeffs) - low == 1:
         return roots
     h = _monic(coeffs[low:], None)
     if len(h) > 2:  # a linear h is already squarefree
         h = _divmod_monic(h, _gcd(h, [k * c for k, c in enumerate(h)][1:], None), None)[0]
     if len(h) == 2:
-        return roots | {-h[0]}
+        return roots | {_qraw(-h[0])}
     a = lcm(*(c.denominator for c in h))
     d = len(h) - 1
     g = [int(c * a ** (d - k)) for k, c in enumerate(h)]
@@ -384,5 +408,5 @@ def raw_poly_roots(p, coeffs) -> set:
             r = (r - _horner(g, r) * pow(_horner(dg, r), -1, m)) % m
         s = r if 2 * r <= m else r - m
         if not _horner(g, s):
-            roots.add(Fraction(s, a))
+            roots.add(_qdiv(s, a))
     return roots

@@ -23,14 +23,13 @@ from .errors import (
     NotAnIdeal,
     NotSubalgebra,
 )
-from .fields import Field
+from .fields import Field, _qraw
 from .linalg import (
     Matrix,
     Subspace,
     _box,
     _unbox,
     _units,
-    _zero_one,
     raw_kernel,
     standard_vector,
     vector_is_zero,
@@ -117,6 +116,8 @@ class LieAlgebra:
         p = field.p
         ad = [[()] * dim for _ in range(dim)]
         for (i, j), vec in brackets.items():
+            if p is None:
+                vec = map(_qraw, vec)
             ad[i][j] = tuple((k, c) for k, c in enumerate(vec) if c)
             ad[j][i] = tuple((k, -c if p is None else p - c) for k, c in ad[i][j])
         self._ad = tuple(tuple(row) for row in ad)
@@ -152,7 +153,7 @@ class LieAlgebra:
         return Subspace.zero(self.field, self.dim)
 
     def _dense(self, sparse) -> list:
-        out = [_zero_one(self.field.p)[0]] * self.dim
+        out = [0] * self.dim
         for k, c in sparse:
             out[k] = c
         return out
@@ -169,7 +170,7 @@ class LieAlgebra:
     def bracket_raw(self, u, v) -> list:
         """[u, v] on raw rows, without checks."""
         p = self.field.p
-        out = [_zero_one(p)[0]] * self.dim
+        out = [0] * self.dim
         nv = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if a:
@@ -185,7 +186,7 @@ class LieAlgebra:
     def ad_raw(self, i: int, v) -> list:
         """[e_i, v] on a raw row, without checks."""
         p = self.field.p
-        out = [_zero_one(p)[0]] * self.dim
+        out = [0] * self.dim
         ti = self._ad[i]
         for j, b in enumerate(v):
             if b:
@@ -203,7 +204,7 @@ class LieAlgebra:
 
     def ad_matrix_raw(self, x) -> tuple:
         """The raw rows of :meth:`ad_matrix` for a raw row x, without checks."""
-        units = _units(self.field.p, self.dim, range(self.dim))
+        units = _units(self.dim, range(self.dim))
         return tuple(zip(*(self.bracket_raw(x, e) for e in units)))
 
     def validate(self) -> list:

@@ -3,7 +3,10 @@
 At the public boundary vectors are plain tuples of
 :class:`~cideals.fields.Scalar`.  Inside, one raw-value kernel does all
 the arithmetic: a raw value is an int residue in ``[0, p)`` over GF(p)
-or a ``Fraction`` over Q, and a raw row is a tuple of them.  Every row
+and over Q an int when it is integral and a ``Fraction`` otherwise, and
+a raw row is a tuple of them.  So rational algebras with integral data
+stay on int arithmetic; :func:`~cideals.fields._qdiv` is the one
+division on raw values, and Scalars over Q still wrap Fractions.  Every row
 in the library is a raw row: a :class:`Matrix` holds its entries as raw
 rows and a :class:`Subspace` its reduced-row-echelon basis, so two
 subspaces are equal exactly when they are the same set of vectors and
@@ -18,7 +21,6 @@ library code maps subspaces through them on raw rows and boxes nothing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import (
@@ -27,7 +29,7 @@ from .errors import (
     FieldMismatch,
     NotSquare,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _qdiv, _qraw
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        flat = [field.scalar(x).value for x in entries]
+        flat = _coerce(field, entries)
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -106,7 +108,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        raw = tuple(tuple(field.scalar(x).value for x in r) for r in rows)
+        raw = tuple(_coerce(field, r) for r in rows)
         ncols = len(raw[0]) if raw else 0
         if any(len(r) != ncols for r in raw):
             raise DimensionMismatch("ragged rows")
@@ -114,11 +116,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._from_raw(field, _units(field.p, n, range(n)), n)
+        return cls._from_raw(field, _units(n, range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._from_raw(field, (_zero_one(field.p)[:1] * cols,) * rows, cols)
+        return cls._from_raw(field, ((0,) * cols,) * rows, cols)
 
     @property
     def entries(self) -> tuple:
@@ -126,7 +128,7 @@ class Matrix:
         return tuple(x for r in self.raw for x in _box(self.field, r))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return Scalar._make(self.field, self.raw[i][j])
+        return _box(self.field, (self.raw[i][j],))[0]
 
     def row(self, i: int) -> tuple:
         return _box(self.field, self.raw[i])
@@ -142,8 +144,8 @@ class Matrix:
         if self.rows != self.cols:
             raise NotSquare(f"trace of {self.rows}x{self.cols} matrix")
         p = self.field.p
-        total = sum((r[i] for i, r in enumerate(self.raw)), _zero_one(p)[0])
-        return Scalar._make(self.field, total if p is None else total % p)
+        total = sum(r[i] for i, r in enumerate(self.raw))
+        return _box(self.field, (total if p is None else total % p,))[0]
 
     def _elementwise(self, op, other) -> "Matrix":
         self._same_shape(other)
@@ -161,7 +163,7 @@ class Matrix:
         return self.scale(self.field.scalar(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
-        c = self.field.scalar(c).value
+        c = _coerce(self.field, (c,))[0]
         p = self.field.p
         raw = tuple(_normalized(p, (c * a for a in r)) for r in self.raw)
         return Matrix._from_raw(self.field, raw, self.cols)
@@ -209,14 +211,9 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # the raw kernel: rows of raw values, one field check on the way in
 
-def _zero_one(p):
-    return (0, 1) if p is not None else (Fraction(0), Fraction(1))
-
-
-def _units(p, n: int, columns) -> tuple:
+def _units(n: int, columns) -> tuple:
     """The standard raw rows of length n with their 1 at the given columns."""
-    zero, one = _zero_one(p)
-    return tuple(tuple(one if k == c else zero for k in range(n)) for c in columns)
+    return tuple(tuple(1 if k == c else 0 for k in range(n)) for c in columns)
 
 
 def _normalized(p, values) -> tuple:
@@ -226,13 +223,13 @@ def _normalized(p, values) -> tuple:
 def _combination(p, w, rows, n: int) -> tuple:
     """sum_k w[k] * rows[k] for raw rows of length n, without checks."""
     if not rows:
-        return _zero_one(p)[:1] * n
+        return (0,) * n
     sums = (sum(map(mul, w, column)) for column in zip(*rows))
     return tuple(sums) if p is None else tuple(s % p for s in sums)
 
 
 def _unbox(field: Field, v) -> tuple:
-    """The raw values of a vector of Scalars.
+    """The raw values of a vector of Scalars, integral rationals as ints.
 
     Raises FieldMismatch if any entry belongs to another field; this is
     the one field check a vector gets.
@@ -241,10 +238,21 @@ def _unbox(field: Field, v) -> tuple:
         f = s.field
         if f is not field and f != field:
             raise FieldMismatch(f"scalar over {f} used in {field}")
+    if field.p is None:
+        return tuple(_qraw(s.value) for s in v)
     return tuple(s.value for s in v)
 
 
+def _coerce(field: Field, values) -> tuple:
+    """The raw values of ints, Fractions, strings or Scalars over field."""
+    raw = tuple(field.scalar(x).value for x in values)
+    return raw if field.p is not None else tuple(map(_qraw, raw))
+
+
 def _box(field: Field, row) -> tuple:
+    # Over Q the Scalar constructor wraps an int raw value as a Fraction.
+    if field.p is None:
+        return tuple(Scalar(field, x) for x in row)
     make = Scalar._make
     return tuple(make(field, x) for x in row)
 
@@ -270,7 +278,7 @@ def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
         lead = row[c]
         if lead != 1:
             if p is None:
-                row = [x / lead for x in row]
+                row = [_qdiv(x, lead) for x in row]
             else:
                 inv = pow(lead, -1, p)
                 row = [x * inv % p for x in row]
@@ -291,14 +299,13 @@ def raw_kernel(field: Field, rows, ncols: int) -> "Subspace":
     """The kernel of the raw matrix ``rows`` as a subspace of F^ncols."""
     p = field.p
     red, pivots = raw_rref(p, rows, ncols)
-    zero, one = _zero_one(p)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
+        vec = [0] * ncols
+        vec[f] = 1
         for row, c in zip(red, pivots):
             if row[f]:
                 vec[c] = -row[f] if p is None else p - row[f]
@@ -352,19 +359,18 @@ def raw_char_poly(p, rows) -> list:
         for row in h:
             row[piv], row[j + 1] = row[j + 1], row[piv]
         lead = h[j + 1][j]
-        inv = 1 / lead if p is None else pow(lead, -1, p)
+        inv = _qdiv(1, lead) if p is None else pow(lead, -1, p)
         for k in range(j + 2, n):
             u = norm(h[k][j] * inv)
             if u:  # row k -= u * row j+1, undone by column j+1 += u * column k
                 h[k] = [norm(a - u * b) for a, b in zip(h[k], h[j + 1])]
                 for row in h:
                     row[j + 1] = norm(row[j + 1] + u * row[k])
-    zero, one = _zero_one(p)
-    polys = [[one]]
+    polys = [[1]]
     for k in range(n):
         # p_{k+1} = t p_k - sum_{i<=k} H[i][k] H[i+1][i] ... H[k][k-1] p_i
-        acc = [zero] + polys[k]
-        sub = one
+        acc = [0] + polys[k]
+        sub = 1
         for i in range(k, -1, -1):
             f = h[i][k] * sub
             for d, a in enumerate(polys[i]):
@@ -381,7 +387,7 @@ def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":
         raise NotSquare("eigenspace of a non-square matrix")
     if lam.field != m.field:
         raise FieldMismatch("eigenvalue from a different field")
-    return raw_eigenspace(m.field, m.raw, lam.value)
+    return raw_eigenspace(m.field, m.raw, _unbox(m.field, (lam,))[0])
 
 
 def raw_eigenspace(field: Field, rows, lam) -> "Subspace":
@@ -403,9 +409,11 @@ class Subspace:
 
     Inside, ``rows`` is the unique reduced-row-echelon basis without
     zero rows, as tuples of raw values (int residues in ``[0, p)`` over
-    GF(p), Fractions over Q), and ``pivots`` its pivot columns; this is
-    the only copy of the basis.  So ``==`` is set equality and instances
-    hash consistently.  At the boundary everything is Scalars:
+    GF(p); over Q ints when integral and Fractions otherwise), and
+    ``pivots`` its pivot columns; this is the only copy of the basis.
+    So ``==`` is set equality and instances hash consistently: an
+    integral Fraction equals and hashes as its int.  At the boundary
+    everything is Scalars, which over Q always wrap Fractions:
     :meth:`vectors`, :attr:`basis` and :meth:`reduce` box on request,
     and every Scalar vector passed in is checked against the field once.
     """
@@ -447,7 +455,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        rows = _units(field.p, ambient_dim, range(ambient_dim))
+        rows = _units(ambient_dim, range(ambient_dim))
         return cls(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
@@ -523,7 +531,7 @@ class Subspace:
         # Zassenhaus: the rows of rref [[U, U], [V, 0]] whose left half is
         # zero carry the canonical basis of U ∩ V in their right half.
         n = self.ambient_dim
-        pad = _zero_one(self.field.p)[:1] * n
+        pad = (0,) * n
         stacked = [r + r for r in self.rows] + [r + pad for r in other.rows]
         red, pivots = raw_rref(self.field.p, stacked, 2 * n)
         rows = tuple(r[n:] for r, c in zip(red, pivots) if c >= n)
@@ -537,7 +545,7 @@ class Subspace:
         """
         n = self.ambient_dim
         free = self._free_columns()
-        return Subspace(self.field, n, _units(self.field.p, n, free), free)
+        return Subspace(self.field, n, _units(n, free), free)
 
     def _free_columns(self) -> tuple:
         pivots = set(self.pivots)
@@ -564,6 +572,7 @@ class Subspace:
         its 1 at its pivot's place among this subspace's pivots and 0 at
         the other rows' places, so no elimination is run.
         """
+        self._same_ambient(u)
         rows = tuple(self.coords_raw(r) for r in u.rows)
         place = {c: i for i, c in enumerate(self.pivots)}
         pivots = tuple(place.get(c) for c in u.pivots)
@@ -614,10 +623,9 @@ class Subspace:
             return self
         n, p = self.ambient_dim, self.field.p
         free = self._free_columns()
-        zero = _zero_one(p)[0]
         lifts = {}  # pivot -> lifted row
         for r, q in zip(w.rows, w.pivots):
-            lift = [zero] * n
+            lift = [0] * n
             for c, x in zip(free, r):
                 lift[c] = x
             lifts[free[q]] = tuple(lift)

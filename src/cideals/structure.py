@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import _qdiv
 from .linalg import Subspace, _box, subspace_text, vector_text
 from .liealg import (
     LieAlgebra,
@@ -228,7 +229,7 @@ def _scaling_vector(l: LieAlgebra, w: tuple, squared: Subspace):
         return None
     if any(l.bracket_raw(w, b) != scaled(lam, b) for b in squared.rows):
         return None
-    return tuple(scaled(1 / lam if p is None else pow(lam, -1, p), w))
+    return tuple(scaled(_qdiv(1, lam) if p is None else pow(lam, -1, p), w))
 
 
 def is_almost_abelian(l: LieAlgebra) -> bool:

@@ -433,3 +433,84 @@ def oracle_line_families(l) -> tuple:
 
     recurse(0, l.full_space())
     return tuple(sorted(families, key=Subspace.sort_key))
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel from scratch: Gauss-Jordan elimination in Fractions
+# only, on rows of ints or Fractions (a Subspace's or Matrix's raw rows).
+# Every value these return is a Fraction.
+
+def oracle_rref_q(rows, ncols: int) -> tuple:
+    """``(rows, pivots)`` of the reduced row echelon form over Q, zero
+    rows dropped: each pivot row is divided by its lead, then cleared
+    from every other row."""
+    todo = [[Fraction(x) for x in r] for r in rows]
+    done, pivots = [], []
+    for c in range(ncols):
+        k = next((k for k, r in enumerate(todo) if r[c]), None)
+        if k is None:
+            continue
+        lead = todo.pop(k)
+        lead = [x / lead[c] for x in lead]
+        todo = [[a - r[c] * b for a, b in zip(r, lead)] for r in todo]
+        done = [[a - r[c] * b for a, b in zip(r, lead)] for r in done] + [lead]
+        pivots.append(c)
+    return tuple(map(tuple, done)), tuple(pivots)
+
+
+def oracle_kernel_q(rows, ncols: int) -> tuple:
+    """The reduced basis of {x : r . x = 0 for every row r}: for each
+    free column f, e_f minus the pivot rows' entries at f."""
+    red, pivots = oracle_rref_q(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [Fraction(int(k == f)) for k in range(ncols)]
+            for r, c in zip(red, pivots):
+                x[c] = -r[f]
+            basis.append(x)
+    return oracle_rref_q(basis, ncols)[0]
+
+
+def oracle_intersection_q(u_rows, v_rows, n: int) -> tuple:
+    """The reduced basis of span(u_rows) ∩ span(v_rows): each (a, b) with
+    a.U = b.V gives the common vector a.U."""
+    cols = list(u_rows) + [[-x for x in r] for r in v_rows]
+    system = [[Fraction(c[k]) for c in cols] for k in range(n)]
+    common = [
+        [sum(a * r[k] for a, r in zip(ab, u_rows)) for k in range(n)]
+        for ab in oracle_kernel_q(system, len(cols))
+    ]
+    return oracle_rref_q(common, n)[0]
+
+
+def oracle_quotient_coords_q(i_rows, n: int) -> tuple:
+    """``(reduce, free)`` for the quotient F^n / span(i_rows): reduce(v)
+    clears v at I's pivots with I's reduced rows, and the coordinates
+    of v + I are reduce(v) at the free columns."""
+    red, pivots = oracle_rref_q(i_rows, n)
+
+    def reduce(v):
+        v = [Fraction(x) for x in v]
+        for r, c in zip(red, pivots):
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, r)]
+        return v
+
+    return reduce, [c for c in range(n) if c not in pivots]
+
+
+def oracle_transporter_q(l, gens_rows, target_rows) -> tuple:
+    """The reduced basis of {x : [x, u] in target for every u}: with
+    columns [e_i, u] modulo the target, read off l.structure_vector."""
+    n = l.dim
+    reduce, free = oracle_quotient_coords_q(target_rows, n)
+    table = [[[s.value for s in l.structure_vector(i, j)] for j in range(n)] for i in range(n)]
+    system = []
+    for u in gens_rows:
+        cols = []
+        for i in range(n):
+            image = [sum(Fraction(u[j]) * table[i][j][k] for j in range(n)) for k in range(n)]
+            cols.append(reduce(image))
+        system += [[col[k] for col in cols] for k in free]
+    return oracle_kernel_q(system, n)

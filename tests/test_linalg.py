@@ -20,6 +20,7 @@ from cideals import (
     nullspace,
     parse_subspace,
     parse_vector,
+    poly_roots_in_field,
     rref,
     subspace_text,
     vector_text,
@@ -302,6 +303,15 @@ class TestSubspace:
                 assert all(type(s.value) is Fraction for s in x)
         assert all(type(s.value) is Fraction for s in u.reduce(vec(Q, [3, 1, 1])))
         assert all(type(s.value) is Fraction for s in l.bracket(*u.vectors()))
+        # Raw rationals are ints when integral; every Scalar made from
+        # one still wraps a Fraction.
+        scalars = [
+            m.entry(1, 2), m.trace(), *m.row(0), *m.column(1), *m.entries,
+            *m.mul_vector(vec(Q, [1, 2, 3])), *char_poly(m),
+            *poly_roots_in_field(char_poly(mat(Q, [[2, 0], [0, 1]]))),
+            *l.structure_vector(0, 2), *l.structure_vector(2, 0),
+        ]
+        assert all(type(s.value) is Fraction for s in scalars)
 
     # With ``inside`` the rows of u are combinations of v's rows, so
     # containment holds in about half the draws.  The examples pin
@@ -433,6 +443,10 @@ class TestCoordinateShortcuts:
             Subspace.full(GF(3), 2).from_coords(Subspace.full(GF(3), 3))
         with pytest.raises(FieldMismatch):
             Subspace.zero(GF(3), 2).preimage(Subspace.zero(Q, 2))
+        with pytest.raises(FieldMismatch):
+            Subspace.full(GF(3), 2).coords(Subspace.full(GF(5), 2))
+        with pytest.raises(AmbientMismatch):
+            Subspace.span(GF(3), 3, [[1, 0, 0]]).coords(Subspace.span(GF(3), 2, [[0, 1]]))
 
 
 class TestTextForms:

@@ -56,3 +56,40 @@ def test_oracles_import_only_the_public_namespace():
                 found.append(node.module)
             found += [a.name for a in node.names if a.name not in cideals.__all__]
     assert found == []
+
+
+# Over Q a raw value is an int when integral, and an int over an int is
+# a float; so every true division goes through fields._qdiv, except the
+# two whose operands are Fractions by construction.
+_DIVISIONS = {("fields.py", "_qdiv"), ("fields.py", "_monic"), ("fields.py", "Scalar.inverse")}
+
+
+class _Divisions(ast.NodeVisitor):
+    def __init__(self, filename):
+        self.filename = filename
+        self.scope = []
+        self.found = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def _operation(self, node):
+        site = (self.filename, ".".join(self.scope))
+        if isinstance(node.op, ast.Div) and site not in _DIVISIONS:
+            self.found.append(f"{self.filename}:{node.lineno} in {site[1] or 'module'}")
+        self.generic_visit(node)
+
+    visit_BinOp = visit_AugAssign = _operation
+
+
+def test_true_division_only_in_the_division_helper():
+    found = []
+    for path in sorted(Path(cideals.__file__).parent.glob("*.py")):
+        visitor = _Divisions(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        found += visitor.found
+    assert found == []
