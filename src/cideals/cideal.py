@@ -115,7 +115,7 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
 
 
 def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
-    if l.is_ideal(line):
+    if l._closed_is_ideal(line):
         return _yes(l, line, l.full_space(), METHOD_LINE)
     derived = derived_subspace(l)
     rest = derived.reduce_raw(line.rows[0])
@@ -163,7 +163,7 @@ def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdea
 def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     if not l.is_subalgebra(b):
         raise NotSubalgebra("c-ideal decisions apply to subalgebras")
-    if l.is_ideal(b):
+    if l._closed_is_ideal(b):
         return _yes(l, b, l.full_space(), METHOD_IDEAL)
     if b.dim == 1:
         return _line_cideal(l, b)

@@ -196,9 +196,13 @@ def enum_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
 
 
 def enum_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
-    """Every ideal, in enumeration order."""
+    """Every ideal, in enumeration order.
+
+    Each subalgebra u is closed, so only [e_c, row] for the non-pivot
+    columns c of u are tried.
+    """
     subalgebras = enum_subalgebras(l, budget)
-    return l._memoized("ideals", lambda: tuple(u for u in subalgebras if l.is_ideal(u)))
+    return l._memoized("ideals", lambda: tuple(u for u in subalgebras if l._closed_is_ideal(u)))
 
 
 def _maximal_among(candidates, proper_of_dim: int) -> tuple:
@@ -242,7 +246,9 @@ def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Proper subalgebras contained in no larger proper subalgebra.
 
     Ordered by dimension descending, enumeration order within a
-    dimension.
+    dimension.  Each subalgebra is tested against the kept ones of
+    larger dimension, so the filter makes at most the square of the
+    subalgebra count of containment tests; it has no budget of its own.
     """
     subalgebras = enum_subalgebras(l, budget)
     return l._memoized("maximal", lambda: _maximal_among(subalgebras, l.dim))
@@ -252,7 +258,10 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
     """Nilpotent subalgebras maximal among the nilpotent ones.
 
     When L is itself nilpotent the unique answer is L, given without
-    the budget check.
+    the budget check.  Otherwise each subalgebra's nilpotency is decided
+    on the algebra on it, and the filter of :func:`maximal_subalgebras`
+    keeps the maximal ones, at most the square of the nilpotent count
+    of containment tests.
     """
     _require_finite(l)
     if is_nilpotent(l):

@@ -241,10 +241,19 @@ class LieAlgebra:
             )
 
     def span_product(self, u: Subspace, v: Subspace) -> Subspace:
-        """The span of all [x, y] with x in u, y in v."""
+        """The span of all [x, y] with x in u, y in v.
+
+        The brackets of the canonical rows span it.  When u == v only the
+        pairs of rows a < b are bracketed, d(d - 1)/2 of them for d = dim u:
+        [x, x] = 0 and [y, x] = -[x, y] add nothing to the span.
+        """
         self._check_subspace(u)
         self._check_subspace(v)
-        vecs = [self.bracket_raw(x, y) for x in u.rows for y in v.rows]
+        rows = u.rows
+        if u == v:
+            vecs = [self.bracket_raw(x, y) for a, x in enumerate(rows) for y in rows[a + 1 :]]
+        else:
+            vecs = [self.bracket_raw(x, y) for x in rows for y in v.rows]
         return Subspace.from_raw(self.field, self.dim, vecs)
 
     def is_subalgebra(self, u: Subspace) -> bool:
@@ -266,6 +275,18 @@ class LieAlgebra:
             u.holds_raw(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
         )
 
+    def _closed_is_ideal(self, u: Subspace) -> bool:
+        # is_ideal for a u already known to be a subalgebra: L is u plus
+        # the span of e_c over the non-pivot columns c of u, and [u, u] <= u,
+        # so only those [e_c, row] are tried.
+        pivots = u.pivots
+        return all(
+            u.holds_raw(self.ad_raw(c, r))
+            for c in range(self.dim)
+            if c not in pivots
+            for r in u.rows
+        )
+
     def subalgebra_closure(self, u: Subspace) -> Subspace:
         """The smallest subalgebra containing u."""
         self._check_subspace(u)
@@ -278,6 +299,12 @@ class LieAlgebra:
 
     def series(self, kind: str, start: Subspace | None = None) -> SeriesResult:
         """Derived or lower central series from ``start`` (default: L).
+
+        From L both series start with [L, L], which
+        :func:`derived_subspace` reads off the structure table with no
+        bracket.  Each later derived step brackets the pairs a < b of
+        the term's rows (see :meth:`span_product`), and each lower
+        central step every e_i with every row of the term.
 
         The lower central step brackets against the whole algebra, so
         for a proper starting subalgebra it descends through the ideal
@@ -294,8 +321,10 @@ class LieAlgebra:
                 raise NotSubalgebra("series must start at a subalgebra")
         terms = [cur]
         while True:
-            left = cur if kind == "derived" else full
-            nxt = self.span_product(left, cur)
+            if cur.dim == self.dim:
+                nxt = derived_subspace(self)
+            else:
+                nxt = self.span_product(cur if kind == "derived" else full, cur)
             if nxt == cur:
                 break
             terms.append(nxt)
@@ -370,11 +399,20 @@ class LieAlgebra:
         a member of the subspace to its coordinates on the RREF basis
         (see :meth:`Subspace.coords`) and ``from_coords`` embeds back
         into L.
+
+        Each pair of canonical rows a < b is bracketed once, d(d - 1)/2
+        brackets for d = dim of the subspace: the bracket is checked to
+        lie in the subspace, in the order :meth:`is_subalgebra` checks
+        it, and its coordinates are the structure constants of S.  The
+        first bracket outside raises NotSubalgebra.
         """
         self._check_subspace(subalgebra)
-        if not self.is_subalgebra(subalgebra):
-            raise NotSubalgebra("restriction to a subspace that is not closed")
         field = self.field
+
+        def read(v) -> tuple:
+            if not subalgebra.holds_raw(v):
+                raise NotSubalgebra("restriction to a subspace that is not closed")
+            return subalgebra.coords_raw(v)
 
         def to_coords(v: tuple) -> tuple:
             raw = subalgebra._unbox_vector(v)
@@ -389,7 +427,7 @@ class LieAlgebra:
                 )
             return _box(field, subalgebra.from_coords_raw(_unbox(field, c)))
 
-        return self._algebra_on(subalgebra, subalgebra.coords_raw), to_coords, from_coords
+        return self._algebra_on(subalgebra, read), to_coords, from_coords
 
     def _algebra_on(self, basis: Subspace, read) -> "LieAlgebra":
         # The algebra on the canonical rows of ``basis``, named after their
@@ -480,8 +518,17 @@ def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
 
 
 def derived_subspace(l: LieAlgebra) -> Subspace:
-    """[L, L], kept in l's memo."""
-    return l._memoized("derived", lambda: l.span_product(l.full_space(), l.full_space()))
+    """[L, L], kept in l's memo.
+
+    It is the span of the structure constants [e_i, e_j], i < j, so it
+    is read off the table with no bracket.
+    """
+    return l._memoized(
+        "derived",
+        lambda: Subspace.from_raw(
+            l.field, l.dim, [l._dense(s) for i, row in enumerate(l._ad) for s in row[i + 1 :] if s]
+        ),
+    )
 
 
 def restricted_algebra(l: LieAlgebra, u: Subspace):

@@ -262,6 +262,8 @@ def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
 
     Returns ``(rows, pivots)`` with zero rows dropped; the rows are
     tuples of raw values and ``pivots`` their pivot columns, increasing.
+    Over Q, eliminating against a row with a Fraction can leave an
+    integral Fraction; the returned values are ints when integral.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -292,6 +294,8 @@ def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
                     rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
         pivots.append(c)
         r += 1
+    if p is None:
+        return tuple(tuple(map(_qraw, row)) for row in rows[:r]), tuple(pivots)
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 

@@ -29,6 +29,9 @@ from cideals import (
     verify_certificate,
 )
 
+from cideals import liealg
+from cideals.liealg import derived_subspace
+
 from oracles import (
     oracle_is_ideal,
     oracle_is_subalgebra,
@@ -299,6 +302,94 @@ class TestQuotientRestrict:
         _, _, lift = quotient_algebra(h3_gf3, h3_gf3.centre())
         with pytest.raises(FieldMismatch):
             lift(vec(GF(5), [1, 2]))
+
+
+def _closed_subspaces(l):
+    """Every subalgebra over GF(p); over Q, a sample of closed subspaces:
+    0, L, the centre, the series terms and the lines of e_i and e_i + e_j."""
+    if l.field.p is not None:
+        return enum_subalgebras(l)
+    found = {l.zero_space(), l.full_space(), l.centre()}
+    found.update(l.derived_series().terms + l.lower_central_series().terms)
+    basis = l.basis()
+    found.update(Subspace.from_vectors(l.field, l.dim, [e]) for e in basis)
+    found.update(
+        Subspace.from_vectors(l.field, l.dim, [tuple(a + b for a, b in zip(e, f))])
+        for i, e in enumerate(basis)
+        for f in basis[i + 1 :]
+    )
+    return sorted(found, key=Subspace.sort_key)
+
+
+def _two_pass_restriction(l, u):
+    """The algebra on u's canonical rows, built the old way: the closure
+    test first, then every bracket of rows a < b read in coordinates."""
+    assert oracle_is_subalgebra(l, u)
+    rows = u.vectors()
+    brackets = {
+        (a, b): tuple(l.bracket(rows[a], rows[b])[c] for c in u.pivots)
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    }
+    return LieAlgebra(l.field, u.dim, [l.names[c] for c in u.pivots], brackets)
+
+
+class TestBracketRoutes:
+    """Each route that brackets a pair once, against the route it replaced."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), Q], ids=str)
+    def test_routes_match_their_oracles(self, field):
+        for _, l in catalog_algebras(field, max_dim=None if field.p is None else 5):
+            full = l.full_space()
+            assert derived_subspace(l) == oracle_span_product(l, full, full)
+            for u in _closed_subspaces(l):
+                assert l.span_product(u, u) == oracle_span_product(l, u, u)
+                assert l._closed_is_ideal(u) == oracle_is_ideal(l, u)
+                got, want = l.restrict(u)[0], _two_pass_restriction(l, u)
+                assert got == want and got.names == want.names
+
+    @pytest.mark.parametrize("name", ["sl2", "heisenberg(3)", "t(2)"])
+    def test_restrict_rejects_every_open_subspace(self, name):
+        l = builtin(name, GF(3))
+        open_subspaces = [u for u in enum_subspaces(l) if not oracle_is_subalgebra(l, u)]
+        assert open_subspaces
+        for u in open_subspaces:
+            with pytest.raises(NotSubalgebra):
+                l.restrict(u)
+
+
+def _brackets_made(monkeypatch, work) -> int:
+    """The number of LieAlgebra.bracket_raw calls that work() makes, with
+    a cold memo table."""
+    made = []
+    bracket_raw = LieAlgebra.bracket_raw
+
+    def counted(self, u, v):
+        made.append(None)
+        return bracket_raw(self, u, v)
+
+    monkeypatch.setattr(liealg, "_canonical", {})
+    with monkeypatch.context() as m:
+        m.setattr(LieAlgebra, "bracket_raw", counted)
+        work()
+    return len(made)
+
+
+class TestBracketCounts:
+    """Every pair of rows is bracketed once: the counts are pinned."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_restrict_and_square_span_product(self, monkeypatch, p):
+        for _, l in catalog_algebras(GF(p), max_dim=4):
+            for u in enum_subalgebras(l):
+                pairs = u.dim * (u.dim - 1) // 2
+                assert _brackets_made(monkeypatch, lambda: l.restrict(u)) == pairs
+                assert _brackets_made(monkeypatch, lambda: l.span_product(u, u)) == pairs
+
+    def test_derived_subspace(self, monkeypatch):
+        for field in (GF(2), GF(3), Q):
+            for _, l in catalog_algebras(field):
+                assert _brackets_made(monkeypatch, lambda: derived_subspace(l)) == 0
 
 
 _MAP_FIELDS = [GF(2), GF(3), GF(5), Q]

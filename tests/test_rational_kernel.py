@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cideals import LieAlgebra, Matrix, Q, Subspace, builtin, char_poly, nullspace, rref
+from cideals.linalg import raw_rref
 
 from oracles import (
     oracle_char_poly,
@@ -59,6 +60,15 @@ def test_rref_and_nullspace(rows):
     kernel = nullspace(matrix(rows))
     assert kernel.rows == oracle_kernel_q(rows, N)
     assert raw_ok(red.raw) and raw_ok(u.rows) and raw_ok(kernel.rows)
+
+
+@given(rows_of(N, min_size=1))
+def test_integral_values_come_out_as_ints(rows):
+    # Eliminating against a row with a Fraction can leave an integral
+    # Fraction; the kernel hands it on as an int.
+    red, _ = raw_rref(None, rows, N)
+    values = [x for r in red + space(rows).rows for x in r]
+    assert not [x for x in values if type(x) is Fraction and x.denominator == 1]
 
 
 @given(st.integers(1, N).flatmap(lambda n: rows_of(n, min_size=n, max_size=n)))
