@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSubalgebra, PreconditionUnmet, ZeroVector
-from .linalg import Subspace, raw_rref, subspace_text, vector_is_zero
+from .errors import AmbientMismatch, NotSubalgebra, PreconditionUnmet, ZeroVector
+from .fields import _qdiv
+from .linalg import Subspace, _unbox, raw_rref, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, algebra_modulo, derived_subspace
-from .lattice import DEFAULT_BUDGET, core, enum_ideals
+from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
 
 YES = "yes"
@@ -70,17 +71,28 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B).
 
     B + C = L is tested without forming the sum: the rows of B reduced
-    modulo C must have rank dim L - dim C.  With C an ideal the last
-    condition holds exactly when B ∩ C is an ideal: an ideal inside B
-    lies in core(B), and conversely B ∩ C <= core(B) makes
-    B ∩ C = core(B) ∩ C, an intersection of two ideals.  So no core is
-    computed, and when dim B + dim C = dim L the sum condition forces
-    B ∩ C = 0, which needs no check.  Each ideal C is checked by
-    brackets once per algebra: the ideals already shown are kept in the
-    algebra's memo, and a C that fails is checked again on every call.
+    modulo C must have rank dim L - dim C.  For a line B that is one
+    reduction and no elimination: a proper C must be a hyperplane that
+    misses B's row.  With C an ideal the last condition holds exactly
+    when B ∩ C is an ideal: an ideal inside B lies in core(B), and
+    conversely B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an
+    intersection of two ideals.  So no core is computed, and when
+    dim B + dim C = dim L the sum condition forces B ∩ C = 0, which
+    needs no check.  Each ideal C is checked by brackets once per
+    algebra: the ideals already shown are kept in the algebra's memo,
+    and a C that fails is checked again on every call.
+
+    B is checked to be a subalgebra of L first (raises NotSubalgebra);
+    for a line that is only the field and ambient check, since a line is
+    always closed.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("certificates are checked for subalgebras")
+    return _verify_closed(l, b, c)
+
+
+def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
+    # verify_certificate for a b already known to be a subalgebra of l.
     ideals = l._memoized("verified_ideals", set)
     if c not in ideals:
         if not l.is_ideal(c):
@@ -88,14 +100,20 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
         ideals.add(c)
     n = l.dim
     if c.dim < n:
-        left = [c.reduce_raw(r) for r in b.rows]
-        if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
-            return False
+        if b.dim == 1:
+            if c.dim != n - 1 or c.holds_raw(b.rows[0]):
+                return False
+        else:
+            left = [c.reduce_raw(r) for r in b.rows]
+            if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
+                return False
     return b.dim + c.dim == n or l.is_ideal(b & c)
 
 
 def _yes(l, b, c, method) -> CIdealVerdict:
-    if not verify_certificate(l, b, c):
+    # b is a subalgebra of l here: the ladder has checked it, and a line
+    # is closed.
+    if not _verify_closed(l, b, c):
         raise AssertionError(
             f"internal error: {method} produced a certificate that fails re-verification"
         )
@@ -108,21 +126,51 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     Fx is a c-ideal iff it is an ideal or x lies outside [L, L].  In the
     second case a concrete witness exists: [L, L] plus the complement of
     [L, L] + Fx is a codimension-one ideal that misses x.
+
+    x is checked to be nonzero (ZeroVector), of length dim L
+    (AmbientMismatch) and over L's field (FieldMismatch), in that order.
+    The line's canonical row is x scaled by the inverse of its first
+    nonzero entry, so no elimination is run.
     """
     if vector_is_zero(x):
         raise ZeroVector("a line needs a nonzero spanning vector")
-    return _line_cideal(l, Subspace.from_vectors(l.field, l.dim, [x]))
+    if len(x) != l.dim:
+        raise AmbientMismatch(f"vector of length {len(x)} in F^{l.dim}")
+    v = _unbox(l.field, x)
+    lead = next(a for a in v if a)
+    if lead != 1:
+        p = l.field.p
+        if p is None:
+            v = tuple(_qdiv(a, lead) for a in v)
+        else:
+            inv = pow(lead, -1, p)
+            v = tuple(a * inv % p for a in v)
+    return _line_cideal(l, point_line(l.field, v))
 
 
 def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
+    """The line rule on a line of l: yes with witness L when the line is
+    an ideal, otherwise :func:`_non_ideal_line`."""
     if l._closed_is_ideal(line):
         return _yes(l, line, l.full_space(), METHOD_LINE)
+    return _non_ideal_line(l, line)
+
+
+def _non_ideal_line(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
+    """The line rule on a line known not to be an ideal: no when its row
+    lies in [L, L], else yes with the hyperplane of :func:`_hyperplane`
+    at the row's lead column mod [L, L], made once per algebra value and
+    column (memo "line_hyperplanes") and re-verified like every yes."""
     derived = derived_subspace(l)
     rest = derived.reduce_raw(line.rows[0])
     q = next((c for c, x in enumerate(rest) if x), None)
     if q is None:
         return CIdealVerdict(NO, None, METHOD_LINE, True)
-    return _yes(l, line, _hyperplane(l, derived, q), METHOD_LINE)
+    hyperplanes = l._memoized("line_hyperplanes", dict)
+    h = hyperplanes.get(q)
+    if h is None:
+        h = hyperplanes[q] = _hyperplane(l, derived, q)
+    return _yes(l, line, h, METHOD_LINE)
 
 
 def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:
@@ -166,9 +214,9 @@ def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     if l._closed_is_ideal(b):
         return _yes(l, b, l.full_space(), METHOD_IDEAL)
     if b.dim == 1:
-        return _line_cideal(l, b)
+        return _non_ideal_line(l, b)
 
-    b_core = core(l, b)
+    b_core = _core(l, b)
     reduced = algebra_modulo(l, b_core)
     b_red = b_core.modulo(b)
     target = reduced.dim - b_red.dim
@@ -198,7 +246,7 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("c-ideal decisions apply to subalgebras")
-    b_core = core(l, b)
+    b_core = _core(l, b)
     for cand in enum_ideals(l, budget):
         if b.dim + cand.dim >= l.dim and (b + cand).dim == l.dim and (b & cand) <= b_core:
             return CIdealVerdict(YES, cand, METHOD_ENUM, True)

@@ -307,6 +307,11 @@ def core(l: LieAlgebra, b: Subspace) -> Subspace:
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("core is defined for subalgebras")
+    return _core(l, b)
+
+
+def _core(l: LieAlgebra, b: Subspace) -> Subspace:
+    # core for a b already known to be a subalgebra, without the check.
     cur = b
     while cur.dim:
         free = cur._free_columns()

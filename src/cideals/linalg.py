@@ -351,6 +351,7 @@ def raw_char_poly(p, rows) -> list:
     the polynomials p_k of the leading k x k blocks of H follow from the
     Hessenberg recurrence.  The only divisions are by nonzero pivots, so
     one path serves Q and every GF(p), whatever the characteristic.
+    Over Q the coefficients are ints when integral.
     """
     h = [list(r) for r in rows]
     n = len(h)
@@ -382,7 +383,7 @@ def raw_char_poly(p, rows) -> list:
             if i:
                 sub = norm(sub * h[i][i - 1])
         polys.append(acc)
-    return polys[-1]
+    return polys[-1] if p is not None else list(map(_qraw, polys[-1]))
 
 
 def eigenspace(m: Matrix, lam: Scalar) -> "Subspace":

@@ -13,8 +13,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from cideals import (
+    NO,
+    YES,
+    CIdealVerdict,
     Matrix,
     Subspace,
+    ZeroVector,
     char_poly,
     eigenspace,
     enum_ideals,
@@ -26,6 +30,7 @@ from cideals import (
     nullspace,
     poly_roots_in_field,
     quotient_algebra,
+    rref,
 )
 
 
@@ -433,6 +438,27 @@ def oracle_line_families(l) -> tuple:
 
     recurse(0, l.full_space())
     return tuple(sorted(families, key=Subspace.sort_key))
+
+
+def oracle_line_cideal(l, x) -> CIdealVerdict:
+    """The line rule built from the public constructions: Fx by
+    elimination, [L, L] as span_product(L, L) and the witness
+    [L, L] + complement([L, L] + Fx), re-verified by the definition with
+    B + C = L as the rank of B's rows reduced modulo C."""
+    if not any(x):
+        raise ZeroVector("a line needs a nonzero spanning vector")
+    line = Subspace.from_vectors(l.field, l.dim, [x])
+    full = l.full_space()
+    if l.is_ideal(line):
+        return CIdealVerdict(YES, full, "line_rule", True)
+    derived = l.span_product(full, full)
+    if line <= derived:
+        return CIdealVerdict(NO, None, "line_rule", True)
+    c = derived + (derived + line).complement()
+    _, pivots = rref(Matrix.from_rows(l.field, [c.reduce(v) for v in line.vectors()]))
+    if not (l.is_ideal(c) and len(pivots) == l.dim - c.dim and l.is_ideal(line & c)):
+        raise AssertionError("the line witness fails the definition")
+    return CIdealVerdict(YES, c, "line_rule", True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from cideals import (
+    AmbientMismatch,
     CIdealVerdict,
+    FieldMismatch,
     GF,
     NO,
     NotSubalgebra,
@@ -15,6 +19,7 @@ from cideals import (
     builtin,
     catalog_algebras,
     characteristic_ideals,
+    core,
     enum_ideals,
     enum_subalgebras,
     frattini,
@@ -25,9 +30,11 @@ from cideals import (
     projective_points,
     verify_certificate,
 )
+from cideals import cideal, liealg, linalg
 from cideals.lattice import ideal_line_families
+from cideals.liealg import derived_subspace
 
-from oracles import oracle_cideal, oracle_core, oracle_is_ideal
+from oracles import oracle_cideal, oracle_core, oracle_is_ideal, oracle_line_cideal
 
 
 def vec(field, coords):
@@ -118,6 +125,12 @@ class TestVerifiedIdealMemo:
         assert len({warm, cold}) == 1
 
 
+def _tilted(field):
+    # x acting on span{y, z} by y, z -> y + z: [L, L] = F(y + z), whose
+    # row has an entry off its pivot.
+    return LieAlgebra(field, 3, brackets={(0, 1): (0, 1, 1), (0, 2): (0, 1, 1)})
+
+
 class TestLineRule:
     def test_ideal_line_yes(self, h3_q):
         v = line_cideal(h3_q, vec(Q, [0, 0, 1]))
@@ -159,14 +172,10 @@ class TestLineRule:
         # The certificate built row by row is the sum the definition names:
         # [L, L] + complement([L, L] + Fx); every point over GF(p), the
         # basis vectors and their pairwise sums over Q.  In the catalog
-        # every row of [L, L] is a standard vector; "tilted" (x acting on
-        # span{y, z} by y, z -> y + z) has [L, L] = F(y + z), whose row
-        # has an entry off its pivot.
+        # every row of [L, L] is a standard vector; "tilted" has one with
+        # an entry off its pivot.
         field = Q if p is None else GF(p)
-        if name == "tilted":
-            l = LieAlgebra(field, 3, brackets={(0, 1): (0, 1, 1), (0, 2): (0, 1, 1)})
-        else:
-            l = builtin(name, field)
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
         full = l.full_space()
         derived = l.span_product(full, full)
         if p is None:
@@ -196,6 +205,145 @@ class TestLineRule:
                         continue
                     quick = line_cideal(l, s.vectors()[0])
                     assert (quick.answer == YES) == oracle_cideal(l, s)
+
+
+def _scaled_points(l):
+    """The basis vectors and their pairwise sums, each also scaled by 2,
+    -1 and 1/3, so that leads other than 1 occur."""
+    basis = l.full_space().vectors()
+    sums = [tuple(a + b for a, b in zip(u, v)) for i, u in enumerate(basis) for v in basis[i + 1 :]]
+    scales = [Q.scalar(c) for c in (1, 2, -1, Fraction(1, 3))]
+    return [tuple(c * a for a in v) for v in list(basis) + sums for c in scales]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:  # the type is what is compared
+        return type(e)
+    return None
+
+
+class TestLineRoute:
+    """line_cideal against the route it replaced: the line by elimination,
+    [L, L] as a span product, the witness as a sum of subspaces."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_point_over_gf_p(self, p):
+        field = GF(p)
+        for l in [l for _, l in catalog_algebras(field, max_dim=4)] + [_tilted(field)]:
+            for x in projective_points(field, l.dim):
+                assert line_cideal(l, x) == oracle_line_cideal(l, x)
+
+    def test_scaled_points_over_q(self):
+        for l in [l for _, l in catalog_algebras(Q, max_dim=4)] + [_tilted(Q)]:
+            for x in _scaled_points(l):
+                assert line_cideal(l, x) == oracle_line_cideal(l, x)
+
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_bad_vectors_raise_as_before(self, field):
+        l = builtin("heisenberg(3)", field)
+        one, other = field.one(), GF(5)
+        cases = [
+            (l.zero_vec(), ZeroVector),
+            ((field.zero(),) * 4, ZeroVector),
+            ((other.zero(),) * 3, ZeroVector),
+            ((one, one), AmbientMismatch),
+            ((other.one(),) * 2, AmbientMismatch),
+            ((other.one(), one, one), FieldMismatch),
+            ((one, one, other.one()), FieldMismatch),
+        ]
+        for x, error in cases:
+            assert _raised(line_cideal, l, x) is error
+            assert _raised(oracle_line_cideal, l, x) is error
+
+
+def _count_rref(monkeypatch) -> list:
+    """Wrap raw_rref where cideal and linalg bind it; the list collects
+    one entry per call."""
+    calls = []
+    original = linalg.raw_rref
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cideal, linalg):
+        monkeypatch.setattr(module, "raw_rref", counting)
+    return calls
+
+
+class TestLineCounts:
+    """A line decision runs no elimination, and its witnesses are made
+    once per algebra value and column."""
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
+    def test_no_elimination(self, monkeypatch, name):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin(name, GF(3))
+        derived_subspace(l)
+        points = list(projective_points(l.field, l.dim))
+        calls = _count_rref(monkeypatch)
+        for x in points:
+            line_cideal(l, x)
+        assert not calls
+        oracle_line_cideal(l, points[0])
+        assert calls  # the wrapper sees the elimination the old route ran
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted"])
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_one_hyperplane_per_column(self, monkeypatch, name, field):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
+        points = _scaled_points(l) if field.p is None else projective_points(field, l.dim)
+        verdicts = [line_cideal(l, x) for x in points]
+        hyperplanes = l._memo["line_hyperplanes"]
+        derived = derived_subspace(l)
+        assert hyperplanes and len(hyperplanes) <= l.dim - derived.dim
+        for q, h in hyperplanes.items():
+            assert q not in derived.pivots and q not in h.pivots
+            assert h in l._memo["verified_ideals"]
+        made = {id(h) for h in hyperplanes.values()}
+        witnesses = [v.certificate for v in verdicts if v.certificate is not None]
+        assert all(id(c) in made for c in witnesses if c.dim < l.dim)
+
+
+class TestClosureChecks:
+    def test_one_closure_check_per_decision(self, monkeypatch):
+        # Fresh algebras, so no verdict is read from the memo.
+        original = LieAlgebra.is_subalgebra
+        calls = []
+
+        def counting(self, u):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(LieAlgebra, "is_subalgebra", counting)
+        decided = 0
+        for field in (GF(2), GF(3)):
+            for name, l in catalog_algebras(field, max_dim=4):
+                for b in enum_subalgebras(l):
+                    if b.dim < 2 or l.is_ideal(b):
+                        continue
+                    monkeypatch.setattr(liealg, "_canonical", {})
+                    fresh = builtin(name, field)
+                    calls.clear()
+                    is_cideal(fresh, b)
+                    assert calls == [b]
+                    decided += 1
+        assert decided
+
+    def test_public_forms_keep_the_closure_check(self, sl2_gf5):
+        ef = span(sl2_gf5, [1, 0, 0], [0, 1, 0])
+        full = sl2_gf5.full_space()
+        for fn, args in [
+            (core, (sl2_gf5, ef)),
+            (verify_certificate, (sl2_gf5, ef, full)),
+            (is_cideal_by_scan, (sl2_gf5, ef)),
+            (is_cideal, (sl2_gf5, ef)),
+        ]:
+            with pytest.raises(NotSubalgebra):
+                fn(*args)
 
 
 class TestIsCideal:

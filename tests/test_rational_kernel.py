@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cideals import LieAlgebra, Matrix, Q, Subspace, builtin, char_poly, nullspace, rref
-from cideals.linalg import raw_rref
+from cideals.linalg import raw_char_poly, raw_rref
 
 from oracles import (
     oracle_char_poly,
@@ -76,6 +76,15 @@ def test_char_poly(rows):
     coeffs = char_poly(matrix(rows))
     assert coeffs == oracle_char_poly(matrix(rows))
     assert all(type(s.value) is Fraction for s in coeffs)
+
+
+@given(st.integers(1, N).flatmap(lambda n: rows_of(n, min_size=n, max_size=n)))
+def test_raw_char_poly_gives_ints_when_integral(rows):
+    # The Hessenberg reduction divides by pivots that may be Fractions;
+    # an integral coefficient still comes back as an int.
+    coeffs = raw_char_poly(None, rows)
+    assert not [x for x in coeffs if type(x) is Fraction and x.denominator == 1]
+    assert tuple(coeffs) == tuple(s.value for s in oracle_char_poly(matrix(rows)))
 
 
 @given(rows_of(N), rows_of(N))
