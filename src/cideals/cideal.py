@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, NotSubalgebra, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
-from .linalg import Subspace, _unbox, raw_rref, subspace_text, vector_is_zero
+from .linalg import Subspace, _unbox, raw_dots, raw_rref, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
 from .structure import frattini, frattini_of_subalgebra, upper_central_series
@@ -71,16 +71,18 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B).
 
     B + C = L is tested without forming the sum: the rows of B reduced
-    modulo C must have rank dim L - dim C.  For a line B that is one
-    reduction and no elimination: a proper C must be a hyperplane that
-    misses B's row.  With C an ideal the last condition holds exactly
-    when B ∩ C is an ideal: an ideal inside B lies in core(B), and
-    conversely B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an
-    intersection of two ideals.  So no core is computed, and when
+    modulo C must have rank dim L - dim C.  For a line B = Fx and a
+    proper C no reduction is run: C must be a hyperplane, and B + C = L
+    with B ∩ C = 0 both say x ∉ C, which is one dot product of x with
+    C's single annihilator row.  With C an ideal the last condition
+    holds exactly when B ∩ C is an ideal: an ideal inside B lies in
+    core(B), and conversely B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C,
+    an intersection of two ideals.  So no core is computed, and when
     dim B + dim C = dim L the sum condition forces B ∩ C = 0, which
     needs no check.  Each ideal C is checked by brackets once per
     algebra: the ideals already shown are kept in the algebra's memo,
-    and a C that fails is checked again on every call.
+    each with its annihilator once a line has needed it, and a C that
+    fails is checked again on every call.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
@@ -93,21 +95,43 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
 
 def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     # verify_certificate for a b already known to be a subalgebra of l.
-    ideals = l._memoized("verified_ideals", set)
+    n = l.dim
+    if b.dim == 1 and c.dim < n:
+        dual = _ideal_annihilator(l, c)
+        return c.dim == n - 1 and dual is not None and any(raw_dots(l.field.p, dual, b.rows[0]))
+    ideals = l._memoized("verified_ideals", dict)
     if c not in ideals:
         if not l.is_ideal(c):
             return False
-        ideals.add(c)
-    n = l.dim
+        ideals[c] = None
     if c.dim < n:
-        if b.dim == 1:
-            if c.dim != n - 1 or c.holds_raw(b.rows[0]):
-                return False
-        else:
-            left = [c.reduce_raw(r) for r in b.rows]
-            if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
-                return False
+        left = [c.reduce_raw(r) for r in b.rows]
+        if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
+            return False
     return b.dim + c.dim == n or l.is_ideal(b & c)
+
+
+def _ideal_annihilator(l: LieAlgebra, c: Subspace):
+    """C's annihilator rows when C is an ideal of l, else None.
+
+    The rows are made on first use and kept as the value of C's entry
+    in the memo "verified_ideals".  A C not yet shown there is checked
+    by brackets with them: [e_i, r] lies in C exactly when every row
+    has dot product 0 with it.
+    """
+    ideals = l._memoized("verified_ideals", dict)
+    dual = ideals.get(c)
+    if dual is None:
+        l._check_subspace(c)
+        dual = c.annihilator_raw()
+        if c not in ideals:
+            p = l.field.p
+            for i in range(l.dim):
+                for r in c.rows:
+                    if any(raw_dots(p, dual, l.ad_raw(i, r))):
+                        return None
+        ideals[c] = dual
+    return dual
 
 
 def _yes(l, b, c, method) -> CIdealVerdict:
@@ -130,7 +154,10 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     x is checked to be nonzero (ZeroVector), of length dim L
     (AmbientMismatch) and over L's field (FieldMismatch), in that order.
     The line's canonical row is x scaled by the inverse of its first
-    nonzero entry, so no elimination is run.
+    nonzero entry, so no elimination is run, and the line is the only
+    subspace reduced: whether x lies in [L, L], and outside the
+    witness, are dot products with annihilator rows kept in L's memo
+    (see :func:`_non_ideal_line`).
     """
     if vector_is_zero(x):
         raise ZeroVector("a line needs a nonzero spanning vector")
@@ -157,20 +184,34 @@ def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
 
 
 def _non_ideal_line(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
-    """The line rule on a line known not to be an ideal: no when its row
-    lies in [L, L], else yes with the hyperplane of :func:`_hyperplane`
-    at the row's lead column mod [L, L], made once per algebra value and
-    column (memo "line_hyperplanes") and re-verified like every yes."""
-    derived = derived_subspace(l)
-    rest = derived.reduce_raw(line.rows[0])
-    q = next((c for c, x in enumerate(rest) if x), None)
+    """The line rule on a line Fx known not to be an ideal.
+
+    x lies in [L, L] exactly when a_j . x = 0 for every annihilator row
+    a_j of [L, L]; then the answer is no.  Otherwise q is the first
+    non-pivot column j of [L, L] with a_j . x != 0, which is x's lead
+    column mod [L, L], and the answer is yes with the hyperplane of
+    :func:`_hyperplane` at q, re-verified like every yes.  The
+    annihilator is made once per algebra value (memo
+    "derived_annihilator", with its columns) and each hyperplane once
+    per algebra value and column (memo "line_hyperplanes"), so no
+    subspace but the line is reduced.
+    """
+    columns, dual = l._memoized("derived_annihilator", lambda: _column_annihilator(l))
+    dots = raw_dots(l.field.p, dual, line.rows[0])
+    q = next((j for j, d in zip(columns, dots) if d), None)
     if q is None:
         return CIdealVerdict(NO, None, METHOD_LINE, True)
     hyperplanes = l._memoized("line_hyperplanes", dict)
     h = hyperplanes.get(q)
     if h is None:
-        h = hyperplanes[q] = _hyperplane(l, derived, q)
+        h = hyperplanes[q] = _hyperplane(l, derived_subspace(l), q)
     return _yes(l, line, h, METHOD_LINE)
+
+
+def _column_annihilator(l: LieAlgebra) -> tuple:
+    # The non-pivot columns of [L, L] and its annihilator rows, one each.
+    derived = derived_subspace(l)
+    return derived.complement().pivots, derived.annihilator_raw()
 
 
 def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:

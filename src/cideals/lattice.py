@@ -223,23 +223,8 @@ def _maximal_among(candidates, proper_of_dim: int) -> tuple:
             if not any(sum(map(operator.mul, a, r)) % p for a in annihilator for r in u.rows):
                 break
         else:
-            picked.append((u, _annihilator(u)))
+            picked.append((u, u.annihilator_raw()))
     return tuple(m for m, _ in picked)
-
-
-def _annihilator(m: Subspace) -> tuple:
-    """Raw rows a with m = {v : a . v = 0 for every a}, one per non-pivot
-    column j of m: e_j minus row[j] * e_c over m's rows, c each row's
-    pivot (v is in m exactly when it is the sum of v[c] * row)."""
-    p, n = m.field.p, m.ambient_dim
-    out = []
-    for j in m.complement().pivots:
-        a = [0] * n
-        a[j] = 1
-        for row, c in zip(m.rows, m.pivots):
-            a[c] = -row[j] % p
-        out.append(a)
-    return tuple(out)
 
 
 def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:

@@ -228,16 +228,31 @@ def _combination(p, w, rows, n: int) -> tuple:
     return tuple(sums) if p is None else tuple(s % p for s in sums)
 
 
+def raw_dots(p, rows, v):
+    """a . v for each raw row a, one at a time, normalized for GF(p) (Q
+    when p is None, where a sum is an int when integral), without checks."""
+    if p is None:
+        return (_qraw(sum(map(mul, a, v))) for a in rows)
+    return (sum(map(mul, a, v)) % p for a in rows)
+
+
 def _unbox(field: Field, v) -> tuple:
     """The raw values of a vector of Scalars, integral rationals as ints.
 
     Raises FieldMismatch if any entry belongs to another field; this is
-    the one field check a vector gets.
+    the one field check a vector gets.  An entry's field object is
+    compared by identity with the last one found equal to ``field``, so
+    ``Field.__eq__`` runs once for each change of field object along
+    the vector: once for a vector built over a copy of ``field``, and
+    not at all for one built over ``field`` itself.
     """
+    checked = field
     for s in v:
         f = s.field
-        if f is not field and f != field:
-            raise FieldMismatch(f"scalar over {f} used in {field}")
+        if f is not checked:
+            if f != field:
+                raise FieldMismatch(f"scalar over {f} used in {field}")
+            checked = f
     if field.p is None:
         return tuple(_qraw(s.value) for s in v)
     return tuple(s.value for s in v)
@@ -491,6 +506,28 @@ class Subspace:
         """Membership of a raw row, without checks."""
         return not any(self.reduce_raw(v))
 
+    def annihilator_raw(self) -> tuple:
+        """Raw rows a_j, one for each non-pivot column j in increasing
+        order, with this subspace the set of v where every a_j . v is 0:
+        a_j is e_j minus row[j] times e_c over the canonical rows, c each
+        row's pivot.  Without checks.
+
+        a_j . v is the entry at j of :meth:`reduce_raw` (v), which is v[j]
+        less v[c] * row[j] over the rows, so :func:`raw_dots` reads that
+        residual one entry at a time.  Making the rows costs more than one
+        reduction, so they pay off only for a subspace that many vectors
+        are tested against.
+        """
+        p, n = self.field.p, self.ambient_dim
+        out = []
+        for j in self._free_columns():
+            a = [0] * n
+            a[j] = 1
+            for row, c in zip(self.rows, self.pivots):
+                a[c] = -row[j] if p is None else -row[j] % p
+            out.append(tuple(a))
+        return tuple(out)
+
     def _unbox_vector(self, v) -> tuple:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"vector of length {len(v)} in F^{self.ambient_dim}")
@@ -665,7 +702,7 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.ambient_dim == other.ambient_dim
             and self.rows == other.rows
         )

@@ -30,7 +30,7 @@ from cideals import (
     projective_points,
     verify_certificate,
 )
-from cideals import cideal, liealg, linalg
+from cideals import cideal, fields, liealg, linalg
 from cideals.lattice import ideal_line_families
 from cideals.liealg import derived_subspace
 
@@ -274,8 +274,9 @@ def _count_rref(monkeypatch) -> list:
 
 
 class TestLineCounts:
-    """A line decision runs no elimination, and its witnesses are made
-    once per algebra value and column."""
+    """A line decision runs no elimination, once warm reduces no subspace
+    but its line, and its witnesses are made once per algebra value and
+    column."""
 
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
     def test_no_elimination(self, monkeypatch, name):
@@ -306,6 +307,40 @@ class TestLineCounts:
         made = {id(h) for h in hyperplanes.values()}
         witnesses = [v.certificate for v in verdicts if v.certificate is not None]
         assert all(id(c) in made for c in witnesses if c.dim < l.dim)
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted"])
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_warm_decision_reduces_only_the_line(self, monkeypatch, name, field):
+        # The points are over an equal copy of the field, as a parsed
+        # document's are; after one decision has made [L, L]'s
+        # annihilator, a decision reduces only its line and compares
+        # fields at most once, hyperplanes made on the way included.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
+        points = _scaled_points(l) if field.p is None else projective_points(field, l.dim)
+        copy = fields.Field(field.p)
+        points = [tuple(copy.scalar(s.value) for s in x) for x in points]
+        line_cideal(l, points[0])
+        warm = len(l._memo["line_hyperplanes"])
+        dims, compared = [], []
+        reduce_raw, field_eq = linalg.Subspace.reduce_raw, fields.Field.__eq__
+
+        def counting_reduce(u, v):
+            dims.append(u.dim)
+            return reduce_raw(u, v)
+
+        def counting_eq(f, other):
+            compared.append(other)
+            return field_eq(f, other)
+
+        monkeypatch.setattr(linalg.Subspace, "reduce_raw", counting_reduce)
+        monkeypatch.setattr(fields.Field, "__eq__", counting_eq)
+        for x in points:
+            before = len(compared)
+            line_cideal(l, x)
+            assert len(compared) - before <= 1
+        assert dims and max(dims) == 1
+        assert len(l._memo["line_hyperplanes"]) > warm or name == "t(2)"
 
 
 class TestClosureChecks:

@@ -25,6 +25,7 @@ from cideals import (
     subspace_text,
     vector_text,
 )
+from cideals import linalg
 
 from oracles import oracle_char_poly, oracle_intersection, oracle_preimage
 
@@ -345,6 +346,24 @@ class TestSubspace:
         for w in (Subspace.zero(f, 3), Subspace.full(f, 3)):
             for total, first, second in ((u + w, u, w), (w + u, w, u)):
                 assert total == Subspace.from_raw(f, 3, first.rows + second.rows)
+
+    # Over GF(p) an entry is the drawn Fraction times 6, an int.  Over Q
+    # it stays a Fraction, so a dot product can add up to an integral
+    # Fraction, as in the example: a_2 = e_2 - 1/2 e_0, and a_2 . v = 1.
+    @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
+           st.lists(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4),
+                    max_size=4),
+           st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4))
+    @example(Q, [[1, 0, Fraction(1, 2), 0]], [1, 0, Fraction(3, 2), 0])
+    def test_annihilator_reads_the_residual(self, f, rows, v):
+        entry = (lambda x: x) if f.p is None else (lambda x: int(6 * x))
+        u = Subspace.from_vectors(f, 4, [vec(f, map(entry, r)) for r in rows])
+        x = linalg._unbox(f, vec(f, map(entry, v)))
+        dots = list(linalg.raw_dots(f.p, u.annihilator_raw(), x))
+        residual = u.reduce_raw(x)
+        assert dots == [residual[j] for j in u.complement().pivots]
+        assert not any(type(d) is Fraction and d.denominator == 1 for d in dots)
+        assert (not any(dots)) == u.holds_raw(x)
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=3))
     def test_rref_span_idempotence_q(self, rows):
