@@ -108,7 +108,7 @@ def parse(text: str, validate: bool = True) -> LieAlgebra:
             if not isinstance(c, str):
                 raise DocumentSyntaxError(f"bracket entry {k}: scalars must be strings, got {c!r}")
             try:
-                vec.append(field.scalar(c))
+                vec.append(field.raw(c))
             except BadParams as e:
                 raise DocumentSyntaxError(f"bracket entry {k}: {e}") from None
         brackets[(i, j)] = tuple(vec)
@@ -130,12 +130,12 @@ def parse(text: str, validate: bool = True) -> LieAlgebra:
 
 def serialize(l: LieAlgebra) -> str:
     """Deterministic one-line JSON for an algebra, ending in a newline."""
-    brackets = []
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            vec = l.structure_vector(i, j)
-            if any(vec):
-                brackets.append({"i": i, "j": j, "coeffs": [s.text() for s in vec]})
+    brackets = [
+        {"i": i, "j": j, "coeffs": [str(x) for x in l._dense(row[j])]}
+        for i, row in enumerate(l._ad)
+        for j in range(i + 1, l.dim)
+        if row[j]
+    ]
     doc = {
         "field": _field_descriptor(l.field),
         "dim": l.dim,
@@ -157,18 +157,14 @@ def _abelian(field: Field, n: int) -> LieAlgebra:
 
 
 def _nonabelian2(field: Field) -> LieAlgebra:
-    one = field.one()
-    zero = field.zero()
-    return LieAlgebra(field, 2, ("x", "y"), {(0, 1): (zero, one)})
+    return LieAlgebra(field, 2, ("x", "y"), {(0, 1): (0, 1)})
 
 
 def _heisenberg(field: Field, dim: int) -> LieAlgebra:
     if dim < 3 or dim % 2 == 0:
         raise BadParams("heisenberg(n) needs odd n >= 3")
     k = (dim - 1) // 2
-    one = field.one()
-    zero = field.zero()
-    z_vec = tuple(one if t == dim - 1 else zero for t in range(dim))
+    z_vec = (0,) * (dim - 1) + (1,)
     brackets = {(i, k + i): z_vec for i in range(k)}
     if k == 1:
         names = ("x", "y", "z")
@@ -182,11 +178,9 @@ def _heisenberg(field: Field, dim: int) -> LieAlgebra:
 def _almost_abelian(field: Field, n: int) -> LieAlgebra:
     if n < 2:
         raise BadParams("almost_abelian(n) needs n >= 2")
-    one = field.one()
-    zero = field.zero()
     brackets = {}
     for i in range(1, n):
-        brackets[(0, i)] = tuple(one if t == i else zero for t in range(n))
+        brackets[(0, i)] = tuple(int(t == i) for t in range(n))
     names = ("x",) + tuple(f"y{i}" for i in range(1, n))
     return LieAlgebra(field, n, names, brackets)
 
@@ -194,15 +188,8 @@ def _almost_abelian(field: Field, n: int) -> LieAlgebra:
 def _sl2(field: Field) -> LieAlgebra:
     if field.p == 2:
         raise BadParams("sl2 needs characteristic different from 2")
-    one = field.one()
-    zero = field.zero()
-    two = one + one
     # basis (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
-    brackets = {
-        (0, 1): (zero, zero, one),
-        (0, 2): (-two, zero, zero),
-        (1, 2): (zero, two, zero),
-    }
+    brackets = {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}
     return LieAlgebra(field, 3, ("e", "f", "h"), brackets)
 
 
@@ -216,17 +203,16 @@ def _matrix_algebra(field: Field, n: int, strict: bool) -> LieAlgebra:
     pos = _triangular_positions(n, strict)
     index = {ab: t for t, ab in enumerate(pos)}
     dim = len(pos)
-    zero = field.zero()
     brackets = {}
     for s, (a, b) in enumerate(pos):
         for t in range(s + 1, dim):
             c, d = pos[t]
             # [E_ab, E_cd] = delta(b,c) E_ad - delta(d,a) E_cb
-            coords = [zero] * dim
+            coords = [0] * dim
             if b == c and (a, d) in index:
-                coords[index[(a, d)]] = coords[index[(a, d)]] + field.one()
+                coords[index[(a, d)]] += 1
             if d == a and (c, b) in index:
-                coords[index[(c, b)]] = coords[index[(c, b)]] - field.one()
+                coords[index[(c, b)]] -= 1
             if any(coords):
                 brackets[(s, t)] = tuple(coords)
     names = tuple(f"e{a}{b}" for a, b in pos)
@@ -368,13 +354,8 @@ def random_solvable(
         raise BadParams(f"target_dim must be between 1 and {ambient.dim}")
     tag = "n" if strictly_upper else "t"
     rng = random.Random(f"solvable/{tag}({ambient_n})/GF({field.p})/{target_dim}/{seed}")
-    vectors = [
-        tuple(field.scalar(rng.randrange(field.p)) for _ in range(ambient.dim))
-        for _ in range(target_dim)
-    ]
-    closed = ambient.subalgebra_closure(
-        Subspace.from_vectors(field, ambient.dim, vectors)
-    )
+    rows = [tuple(rng.randrange(field.p) for _ in range(ambient.dim)) for _ in range(target_dim)]
+    closed = ambient.subalgebra_closure(Subspace.from_raw(field, ambient.dim, rows))
     algebra, _, _ = ambient.restrict(closed)
     algebra.meta.update(
         {

@@ -211,7 +211,7 @@ def _non_ideal_line(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
 def _column_annihilator(l: LieAlgebra) -> tuple:
     # The non-pivot columns of [L, L] and its annihilator rows, one each.
     derived = derived_subspace(l)
-    return derived.complement().pivots, derived.annihilator_raw()
+    return derived._free_columns(), derived.annihilator_raw()
 
 
 def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:

@@ -128,26 +128,21 @@ def _cmd_cideal(args) -> int:
     return 0
 
 
-_ENUM_KINDS = ("subspaces", "subalgebras", "ideals", "maximal", "maxnilp", "cartan", "lines")
+# The --what choices of `enumerate`, in order, and what each one lists.
+_ENUM_KINDS = {
+    "subspaces": enum_subspaces,
+    "subalgebras": enum_subalgebras,
+    "ideals": enum_ideals,
+    "maximal": maximal_subalgebras,
+    "maxnilp": maximal_nilpotent_subalgebras,
+    "cartan": cartan_subalgebras,
+    "lines": one_dim_ideals,
+}
 
 
 def _cmd_enumerate(args) -> int:
     algebra = _load(args.file)
-    budget = _resolve_budget(args)
-    if args.what == "subspaces":
-        items = list(enum_subspaces(algebra, budget=budget))
-    elif args.what == "subalgebras":
-        items = list(enum_subalgebras(algebra, budget))
-    elif args.what == "ideals":
-        items = list(enum_ideals(algebra, budget))
-    elif args.what == "maximal":
-        items = list(maximal_subalgebras(algebra, budget))
-    elif args.what == "maxnilp":
-        items = list(maximal_nilpotent_subalgebras(algebra, budget))
-    elif args.what == "cartan":
-        items = list(cartan_subalgebras(algebra, budget))
-    else:
-        items = list(one_dim_ideals(algebra, budget))
+    items = list(_ENUM_KINDS[args.what](algebra, budget=_resolve_budget(args)))
     print(f"count: {len(items)}")
     for s in items:
         print(f"dim {s.dim}: {subspace_text(s)}")

@@ -7,9 +7,10 @@ and mixing fields is a hard error.  Below the Scalars, a raw rational is
 an int when it is integral and a Fraction otherwise (see
 :mod:`cideals.linalg`); :func:`_qdiv` is its one division.
 
-No floats appear anywhere.  ``Field.scalar`` refuses them, and the only
-true divisions in the package are :func:`_qdiv` and the Fraction-typed
-ones in :func:`_monic` and :meth:`Scalar.inverse`, which
+Every value from outside enters the raw kernel through :meth:`Field.raw`,
+which refuses floats and, over GF(p), values that are not integers.  The
+only true divisions in the package are :func:`_qdiv` and the
+Fraction-typed ones in :func:`_monic` and :meth:`Scalar.inverse`, which
 ``tests/test_source.py`` checks on the source.
 """
 
@@ -67,27 +68,46 @@ class Field:
     def one(self) -> "Scalar":
         return Scalar._make(self, 1 if self.p is not None else Fraction(1))
 
-    def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, decimal/fraction string or Scalar."""
+    def raw(self, value):
+        """The raw value of an int, Fraction, Decimal, decimal/fraction text
+        or Scalar over this field: the residue over GF(p); over Q an int
+        when integral and a Fraction otherwise.
+
+        Raises BadParams on a float, on bad text and, over GF(p), on a
+        value that is not an integer, and FieldMismatch on a Scalar over
+        another field.
+        """
+        p = self.p
+        if type(value) is int:
+            return value if p is None else value % p
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar over {value.field} used in {self}")
-            return value
-        if isinstance(value, str):
-            value = value.strip()
-            if self.p is not None:
-                try:
-                    value = int(value, 10)
-                except ValueError:
-                    raise BadParams(f"bad residue text {value!r} for {self}") from None
-            else:
-                try:
-                    value = Fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise BadParams(f"bad rational text {value!r}") from None
+            return value.value if p is not None else _qraw(value.value)
         if isinstance(value, float):
             raise BadParams("floats are not exact; pass int, Fraction or text")
-        return Scalar(self, value)
+        if isinstance(value, str):
+            text = value.strip()
+            try:
+                value = Fraction(text) if p is None else int(text, 10)
+            except (ValueError, ZeroDivisionError):
+                if p is None:
+                    raise BadParams(f"bad rational text {text!r}") from None
+                raise BadParams(f"bad residue text {text!r} for {self}") from None
+        x = Fraction(value)
+        if p is None:
+            return _qraw(x)
+        if x.denominator != 1:
+            raise BadParams(f"{value!r} is not an integer, so it has no residue in {self}")
+        return x.numerator % p
+
+    def scalar(self, value) -> "Scalar":
+        """The Scalar of a value :meth:`raw` accepts; a Scalar over this
+        field is returned as it is."""
+        raw = self.raw(value)
+        if isinstance(value, Scalar):
+            return value
+        return Scalar._make(self, raw if self.p is not None else Fraction(raw))
 
     def elements(self):
         """All field elements, in residue order.  Finite fields only."""
@@ -136,12 +156,9 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
+        raw = field.raw(value)
         self.field = field
-        p = field.p
-        if p is None:
-            self.value = value if type(value) is Fraction else Fraction(value)
-        else:
-            self.value = int(value) % p
+        self.value = raw if field.p is not None else Fraction(raw)
 
     @classmethod
     def _make(cls, field, value):

@@ -18,6 +18,7 @@ every entry point checks the budget before it reads the memo.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 
@@ -339,10 +340,8 @@ def subspace_points(p: int, u: Subspace):
     is r_m's, its entry at the pivot of r_k (k > m) is t_k, and every
     column before that pivot depends on t_{<k} alone.  Over GF(p) that
     is the :meth:`Subspace.sort_key` order of the points' lines, which
-    starts with the line of ``u.rows[0]``: :func:`one_dim_ideals` sorts
-    its families' points as already-sorted runs, and
-    :func:`first_line_ideal` reads each family's first line off its
-    first row.
+    starts with the line of ``u.rows[0]``: :func:`one_dim_ideals` merges
+    its families' points, each paired with its pivot, with no sort.
 
     Each point is a running sum, and t_k counts up by adding r_k once
     per step, so nothing of size p is held and the first point comes
@@ -418,37 +417,43 @@ def one_dim_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     the family, so the list is complete; the count, (p^d - 1)/(p - 1)
     for a family of dimension d, is checked against the budget before
     any line is made, and BudgetExceeded is raised when it is over.
-    Each family's points come out of :func:`subspace_points` in
-    ``(pivot, row)`` order, which over GF(p) is the ``sort_key`` order of
-    their lines, and the families are disjoint; so the raw pairs of all
-    families are sorted (a merge of sorted runs) and each line is built
-    once, with no sort key per line.  Over Q a family of dimension >= 2
-    holds infinitely many lines, so only the lines of its canonical
-    basis vectors are listed, sorted by ``sort_key`` (whose order on
-    Fractions is not their value order): a deterministic set of
-    representatives, complete exactly when every family is a line.
+    Each family's points come in ``(pivot, row)`` order (see
+    :func:`subspace_points`), which over GF(p) is the ``sort_key`` order
+    of their lines, and the families are disjoint; so the families'
+    points, paired with their pivots, are merged lazily and each line is
+    built once, with no sort key per line and no search for its pivot.
+    Over Q a family of dimension >= 2 holds infinitely many lines, so
+    only the lines of its canonical basis vectors are listed, sorted by
+    ``sort_key`` (whose order on Fractions is not their value order): a
+    deterministic set of representatives, complete exactly when every
+    family is a line.
     """
-    field = l.field
-    p = field.p
+    p = l.field.p
     families = ideal_line_families(l)
     total = 0 if p is None else sum(gaussian_binomial(fam.dim, 1, p) for fam in families)
-    _check_budget(total, f"one-dimensional ideals of a dim-{l.dim} algebra over {field}", budget)
-    if p is None:
-        lines = (point_line(field, v) for fam in families for v in fam.rows)
-        return tuple(sorted(lines, key=Subspace.sort_key))
-    points = sorted((v.index(1), v) for fam in families for v in subspace_points(p, fam))
-    return tuple(point_line(field, v) for _, v in points)
+    _check_budget(total, f"one-dimensional ideals of a dim-{l.dim} algebra over {l.field}", budget)
+    return tuple(_line_ideals(l))
 
 
 def first_line_ideal(l: LieAlgebra) -> Subspace | None:
-    """``one_dim_ideals(l)[0]`` without listing the lines; None if none.
+    """``one_dim_ideals(l)[0]`` without listing the lines; None if none."""
+    return next(_line_ideals(l), None)
 
-    A family's lines in :meth:`Subspace.sort_key` order start with the
-    span of its first canonical row (the smallest pivot, then zeros at
-    the other pivots), so the first line of all is the least such span.
-    """
-    return min(
-        (point_line(l.field, fam.rows[0]) for fam in ideal_line_families(l)),
-        key=Subspace.sort_key,
-        default=None,
-    )
+
+def _line_ideals(l: LieAlgebra):
+    # The lines of one_dim_ideals, in order, one at a time, unbudgeted.
+    field, n = l.field, l.dim
+    p = field.p
+    families = ideal_line_families(l)
+    if p is None:
+        lines = (point_line(field, v) for fam in families for v in fam.rows)
+        return iter(sorted(lines, key=Subspace.sort_key))
+    points = heapq.merge(*(_pivot_points(p, fam) for fam in families))
+    return (Subspace(field, n, (v,), (c,)) for c, v in points)
+
+
+def _pivot_points(p: int, u: Subspace):
+    # The points of subspace_points(p, u), each after its pivot: the run
+    # of lead row m has u's pivot m.
+    for m, c in enumerate(u.pivots):
+        yield from zip(itertools.repeat(c), _running_sums(p, u.rows[m], u.rows[m + 1:]))

@@ -32,7 +32,6 @@ from .linalg import (
     _units,
     raw_kernel,
     standard_vector,
-    vector_is_zero,
     zero_vector,
 )
 
@@ -75,7 +74,7 @@ class LieAlgebra:
     def __init__(self, field: Field, dim: int, names=None, brackets=None, meta=None):
         """``brackets`` maps pairs ``(i, j)`` with i < j to the coordinate
         sequence of [e_i, e_j]; missing pairs are zero.  Coordinates may
-        be ints, Fractions, strings or Scalars.
+        be anything :meth:`~cideals.fields.Field.raw` accepts.
         """
         if dim < 0:
             raise DimensionMismatch("negative dimension")
@@ -91,7 +90,7 @@ class LieAlgebra:
                 raise IndexOutOfRange(f"bracket pair ({i}, {j}) outside 0..{dim - 1}")
             if i >= j:
                 raise IndexOutOfRange(f"bracket pair ({i}, {j}) must have i < j")
-            vec = tuple(field.scalar(c).value for c in coords)
+            vec = tuple(map(field.raw, coords))
             if len(vec) != dim:
                 raise DimensionMismatch(
                     f"bracket ({i}, {j}) has {len(vec)} coordinates, expected {dim}"
@@ -465,27 +464,20 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """The direct sum; each summand embeds as an ideal."""
     if a.field != b.field:
         raise FieldMismatch(f"direct sum over {a.field} and {b.field}")
-    n, m = a.dim, b.dim
-    field = a.field
-    zero = field.zero()
     brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = a.structure_vector(i, j)
-            if not vector_is_zero(vec):
-                brackets[(i, j)] = vec + (zero,) * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = b.structure_vector(i, j)
-            if not vector_is_zero(vec):
-                brackets[(n + i, n + j)] = (zero,) * n + vec
+    for summand, before, after in ((a, 0, b.dim), (b, a.dim, 0)):
+        for i, row in enumerate(summand._ad):
+            for j in range(i + 1, summand.dim):
+                if row[j]:
+                    vec = [0] * before + summand._dense(row[j]) + [0] * after
+                    brackets[(before + i, before + j)] = vec
     names = []
     seen = {}
     for nm in a.names + b.names:
         count = seen.get(nm, 0) + 1
         seen[nm] = count
         names.append(nm if count == 1 else f"{nm}_{count}")
-    return LieAlgebra(field, n + m, names, brackets)
+    return LieAlgebra._from_raw(a.field, tuple(names), brackets)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ division on raw values, and Scalars over Q still wrap Fractions.  Every row
 in the library is a raw row: a :class:`Matrix` holds its entries as raw
 rows and a :class:`Subspace` its reduced-row-echelon basis, so two
 subspaces are equal exactly when they are the same set of vectors and
-every subspace has one canonical representation.  Each Scalar is
-checked against the field once on entry, and Scalars are made again
-only where a public function returns them.  The ``raw_*`` functions are
-the kernel's forms of the public ones, without checks.
+every subspace has one canonical representation.  A Scalar vector is
+checked against the field once on entry, any other entry is made raw by
+:meth:`~cideals.fields.Field.raw`, and Scalars are made again only where
+a public function returns them.  The ``raw_*`` functions are the
+kernel's forms of the public ones, without checks.
 
 :class:`Subspace` owns the coordinates of subalgebras and quotients;
 library code maps subspaces through them on raw rows and boxes nothing.
@@ -21,6 +22,7 @@ library code maps subspaces through them on raw rows and boxes nothing.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import (
@@ -75,7 +77,7 @@ class Matrix:
 
     The entries are held once, as raw rows (``raw``, a tuple of tuples of
     raw values).  Entries passed in are coerced through
-    :meth:`~cideals.fields.Field.scalar`; :meth:`entry`, :meth:`row`,
+    :meth:`~cideals.fields.Field.raw`; :meth:`entry`, :meth:`row`,
     :meth:`column` and :attr:`entries` box on the way out, and the
     arithmetic runs on the raw rows.
     """
@@ -89,7 +91,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        flat = _coerce(field, entries)
+        flat = tuple(map(field.raw, entries))
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -108,7 +110,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        raw = tuple(_coerce(field, r) for r in rows)
+        raw = tuple(tuple(map(field.raw, r)) for r in rows)
         ncols = len(raw[0]) if raw else 0
         if any(len(r) != ncols for r in raw):
             raise DimensionMismatch("ragged rows")
@@ -160,10 +162,10 @@ class Matrix:
         return self._elementwise(sub, other)
 
     def __neg__(self):
-        return self.scale(self.field.scalar(-1))
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Matrix":
-        c = _coerce(self.field, (c,))[0]
+        c = self.field.raw(c)
         p = self.field.p
         raw = tuple(_normalized(p, (c * a for a in r)) for r in self.raw)
         return Matrix._from_raw(self.field, raw, self.cols)
@@ -258,17 +260,11 @@ def _unbox(field: Field, v) -> tuple:
     return tuple(s.value for s in v)
 
 
-def _coerce(field: Field, values) -> tuple:
-    """The raw values of ints, Fractions, strings or Scalars over field."""
-    raw = tuple(field.scalar(x).value for x in values)
-    return raw if field.p is not None else tuple(map(_qraw, raw))
-
-
 def _box(field: Field, row) -> tuple:
-    # Over Q the Scalar constructor wraps an int raw value as a Fraction.
-    if field.p is None:
-        return tuple(Scalar(field, x) for x in row)
+    # Scalars over Q wrap Fractions, so an int raw value is wrapped first.
     make = Scalar._make
+    if field.p is None:
+        return tuple(make(field, Fraction(x)) for x in row)
     return tuple(make(field, x) for x in row)
 
 

@@ -8,15 +8,22 @@ listing line ideals, builds no :class:`~cideals.fields.Scalar` at all;
 :func:`classify_line_cideals` boxes only the vector it returns.  Each
 count starts cold: from an empty table of canonical algebras, on a
 fresh algebra whose memo is unset, so no derived object computed
-earlier can hide a Scalar.  Entries coming in are checked: a
-:class:`Matrix` coerces each one into its field.
+earlier can hide a Scalar.  Algebras are built, summed, parsed and
+written on raw rows too, with no Scalar made.  Entries coming in are
+checked: :meth:`~cideals.fields.Field.raw` makes each :class:`Matrix`
+entry and each structure constant raw, and refuses a float or, over
+GF(p), a value that is not an integer.
 """
+
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from cideals import GF, BadParams, FieldMismatch, Matrix, builtin, classify_line_cideals
-from cideals import enum_subalgebras, is_cideal, is_supersolvable, line_cideal, liealg
-from cideals import one_dim_ideals, projective_points, random_solvable, run_suite
+from cideals import GF, BadParams, FieldMismatch, LieAlgebra, Matrix, Q, builtin, catalog_algebras
+from cideals import classify_line_cideals, direct_sum, enum_subalgebras, is_cideal, is_supersolvable
+from cideals import line_cideal, liealg, one_dim_ideals, parse, projective_points, random_solvable
+from cideals import run_suite, serialize
 from cideals.fields import Scalar
 from cideals.lattice import ideal_line_families
 
@@ -77,6 +84,50 @@ class TestNoScalarsInside:
         assert (x is None) == (out[0].case != "abelian_plus_almost_abelian")
 
 
+def _constructions(monkeypatch, work) -> tuple:
+    """Scalars made during ``work()`` by ``Scalar._make`` and by the
+    constructor."""
+    made = [0, 0]
+    make = Scalar._make.__func__
+    init = Scalar.__init__
+
+    def counting_make(cls, field, value):
+        made[0] += 1
+        return make(cls, field, value)
+
+    def counting_init(self, field, value):
+        made[1] += 1
+        init(self, field, value)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "_make", classmethod(counting_make))
+        m.setattr(Scalar, "__init__", counting_init)
+        work()
+    return tuple(made)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), Q], ids=str)
+class TestDocumentsOnRawRows:
+    def test_builtin_and_direct_sum(self, monkeypatch, field):
+        out = []
+        assert _constructions(monkeypatch, lambda: out.extend(catalog_algebras(field))) == (0, 0)
+        l = dict(out)
+        work = lambda: direct_sum(l["heisenberg(3)"], l["nonabelian2"])
+        assert _constructions(monkeypatch, work) == (0, 0)
+
+    def test_parse_and_serialize(self, monkeypatch, field):
+        algebras = [l for _, l in catalog_algebras(field)]
+        docs = []
+        assert _constructions(monkeypatch, lambda: docs.extend(map(serialize, algebras))) == (0, 0)
+        assert _constructions(monkeypatch, lambda: [parse(d) for d in docs]) == (0, 0)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+def test_random_solvable_on_raw_rows(monkeypatch, field):
+    work = lambda: [random_solvable(s, field, 3, 3, strictly_upper=s % 2 == 1) for s in range(6)]
+    assert _constructions(monkeypatch, work) == (0, 0)
+
+
 @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
 def test_restricted_and_quotient_algebras_take_raw_constants(monkeypatch, name):
     shape = _ALGEBRAS[name]()
@@ -115,3 +166,16 @@ class TestMatrixEntriesAreChecked:
         assert m.entry(0, 1) == GF(5).scalar(2)
         assert m == Matrix.from_rows(GF(5), [[1, 2]])
         assert repr(m) == "Matrix(GF(5), 1x2: 1,2)"
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(7, 3), Decimal("0.5")], ids=str)
+    def test_non_integral_rational(self, value):
+        # GF(5) has no residue for it, so no integer part is taken
+        with pytest.raises(BadParams):
+            Matrix(GF(5), 1, 2, (value, 1))
+        with pytest.raises(BadParams):
+            LieAlgebra(GF(5), 2, brackets={(0, 1): (value, 0)})
+
+    def test_integral_rational(self):
+        assert Matrix(GF(5), 1, 2, (Fraction(4, 2), Decimal("7"))).raw == ((2, 2),)
+        l = LieAlgebra(GF(5), 2, brackets={(0, 1): (0, Fraction(4, 2))})
+        assert l == LieAlgebra(GF(5), 2, brackets={(0, 1): (0, 2)})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from cideals import (
     is_nilpotent,
     is_solvable,
     parse,
+    random_solvable,
     serialize,
 )
 
@@ -286,3 +288,34 @@ class TestRandomSolvable:
             random_solvable(1, GF(2), 1, 1)
         with pytest.raises(BadParams):
             random_solvable(1, GF(2), 6, 2)
+
+
+def _golden_documents(field) -> str:
+    """Every document the golden digests cover over one field, joined: the
+    catalog, a composition whose names need deduplication and, over GF(2)
+    and GF(3), random solvable algebras from both ambients."""
+    docs = [serialize(l) for _, l in catalog_algebras(field)]
+    docs.append(serialize(builtin("nonabelian2+nonabelian2", field)))
+    if field.p in (2, 3):
+        for seed in range(40):
+            for strict in (False, True):
+                l = random_solvable(seed, field, 3 + seed % 2, 1 + seed % 3, strictly_upper=strict)
+                docs.append(serialize(l))
+    return "".join(docs)
+
+
+# The sha256 of _golden_documents per field: a change to the bytes of any
+# one document, its names, coefficient text or key order, fails here.
+_GOLDEN_SHA256 = {
+    "Q": "db66a69601110c35fad3f182e7ace9d0e43035da1ecb698820c9ca6ef605d161",
+    "GF(2)": "33782871e7d4db344f2e96f5c286ede540755ab7b270788eb72d3b653dcb5719",
+    "GF(3)": "50863e91a5a34f36697a8f12da1e04d1ae959c5fb0fc407cfddf517e4c4bf858",
+    "GF(5)": "4758bb52995d9b95a964504311bb4c8f5093a2989cf18257486fed2087c832d7",
+    "GF(2147483647)": "54c2132904e376ca389dab215445e578db612e4226f474ca8d81010564f99ffb",
+}
+
+
+@pytest.mark.parametrize("field", [Q, GF(2), GF(3), GF(5), GF(2147483647)], ids=str)
+def test_serialized_documents_are_byte_stable(field):
+    text = _golden_documents(field)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_SHA256[str(field)]

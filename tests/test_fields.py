@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from cideals import (
     FieldNotFinite,
     GF,
     Q,
+    Scalar,
     ZeroPolynomial,
     catalog_algebras,
     char_poly,
     poly_eval,
     poly_roots_in_field,
 )
+from cideals.linalg import vector
 
 from oracles import oracle_poly_roots, oracle_rational_roots
 
@@ -109,6 +112,39 @@ class TestScalarCoercion:
     def test_cross_field_scalar_rejected(self):
         with pytest.raises(FieldMismatch):
             GF(5).scalar(GF(7).scalar(1))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(7, 3), Decimal("2.5")], ids=str)
+    def test_non_integral_rational_has_no_residue(self, value):
+        # as "1/2" has none: no entry point truncates it to an integer
+        f = GF(5)
+        with pytest.raises(BadParams):
+            f.scalar(value)
+        with pytest.raises(BadParams):
+            Scalar(f, value)
+        with pytest.raises(BadParams):
+            vector(f, (1, value))
+
+    @pytest.mark.parametrize("value", [Fraction(4, 2), Decimal("2"), Decimal("7.0"), "12"], ids=str)
+    def test_integral_values_reduce(self, value):
+        f = GF(5)
+        assert f.scalar(value).value == 2
+        assert Scalar(f, value).value == 2
+        assert vector(f, (value, 1)) == (f.scalar(2), f.one())
+
+    def test_raw_values(self):
+        assert [GF(5).raw(x) for x in (7, -1, Fraction(8, 2), "3", GF(5).scalar(4))] == [2, 4, 4, 3, 4]
+        out = [Q.raw(x) for x in (2, Fraction(4, 2), Decimal("3"), "5", Q.scalar(6), "3/4", Decimal("0.5"))]
+        assert out == [2, 2, 3, 5, 6, Fraction(3, 4), Fraction(1, 2)]
+        assert [type(x) for x in out] == [int] * 5 + [Fraction] * 2
+        assert type(Q.scalar(2).value) is Fraction and type(Scalar(Q, "4/2").value) is Fraction
+
+    def test_raw_refuses(self):
+        for field in (Q, GF(5)):
+            for bad in (0.5, 2.0, "x", "1/0"):
+                with pytest.raises(BadParams):
+                    field.raw(bad)
+            with pytest.raises(FieldMismatch):
+                field.raw(GF(7).scalar(1))
 
 
 class TestScalarArithmetic:
