@@ -26,7 +26,7 @@ from .fields import _qdiv
 from .linalg import Subspace, _unbox, raw_dots, raw_rref, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
-from .structure import frattini, frattini_of_subalgebra, upper_central_series
+from .structure import _frattini_of_closed, frattini, upper_central_series
 
 YES = "yes"
 NO = "no"
@@ -375,7 +375,7 @@ def frattini_consequence_check(
         raise NotSubalgebra("b must be a subalgebra")
     if not l.is_subalgebra(c_sub):
         raise NotSubalgebra("c_sub must be a subalgebra")
-    f_c = frattini_of_subalgebra(l, c_sub, budget)
+    f_c = _frattini_of_closed(l, c_sub, budget)
     if not b <= f_c:
         raise PreconditionUnmet(
             "b does not lie inside the Frattini subalgebra of c_sub"

@@ -73,7 +73,8 @@ class Field:
         or Scalar over this field: the residue over GF(p); over Q an int
         when integral and a Fraction otherwise.
 
-        Raises BadParams on a float, on bad text and, over GF(p), on a
+        Raises BadParams on a float, on bad text, on a value that is not
+        a number (a non-finite Decimal among them) and, over GF(p), on a
         value that is not an integer, and FieldMismatch on a Scalar over
         another field.
         """
@@ -94,7 +95,10 @@ class Field:
                 if p is None:
                     raise BadParams(f"bad rational text {text!r}") from None
                 raise BadParams(f"bad residue text {text!r} for {self}") from None
-        x = Fraction(value)
+        try:
+            x = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise BadParams(f"{value!r} is not a number of {self}") from None
         if p is None:
             return _qraw(x)
         if x.denominator != 1:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from .errors import BadParams, BudgetExceeded, FieldNotFinite
 from .fields import Field
 from .linalg import Subspace, subspace_text, vector_text
-from .liealg import LieAlgebra, algebra_modulo, algebra_on, derived_subspace, is_solvable
+from .liealg import LieAlgebra, _solvable_on, algebra_modulo, algebra_on, derived_subspace, is_solvable
 from .lattice import (
     DEFAULT_BUDGET,
     _check_budget,
@@ -69,8 +69,8 @@ from .cideal import (
 )
 from .structure import (
     CASE_NEITHER,
+    _frattini_of_closed,
     _line_shape,
-    frattini_of_subalgebra,
     supersolvable_flag,
 )
 from .catalog import random_solvable, serialize
@@ -134,7 +134,7 @@ def _t2(l, budget, decide):
         if not solvable:
             return SKIP, "the converse direction needs characteristic zero", {}
         for m in maximal_subalgebras(l, budget):
-            if is_solvable(l, m):
+            if _solvable_on(l, m):
                 v = decide(l, m, budget)
                 if v.answer == YES:
                     witnesses = {
@@ -361,7 +361,7 @@ def _t11(l, budget, decide):
     """
     checked = searched = 0
     for c_sub in enum_subalgebras(l, budget):
-        f_c = frattini_of_subalgebra(l, c_sub, budget)
+        f_c = _frattini_of_closed(l, c_sub, budget)
         if f_c.dim == 0:
             continue
         searched += subspace_count(f_c.dim, l.field.p)

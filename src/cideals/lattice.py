@@ -24,8 +24,8 @@ import operator
 
 from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
 from .fields import Field, raw_poly_roots
-from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel
-from .liealg import LieAlgebra, derived_subspace, is_nilpotent
+from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel, raw_rref
+from .liealg import LieAlgebra, _nilpotent_on, derived_subspace, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
 
@@ -210,9 +210,11 @@ def _maximal_among(candidates, proper_of_dim: int) -> tuple:
     """Subspaces of the list not strictly contained in another member.
 
     Each candidate is tested only against the members kept so far of
-    larger dimension, by their annihilators.
+    larger dimension, by their annihilators, and only against those whose
+    pivot columns include its own: every vector of a member leads at one
+    of the member's pivots.
     """
-    picked = []  # (member, its annihilator)
+    picked = []  # (member, its pivot bitmask, its annihilator)
     dim = larger = None  # picked[:larger] are the kept members above dim
     for u in sorted(candidates, key=lambda s: -s.dim):
         if u.dim >= proper_of_dim:
@@ -220,12 +222,15 @@ def _maximal_among(candidates, proper_of_dim: int) -> tuple:
         if u.dim != dim:
             dim, larger = u.dim, len(picked)
         p = u.field.p
-        for _, annihilator in itertools.islice(picked, larger):
+        mask = sum(1 << c for c in u.pivots)
+        for _, held, annihilator in itertools.islice(picked, larger):
+            if mask & ~held:
+                continue
             if not any(sum(map(operator.mul, a, r)) % p for a in annihilator for r in u.rows):
                 break
         else:
-            picked.append((u, u.annihilator_raw()))
-    return tuple(m for m, _ in picked)
+            picked.append((u, mask, u.annihilator_raw()))
+    return tuple(m for m, _, _ in picked)
 
 
 def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -244,10 +249,11 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
     """Nilpotent subalgebras maximal among the nilpotent ones.
 
     When L is itself nilpotent the unique answer is L, given without
-    the budget check.  Otherwise each subalgebra's nilpotency is decided
-    on the algebra on it, and the filter of :func:`maximal_subalgebras`
-    keeps the maximal ones, at most the square of the nilpotent count
-    of containment tests.
+    the budget check.  Otherwise each subalgebra's nilpotency is read
+    off the canonical algebra of its structure table (see
+    :func:`~cideals.liealg.algebra_on`), and the filter of
+    :func:`maximal_subalgebras` keeps the maximal ones, at most the
+    square of the nilpotent count of containment tests.
     """
     _require_finite(l)
     if is_nilpotent(l):
@@ -256,7 +262,7 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
     # L itself is not nilpotent here, so every candidate is proper.
     return l._memoized(
         "maximal_nilpotent",
-        lambda: _maximal_among([u for u in subalgebras if is_nilpotent(l, u)], l.dim),
+        lambda: _maximal_among([u for u in subalgebras if _nilpotent_on(l, u)], l.dim),
     )
 
 
@@ -267,13 +273,28 @@ def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     :func:`maximal_nilpotent_subalgebras` (a Cartan subalgebra inside a
     larger nilpotent K would be normalized by an element of K outside
     it), so a nilpotent L is answered as its own without the budget check.
+    Self-normalization is tested by :func:`_self_normalizing`.
     """
     return tuple(
         sorted(
-            (u for u in maximal_nilpotent_subalgebras(l, budget) if normalizer(l, u) == u),
+            (u for u in maximal_nilpotent_subalgebras(l, budget) if _self_normalizing(l, u)),
             key=Subspace.sort_key,
         )
     )
+
+
+def _self_normalizing(l: LieAlgebra, u: Subspace) -> bool:
+    # normalizer(l, u) == u for a closed u, by one solve over u's free
+    # columns c: L is u plus the span of those e_c, and u normalizes
+    # itself, so N(u) = u exactly when no nonzero x = sum_c w_c e_c has
+    # [x, r] in u for every row r of u.  [x, r] lies in u when its
+    # reduction by u, which is sum_c w_c times that of [e_c, r], is zero;
+    # it is always zero at u's pivots, so one equation per row and free
+    # column.
+    free = u._free_columns()
+    reduced = [[u.reduce_raw(l.ad_raw(c, r)) for c in free] for r in u.rows]
+    equations = [[v[j] for v in images] for images in reduced for j in free]
+    return len(raw_rref(l.field.p, equations, len(free))[1]) == len(free)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +304,9 @@ def core(l: LieAlgebra, b: Subspace) -> Subspace:
     """The largest ideal of L contained in the subalgebra b.
 
     Computed as the limit of B_{i+1} = {x in B_i : [e_j, x] in B_i for
-    every j}.  Each step is one linear solve on B_i's own coordinates:
+    every j}.  Each B_i is a subalgebra and L is B_i plus the span of the
+    e_j at B_i's non-pivot columns j, so only those j are bracketed.
+    Each step is one linear solve on B_i's own coordinates:
     x = sum_i w_i r_i over B_i's canonical rows r_i, and [e_j, x] lies in
     B_i exactly when the reduction of sum_i w_i [e_j, r_i] by B_i is zero
     at B_i's non-pivot columns (it is zero at the pivot columns always).
@@ -302,7 +325,7 @@ def _core(l: LieAlgebra, b: Subspace) -> Subspace:
     while cur.dim:
         free = cur._free_columns()
         equations = []
-        for j in range(l.dim):
+        for j in free:
             images = [cur.reduce_raw(l.ad_raw(j, r)) for r in cur.rows]
             equations.extend([v[c] for v in images] for c in free)
         kernel = raw_kernel(l.field, equations, cur.dim)

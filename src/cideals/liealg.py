@@ -8,6 +8,14 @@ coordinates in subalgebras and quotients, belong to
 constructions: products of subspaces, closures, series, centralizers
 and transporters, quotients, restrictions and direct sums.  Quotients
 and restrictions box Scalars only in the coordinate maps they return.
+
+The public predicates check their input and then call a trusted form
+that does not: :func:`is_nilpotent` and :func:`is_solvable` of a
+subalgebra check that it is closed and call ``_nilpotent_on`` and
+``_solvable_on``, which answer at once when L itself is nilpotent
+(solvable) and otherwise read the flag of :func:`algebra_on`, itself
+trusted: it reads the subalgebra's structure table without a closure
+test, and builds one algebra per distinct table.
 """
 
 from __future__ import annotations
@@ -65,8 +73,10 @@ class LieAlgebra:
     Objects derived from the value live in one memo dict, the library's
     only cache of them (see :func:`canonical`), read through the
     ``_memo`` slot, which stays out of equality and hashing: lattices,
-    flags, c-ideal verdicts, and per subspace the algebra on it or
-    modulo it (:func:`algebra_on`, :func:`algebra_modulo`).
+    flags, c-ideal verdicts, the derived, lower central and ascending
+    central series from L, per subspace the algebra on it or modulo it
+    (:func:`algebra_on`, :func:`algebra_modulo`), and per distinct
+    structure table of a subalgebra the one algebra built from it.
     """
 
     __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")
@@ -309,15 +319,22 @@ class LieAlgebra:
         for a proper starting subalgebra it descends through the ideal
         closure rather than the subalgebra's own central series; use
         :meth:`restrict` first for the intrinsic one.
+
+        The series from L itself (``start`` None) is made once per
+        algebra value and kept in its memo.
         """
         if kind not in SERIES_KINDS:
             raise ValueError(f"unknown series kind {kind!r}")
+        if start is None:
+            return self._memoized(("series", kind), lambda: self._series(kind, self.full_space()))
+        self._check_subspace(start)
+        if not self.is_subalgebra(start):
+            raise NotSubalgebra("series must start at a subalgebra")
+        return self._series(kind, start)
+
+    def _series(self, kind: str, cur: Subspace) -> SeriesResult:
+        # series from the subalgebra cur, without checks.
         full = self.full_space()
-        cur = full if start is None else start
-        if start is not None:
-            self._check_subspace(start)
-            if not self.is_subalgebra(cur):
-                raise NotSubalgebra("series must start at a subalgebra")
         terms = [cur]
         while True:
             if cur.dim == self.dim:
@@ -500,8 +517,33 @@ def canonical(l: LieAlgebra) -> LieAlgebra:
 
 
 def algebra_on(l: LieAlgebra, u: Subspace) -> LieAlgebra:
-    """The canonical algebra on the subalgebra u, kept in l's memo."""
-    return l._memoized(("on", u), lambda: canonical(l.restrict(u)[0]))
+    """The canonical algebra on the subalgebra u, kept in l's memo.
+
+    u must be closed, which is not checked here: the public entry points
+    that reach this (:func:`is_nilpotent`, :func:`is_solvable`,
+    ``structure.frattini_of_subalgebra``) check it first.  The structure
+    table is read off the brackets of u's canonical rows a < b, each
+    bracket a member of u with its coordinates at u's pivots, so no
+    reduction runs.  Each distinct table is built into an algebra once per
+    value of l, named after l's basis at u's pivots as :meth:`restrict`
+    names it, and kept in l's memo; a table seen before builds nothing.
+    """
+    return l._memoized(("on", u), lambda: _algebra_of_table(l, u))
+
+
+def _algebra_of_table(l: LieAlgebra, u: Subspace) -> LieAlgebra:
+    # The canonical algebra whose structure table is u's, read on u's rows.
+    rows, d = u.rows, u.dim
+    bracket, coords = l.bracket_raw, u.coords_raw
+    table = tuple(coords(bracket(x, y)) for a, x in enumerate(rows) for y in rows[a + 1 :])
+
+    def build():
+        pairs = ((a, b) for a in range(d) for b in range(a + 1, d))
+        brackets = {ab: vec for ab, vec in zip(pairs, table) if any(vec)}
+        names = tuple(l.names[c] for c in u.pivots)
+        return canonical(LieAlgebra._from_raw(l.field, names, brackets))
+
+    return l._memoized(("table", d, table), build)
 
 
 def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
@@ -534,18 +576,46 @@ def quotient_algebra(l: LieAlgebra, ideal: Subspace):
 
 
 def is_solvable(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
-    """Solvability of L, or of a subalgebra's intrinsic algebra."""
-    if subspace is not None:
-        if subspace.dim == 0:
-            return True
-        l = algebra_on(l, subspace)
-    return l._memoized("solvable", lambda: l.derived_series().terms[-1].dim == 0)
+    """Solvability of L, or of a subalgebra's intrinsic algebra.
+
+    A subspace that is not closed raises NotSubalgebra; the zero
+    subspace is solvable before any check.
+    """
+    if subspace is None:
+        return l._memoized("solvable", lambda: l.derived_series().terms[-1].dim == 0)
+    if subspace.dim == 0:
+        return True
+    _require_closed(l, subspace)
+    return _solvable_on(l, subspace)
 
 
 def is_nilpotent(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
-    """Nilpotency of L, or of a subalgebra's intrinsic algebra."""
-    if subspace is not None:
-        if subspace.dim == 0:
-            return True
-        l = algebra_on(l, subspace)
-    return l._memoized("nilpotent", lambda: l.lower_central_series().terms[-1].dim == 0)
+    """Nilpotency of L, or of a subalgebra's intrinsic algebra.
+
+    A subspace that is not closed raises NotSubalgebra; the zero
+    subspace is nilpotent before any check.
+    """
+    if subspace is None:
+        return l._memoized("nilpotent", lambda: l.lower_central_series().terms[-1].dim == 0)
+    if subspace.dim == 0:
+        return True
+    _require_closed(l, subspace)
+    return _nilpotent_on(l, subspace)
+
+
+def _require_closed(l: LieAlgebra, u: Subspace):
+    # The check of the public forms: u is a subspace of L and closed.
+    if not l.is_subalgebra(u):
+        raise NotSubalgebra("restriction to a subspace that is not closed")
+
+
+def _solvable_on(l: LieAlgebra, u: Subspace) -> bool:
+    # is_solvable(l, u) for a closed u, without the check: every
+    # subalgebra of a solvable L is solvable.
+    return u.dim == 0 or is_solvable(l) or is_solvable(algebra_on(l, u))
+
+
+def _nilpotent_on(l: LieAlgebra, u: Subspace) -> bool:
+    # is_nilpotent(l, u) for a closed u, without the check: every
+    # subalgebra of a nilpotent L is nilpotent.
+    return u.dim == 0 or is_nilpotent(l) or is_nilpotent(algebra_on(l, u))

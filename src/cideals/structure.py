@@ -20,6 +20,9 @@ from .fields import _qdiv
 from .linalg import Subspace, _box, subspace_text, vector_text
 from .liealg import (
     LieAlgebra,
+    _nilpotent_on,
+    _require_closed,
+    _solvable_on,
     algebra_modulo,
     algebra_on,
     derived_subspace,
@@ -56,7 +59,14 @@ def nilpotency_class(l: LieAlgebra) -> int | None:
 
 
 def upper_central_series(l: LieAlgebra) -> tuple:
-    """0 = Z_0 <= Z_1 <= ... up to the hypercentre (ascending, stabilized)."""
+    """0 = Z_0 <= Z_1 <= ... up to the hypercentre (ascending, stabilized).
+
+    Made once per algebra value and kept in its memo.
+    """
+    return l._memoized("upper_central", lambda: _upper_central(l))
+
+
+def _upper_central(l: LieAlgebra) -> tuple:
     terms = [l.zero_space()]
     full = l.full_space()
     while True:
@@ -132,19 +142,22 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     The nilradical is the sum of all nilpotent ideals and the radical
     the sum of all solvable ideals; both sums are checked to still have
     the defining property and to contain every contributing ideal.
+    Ideals and their sums are closed, so each is decided by the trusted
+    forms: at once when L itself is nilpotent (solvable), otherwise on
+    the canonical algebra of its structure table.
     """
     ideals = enum_ideals(l, budget)
-    nil = [i for i in ideals if is_nilpotent(l, i)]
-    sol = [i for i in ideals if is_solvable(l, i)]
+    nil = [i for i in ideals if _nilpotent_on(l, i)]
+    sol = [i for i in ideals if _solvable_on(l, i)]
     nilrad = l.zero_space()
     for i in nil:
         nilrad = nilrad + i
     rad = l.zero_space()
     for i in sol:
         rad = rad + i
-    if not is_nilpotent(l, nilrad) or any(not (i <= nilrad) for i in nil):
+    if not _nilpotent_on(l, nilrad) or any(not (i <= nilrad) for i in nil):
         raise AssertionError("nilradical failed its own verification")
-    if not is_solvable(l, rad) or any(not (i <= rad) for i in sol):
+    if not _solvable_on(l, rad) or any(not (i <= rad) for i in sol):
         raise AssertionError("solvable radical failed its own verification")
     return nilrad, rad
 
@@ -174,8 +187,15 @@ def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
 def frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int = DEFAULT_BUDGET) -> Subspace:
     """F(u) for a subalgebra u, expressed in the coordinates of L.
 
-    The budget is checked against the subspaces of u, not of L.
+    The budget is checked against the subspaces of u, not of L.  A
+    subspace that is not closed raises NotSubalgebra.
     """
+    _require_closed(l, u)
+    return _frattini_of_closed(l, u, budget)
+
+
+def _frattini_of_closed(l: LieAlgebra, u: Subspace, budget: int) -> Subspace:
+    # frattini_of_subalgebra for a u known to be closed, without the check.
     return u.from_coords(_frattini_subalgebra(algebra_on(l, u), budget))
 
 

@@ -25,7 +25,6 @@ from cideals import (
     enum_subalgebras,
     enum_subspaces,
     frattini_of_subalgebra,
-    is_nilpotent,
     normalizer,
     nullspace,
     poly_roots_in_field,
@@ -269,19 +268,29 @@ def oracle_maximal_nilpotent_subalgebras(l, subalgebras) -> tuple:
     """Maximal nilpotent members of ``subalgebras``, every subalgebra of l."""
     if oracle_nilpotent(l):
         return (l.full_space(),)
-    return oracle_maximal([u for u in subalgebras if is_nilpotent(l, u)], l.dim)
+    return oracle_maximal([u for u in subalgebras if oracle_nilpotent_on(l, u)], l.dim)
 
 
 def oracle_cartan_subalgebras(l) -> tuple:
     """Self-normalizing nilpotent subalgebras, filtered from every
     subalgebra in enumeration order."""
     return tuple(
-        u for u in enum_subalgebras(l) if is_nilpotent(l, u) and normalizer(l, u) == u
+        u for u in enum_subalgebras(l) if oracle_nilpotent_on(l, u) and normalizer(l, u) == u
     )
 
 
 def oracle_solvable(l) -> bool:
-    cur = l.full_space()
+    return oracle_solvable_on(l, l.full_space())
+
+
+def oracle_nilpotent(l) -> bool:
+    return oracle_nilpotent_on(l, l.full_space())
+
+
+def oracle_solvable_on(l, u: Subspace) -> bool:
+    """The derived series of the subalgebra u in L's coordinates,
+    u^(k+1) = [u^(k), u^(k)] through the full span product, reaches 0."""
+    cur = u
     while True:
         nxt = oracle_span_product(l, cur, cur)
         if nxt.dim == cur.dim:
@@ -289,10 +298,12 @@ def oracle_solvable(l) -> bool:
         cur = nxt
 
 
-def oracle_nilpotent(l) -> bool:
-    cur = l.full_space()
+def oracle_nilpotent_on(l, u: Subspace) -> bool:
+    """The lower central series of the subalgebra u in L's coordinates,
+    C^(k+1) = [u, C^k] through the full span product, reaches 0."""
+    cur = u
     while True:
-        nxt = oracle_span_product(l, l.full_space(), cur)
+        nxt = oracle_span_product(l, u, cur)
         if nxt.dim == cur.dim:
             return cur.dim == 0
         cur = nxt

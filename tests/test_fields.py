@@ -85,6 +85,11 @@ class TestFieldConstruction:
             Q.elements()
 
 
+# Values Field.raw cannot read, among them the non-finite Decimals.
+_NOT_NUMBERS = {"None": None, "object": object(), "list": [1], "tuple": (1,), "dict": {}}
+_NOT_NUMBERS.update((text, Decimal(text)) for text in ("NaN", "sNaN", "Infinity", "-Infinity"))
+
+
 class TestScalarCoercion:
     def test_int_reduces_mod_p(self):
         assert GF(5).scalar(7).value == 2
@@ -145,6 +150,14 @@ class TestScalarCoercion:
                     field.raw(bad)
             with pytest.raises(FieldMismatch):
                 field.raw(GF(7).scalar(1))
+
+    @pytest.mark.parametrize("field", [Q, GF(2), GF(5)], ids=str)
+    @pytest.mark.parametrize("bad", list(_NOT_NUMBERS.values()), ids=list(_NOT_NUMBERS))
+    def test_raw_refuses_what_is_not_a_number(self, field, bad):
+        with pytest.raises(BadParams):
+            field.raw(bad)
+        with pytest.raises(BadParams):
+            field.scalar(bad)
 
 
 class TestScalarArithmetic:

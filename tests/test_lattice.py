@@ -9,6 +9,7 @@ from cideals import (
     BudgetExceeded,
     FieldNotFinite,
     GF,
+    LieAlgebra,
     NotSubalgebra,
     Q,
     Subspace,
@@ -19,8 +20,10 @@ from cideals import (
     enum_ideals,
     enum_subalgebras,
     enum_subspaces,
+    frattini_of_subalgebra,
     gaussian_binomial,
     is_nilpotent,
+    is_solvable,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     normalizer,
@@ -30,16 +33,32 @@ from cideals import (
     subspace_count,
 )
 from cideals.harness import _spot_vectors
-from cideals.lattice import first_line_ideal, ideal_line_families, point_line, subspace_points
-from cideals.liealg import algebra_modulo, derived_subspace
+from cideals.lattice import (
+    _core,
+    _self_normalizing,
+    first_line_ideal,
+    ideal_line_families,
+    point_line,
+    subspace_points,
+)
+from cideals.liealg import (
+    _nilpotent_on,
+    _solvable_on,
+    algebra_modulo,
+    algebra_on,
+    derived_subspace,
+)
 
 from oracles import (
     oracle_cartan_subalgebras,
     oracle_core,
     oracle_core_by_transporter,
+    oracle_is_subalgebra,
     oracle_line_families,
     oracle_maximal,
     oracle_maximal_nilpotent_subalgebras,
+    oracle_nilpotent_on,
+    oracle_solvable_on,
     oracle_subalgebras,
     oracle_subspace_points,
 )
@@ -298,6 +317,108 @@ class TestCoreAndNormalizer:
 
     def test_normalizer_of_ideal_is_full(self, h3_q):
         assert normalizer(h3_q, h3_q.centre()) == h3_q.full_space()
+
+
+def _core_chain(l, b):
+    """B_0 = b and B_(i+1) = B_i ∩ {x in L : [x, L] <= B_i}, up to and
+    including its fixed point, by transporter solves over all of L."""
+    full = l.full_space()
+    chain = [b]
+    while True:
+        nxt = chain[-1] & l.transporter(full, chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+def _ad_made(monkeypatch, work) -> int:
+    """The number of LieAlgebra.ad_raw calls that work() makes."""
+    made = []
+    ad_raw = LieAlgebra.ad_raw
+
+    def counted(self, i, v):
+        made.append(None)
+        return ad_raw(self, i, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(LieAlgebra, "ad_raw", counted)
+        work()
+    return len(made)
+
+
+class TestCoreBracketCounts:
+    """Each term B_i of the core iteration is a subalgebra, so [e_j, row]
+    is made only at its non-pivot columns j: (n - dim B_i) dim B_i
+    brackets per nonzero term, the fixed point included."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_core_brackets_only_free_columns(self, monkeypatch, p):
+        for _, l in catalog_algebras(GF(p), max_dim=4):
+            for b in enum_subalgebras(l):
+                chain = _core_chain(l, b)
+                want = sum((l.dim - t.dim) * t.dim for t in chain)
+                assert _ad_made(monkeypatch, lambda: _core(l, b)) == want
+                assert _core(l, b) == chain[-1]
+
+
+def _filter_corpus():
+    """(id, algebra) pairs: the catalog to dimension 5 over GF(2), GF(3)
+    and GF(5), and the first 24 random solvable algebras of the
+    criterion-3 shape within 3000 subspaces, the prime cycling with the
+    seed."""
+    out = [
+        (f"{cid}/GF({p})", l) for p in (2, 3, 5) for cid, l in catalog_algebras(GF(p), max_dim=5)
+    ]
+    seed = found = 0
+    while found < 24:
+        p = (2, 3, 5)[seed % 3]
+        l = random_solvable(seed, GF(p), 3, 2 + seed % 4)
+        if subspace_count(l.dim, p) <= 3000:
+            out.append((f"random_solvable({seed})/GF({p})", l))
+            found += 1
+        seed += 1
+    return out
+
+
+_FILTER_CORPUS = _filter_corpus()
+
+
+class TestTrustedFilters:
+    """The lattice filters' trusted forms against independent oracles on
+    every subalgebra, and the public forms' checks."""
+
+    @pytest.mark.parametrize(
+        "l", [l for _, l in _FILTER_CORPUS], ids=[cid for cid, _ in _FILTER_CORPUS]
+    )
+    def test_trusted_forms_match_oracles(self, l):
+        for u in enum_subalgebras(l):
+            nilpotent, solvable = oracle_nilpotent_on(l, u), oracle_solvable_on(l, u)
+            assert _nilpotent_on(l, u) == is_nilpotent(l, u) == nilpotent
+            assert _solvable_on(l, u) == is_solvable(l, u) == solvable
+            assert _self_normalizing(l, u) == (normalizer(l, u) == u)
+            assert algebra_on(l, u) == l.restrict(u)[0]
+
+    def test_corpus(self):
+        ids = [cid for cid, _ in _FILTER_CORPUS]
+        assert sum(cid.startswith("random") for cid in ids) == 24
+        assert "heisenberg(5)/GF(5)" in ids and "sl2/GF(5)" in ids
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)", "abelian(1)+nonabelian2", "sl2", "t(2)"])
+    def test_public_forms_reject_open_subspaces(self, name):
+        l = builtin(name, GF(3))
+        assert is_nilpotent(l) == (name == "heisenberg(3)")
+        maximal_nilpotent_subalgebras(l)  # the trusted forms have run
+        open_subspaces = [u for u in enum_subspaces(l) if not oracle_is_subalgebra(l, u)]
+        assert open_subspaces
+        for u in open_subspaces:
+            for public in (is_nilpotent, is_solvable, frattini_of_subalgebra):
+                with pytest.raises(NotSubalgebra):
+                    public(l, u)
+
+    def test_zero_subspace_answers_before_any_check(self):
+        l = builtin("sl2", GF(3))
+        zero = Subspace.zero(GF(5), 7)
+        assert is_nilpotent(l, zero) and is_solvable(l, zero)
 
 
 @st.composite

@@ -13,6 +13,7 @@ import pytest
 
 from cideals import (
     GF,
+    Q,
     YES,
     AmbientMismatch,
     BudgetExceeded,
@@ -34,9 +35,12 @@ from cideals import (
     maximal_subalgebras,
     radicals,
     subspace_count,
+    upper_central_series,
     verify_certificate,
 )
 from cideals import cideal, liealg
+from cideals.liealg import SERIES_KINDS
+from cideals.structure import _upper_central
 
 from oracles import (
     oracle_is_ideal,
@@ -120,6 +124,44 @@ class TestSharing:
             assert alg == l.restrict(u)[0]
         for i in enum_ideals(l):
             assert liealg.algebra_modulo(l, i) == l.quotient(i)[0]
+
+    @pytest.mark.parametrize("name", ["t(3)", "sl2", "heisenberg(5)", "almost_abelian(4)"])
+    def test_one_algebra_built_per_distinct_table(self, empty_table, monkeypatch, name):
+        l = builtin(name, GF(3))
+        subalgebras = enum_subalgebras(l)
+        tables = {l.restrict(u)[0] for u in subalgebras}
+        built = []
+        from_raw = LieAlgebra._from_raw
+
+        def counted(cls, *args):
+            built.append(None)
+            return from_raw(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(LieAlgebra, "_from_raw", classmethod(counted))
+            on = [liealg.algebra_on(l, u) for u in subalgebras]
+            again = [liealg.algebra_on(builtin(name, GF(3)), u) for u in subalgebras]
+        assert len(built) == len(tables) == len(set(on)) < len(subalgebras)
+        assert all(a is b for a, b in zip(on, again))
+
+
+class TestSeries:
+    """L's own derived, lower and upper central series are made once per
+    algebra value and equal a fresh computation."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), Q], ids=str)
+    def test_made_once_per_value(self, empty_table, field):
+        for cid, l in catalog_algebras(field):
+            for kind in SERIES_KINDS:
+                first = l.series(kind)
+                assert l.series(kind) is first
+                assert builtin(cid, field).series(kind) is first
+                assert first == l.series(kind, l.full_space())
+            assert l.derived_series() is l.series("derived")
+            assert l.lower_central_series() is l.series("lower_central")
+            upper = upper_central_series(l)
+            assert upper_central_series(builtin(cid, field)) is upper
+            assert upper == _upper_central(l)
 
 
 class TestCap:
