@@ -8,7 +8,11 @@ order, the first row varying slowest).  Subalgebras come out in the
 same order, but from a search that fixes the rows one at a time and
 drops a partial basis as soon as one of its brackets is seen to fall
 outside every completion (see :func:`_subalgebras`), so most subspaces
-are never built.  The subspace count is checked against the budget
+are never built; within one listing each candidate row is built once
+per pivot tuple and each bracket of two rows is computed once.  The
+ideals are the subalgebras that pass the ideal test, each [e_c, row]
+of that filter computed once per listing too.  The subspace count,
+one row of the Gaussian triangle, is checked against the budget
 before any work happens so overruns fail loudly instead of truncating.
 The subalgebra and ideal lattices, the maximal and maximal-nilpotent
 lists and the line-ideal families live in the memo the algebra shares
@@ -42,8 +46,20 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def subspace_count(n: int, p: int, dims=None) -> int:
-    dims = range(n + 1) if dims is None else dims
-    return sum(gaussian_binomial(n, k, p) for k in dims)
+    """The number of subspaces of GF(p)^n whose dimension is in ``dims``
+    (default all), a repeated dimension counting twice.
+
+    Row n of the Gaussian triangle is built in one pass, exactly in
+    integers: g_k = g_{k-1} (p^(n-k+1) - 1) / (p^k - 1).
+    """
+    row, g = [], 1
+    for k in range(n + 1):
+        if k:
+            g = g * (p ** (n - k + 1) - 1) // (p**k - 1)
+        row.append(g)
+    if dims is None:
+        return sum(row)
+    return sum(row[k] for k in dims if 0 <= k <= n)
 
 
 def _normalize_dims(l: LieAlgebra, dims) -> tuple[int, ...]:
@@ -128,34 +144,58 @@ def _subalgebras(l: LieAlgebra) -> tuple:
     after it, and the new row's brackets are reduced and checked the
     same way.  At a leaf every column is checked, which is the full
     closure test, and only then is a :class:`Subspace` made.
+
+    A residual that is zero at p_m, where the next row has its 1, is
+    not changed by that row: if it is nonzero before p_{m+1} the node
+    has no closed completion and is left before its candidates are
+    tried.  Each depth's candidate rows, as tuples with their segments
+    from p_m on, are built once per pivot tuple, when the search first
+    reaches that depth, and every node there walks the same list.  The
+    same rows recur under other pivot tuples, so each bracket of an
+    earlier row with a candidate is kept in one dict for the length of
+    this call and computed once.
     """
     field, n = l.field, l.dim
+    brackets = {}
     out = [Subspace.zero(field, n)]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
-            out.extend(Subspace(field, n, rows, pivots) for rows in _closed_bases(l, pivots))
+            out.extend(
+                Subspace(field, n, rows, pivots) for rows in _closed_bases(l, pivots, brackets)
+            )
     return tuple(out)
 
 
-def _closed_bases(l: LieAlgebra, pivots: tuple) -> list:
-    # The canonical bases with these pivots whose span is bracket closed.
+def _closed_bases(l: LieAlgebra, pivots: tuple, brackets: dict) -> list:
+    # The canonical bases with these pivots whose span is bracket closed;
+    # ``brackets`` maps (earlier row, candidate row) to their bracket.
     p, n, k = l.field.p, l.dim, len(pivots)
     bracket = l.bracket_raw
     ends = pivots[1:] + (n,)
-    frees = [tuple(c for c in range(pm + 1, n) if c not in pivots) for pm in pivots]
+    candidates = [None] * k
     found = []
 
-    def extend(m: int, rows: list, tails: list):
+    def rows_at(m: int) -> list:
+        # Row m's candidates in product order, each with its segment: 1 at
+        # pivots[m], zero at the later pivots, any value at a free column.
+        pm = pivots[m]
+        entries = [(0,) if c in pivots else range(p) for c in range(pm + 1, n)]
+        zeros = (0,) * pm
+        out = []
+        for tail in itertools.product(*entries):
+            seg = (1,) + tail
+            out.append((zeros + seg, seg))
+        return out
+
+    def extend(m: int, rows: tuple, tails: list):
         # ``tails`` holds each bracket's residual from column pivots[m] on.
         pm, end = pivots[m], ends[m]
         width = end - pm
-        free = frees[m]
-        for values in itertools.product(range(p), repeat=len(free)):
-            row = [0] * n
-            row[pm] = 1
-            for c, x in zip(free, values):
-                row[c] = x
-            seg = row[pm:]
+        if any(not t[0] and any(t[1:width]) for t in tails):
+            return
+        if candidates[m] is None:
+            candidates[m] = rows_at(m)
+        for row, seg in candidates[m]:
             kept = []
             for t in tails:
                 f = t[0]
@@ -165,9 +205,11 @@ def _closed_bases(l: LieAlgebra, pivots: tuple) -> list:
                     break
                 kept.append(t[width:])
             else:
-                basis = rows + [row]
+                basis = rows + (row,)
                 for u in rows:
-                    v = bracket(u, row)
+                    v = brackets.get((u, row))
+                    if v is None:
+                        v = brackets[u, row] = bracket(u, row)
                     for r, c in zip(basis, pivots):
                         f = v[c]
                         if f:
@@ -177,11 +219,11 @@ def _closed_bases(l: LieAlgebra, pivots: tuple) -> list:
                     kept.append(v[end:])
                 else:
                     if m + 1 == k:
-                        found.append(tuple(map(tuple, basis)))
+                        found.append(basis)
                     else:
                         extend(m + 1, basis, kept)
 
-    extend(0, [], [])
+    extend(0, (), [])
     return found
 
 
@@ -200,10 +242,24 @@ def enum_ideals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Every ideal, in enumeration order.
 
     Each subalgebra u is closed, so only [e_c, row] for the non-pivot
-    columns c of u are tried.
+    columns c of u are tried.  The same rows recur across subalgebras,
+    so each image [e_c, row] is kept in one dict for the length of the
+    filter and computed once.
     """
     subalgebras = enum_subalgebras(l, budget)
-    return l._memoized("ideals", lambda: tuple(u for u in subalgebras if l._closed_is_ideal(u)))
+    return l._memoized("ideals", lambda: _ideals(l, subalgebras))
+
+
+def _ideals(l: LieAlgebra, subalgebras) -> tuple:
+    images = {}
+
+    def ad(c: int, r: tuple) -> list:
+        v = images.get((c, r))
+        if v is None:
+            v = images[c, r] = l.ad_raw(c, r)
+        return v
+
+    return tuple(u for u in subalgebras if l._closed_is_ideal(u, ad))
 
 
 def _maximal_among(candidates, proper_of_dim: int) -> tuple:

@@ -284,13 +284,15 @@ class LieAlgebra:
             u.holds_raw(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
         )
 
-    def _closed_is_ideal(self, u: Subspace) -> bool:
+    def _closed_is_ideal(self, u: Subspace, ad=None) -> bool:
         # is_ideal for a u already known to be a subalgebra: L is u plus
         # the span of e_c over the non-pivot columns c of u, and [u, u] <= u,
-        # so only those [e_c, row] are tried.
+        # so only those [e_c, row] are tried.  ``ad(c, row)`` gives
+        # [e_c, row] (default ad_raw); the result is only read.
+        ad = self.ad_raw if ad is None else ad
         pivots = u.pivots
         return all(
-            u.holds_raw(self.ad_raw(c, r))
+            u.holds_raw(ad(c, r))
             for c in range(self.dim)
             if c not in pivots
             for r in u.rows

@@ -32,6 +32,7 @@ from cideals import (
     random_solvable,
     subspace_count,
 )
+from cideals import liealg
 from cideals.harness import _spot_vectors
 from cideals.lattice import (
     _core,
@@ -53,6 +54,7 @@ from oracles import (
     oracle_cartan_subalgebras,
     oracle_core,
     oracle_core_by_transporter,
+    oracle_is_ideal,
     oracle_is_subalgebra,
     oracle_line_families,
     oracle_maximal,
@@ -85,6 +87,14 @@ class TestCounting:
         assert subspace_count(3, 2) == 16
         assert subspace_count(4, 2) == 67
         assert subspace_count(3, 2, dims=(1,)) == 7
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 2**31 - 1])
+    def test_subspace_count_sums_the_gaussian_binomials(self, p):
+        for n in range(9):
+            assert subspace_count(n, p) == sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+            for dims in [(), (0,), (n,), (1, n - 1), (2, 2, 0), (-1, n + 1, 1), range(n + 3)]:
+                want = sum(gaussian_binomial(n, k, p) for k in dims)
+                assert subspace_count(n, p, dims) == want
 
 
 class TestEnumSubspaces:
@@ -147,7 +157,8 @@ def _search_corpus():
     """(id, algebra) pairs: the catalog within 10^5 subspaces over GF(2),
     GF(3) and GF(5) (sl2 among them over GF(3) and GF(5)), and random
     solvable algebras of the criterion-3 shape within 10^4 subspaces,
-    each value once."""
+    each value once, and the lattice workload's two dense random solvable
+    algebras (2,825 and 2,664 subspaces)."""
     out = []
     for p in (2, 3, 5):
         for cid, l in catalog_algebras(GF(p)):
@@ -157,7 +168,33 @@ def _search_corpus():
             l = random_solvable(seed, GF(p), 3, 2 + seed % 4)
             if subspace_count(l.dim, p) <= 10**4 and all(l != m for _, m in out):
                 out.append((f"random_solvable({seed})/GF({p})", l))
+    for seed, p, steps in ((12, 2, 3), (13, 3, 2)):
+        l = random_solvable(seed, GF(p), 4, steps)
+        out.append((f"random_solvable({seed}, 4, {steps})/GF({p})", l))
     return out
+
+
+def _made(monkeypatch, method: str, work) -> list:
+    """The arguments of each LieAlgebra.<method> call that work() makes,
+    rows as tuples."""
+    made = []
+    original = getattr(LieAlgebra, method)
+
+    def recorded(self, *args):
+        made.append(tuple(tuple(a) if isinstance(a, (list, tuple)) else a for a in args))
+        return original(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(LieAlgebra, method, recorded)
+        work()
+    return made
+
+
+def _fresh(l: LieAlgebra) -> LieAlgebra:
+    # A value-equal copy that has not read any memo yet.
+    n = l.dim
+    pairs = {(i, j): l.structure_vector(i, j) for i in range(n) for j in range(i + 1, n)}
+    return LieAlgebra(l.field, n, l.names, pairs)
 
 
 _SEARCH_CORPUS = _search_corpus()
@@ -171,16 +208,34 @@ class TestPrunedSearch:
     def test_corpus(self):
         assert "sl2/GF(3)" in _SEARCH_IDS and "sl2/GF(5)" in _SEARCH_IDS
         assert "t(3)/GF(3)" in _SEARCH_IDS and "heisenberg(5)/GF(5)" in _SEARCH_IDS
+        assert "t(3)/GF(2)" in _SEARCH_IDS
         assert sum(cid.startswith("random") for cid in _SEARCH_IDS) >= 20
+        assert len(set(_SEARCH_ALGEBRAS)) == len(_SEARCH_ALGEBRAS)
 
     @pytest.mark.parametrize("l", _SEARCH_ALGEBRAS, ids=_SEARCH_IDS)
     def test_matches_filter_and_pairwise_maximal(self, l):
         subalgebras = oracle_subalgebras(l)
         assert enum_subalgebras(l) == subalgebras
+        assert enum_ideals(l) == tuple(u for u in subalgebras if oracle_is_ideal(l, u))
         assert maximal_subalgebras(l) == oracle_maximal(subalgebras, l.dim)
         assert maximal_nilpotent_subalgebras(l) == oracle_maximal_nilpotent_subalgebras(
             l, subalgebras
         )
+
+    @pytest.mark.parametrize("l", _SEARCH_ALGEBRAS, ids=_SEARCH_IDS)
+    def test_each_bracket_made_once_per_listing(self, monkeypatch, l):
+        # The search's row-pair brackets and the ideal filter's [e_c, row]
+        # are each made once, and only the listings enter the memo.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        fresh = _fresh(l)
+        brackets = _made(monkeypatch, "bracket_raw", lambda: enum_subalgebras(fresh))
+        assert len(set(brackets)) == len(brackets)
+        assert set(fresh._memo) == {"subalgebras"}
+        images = _made(monkeypatch, "ad_raw", lambda: enum_ideals(fresh))
+        assert len(set(images)) == len(images)
+        assert set(fresh._memo) == {"subalgebras", "ideals"}
+        if l == builtin("t(3)", GF(2)):
+            assert len(brackets) == 651
 
     def test_budget_still_counts_every_subspace(self):
         l = builtin("heisenberg", GF(2), 3)
@@ -331,21 +386,6 @@ def _core_chain(l, b):
         chain.append(nxt)
 
 
-def _ad_made(monkeypatch, work) -> int:
-    """The number of LieAlgebra.ad_raw calls that work() makes."""
-    made = []
-    ad_raw = LieAlgebra.ad_raw
-
-    def counted(self, i, v):
-        made.append(None)
-        return ad_raw(self, i, v)
-
-    with monkeypatch.context() as m:
-        m.setattr(LieAlgebra, "ad_raw", counted)
-        work()
-    return len(made)
-
-
 class TestCoreBracketCounts:
     """Each term B_i of the core iteration is a subalgebra, so [e_j, row]
     is made only at its non-pivot columns j: (n - dim B_i) dim B_i
@@ -357,7 +397,7 @@ class TestCoreBracketCounts:
             for b in enum_subalgebras(l):
                 chain = _core_chain(l, b)
                 want = sum((l.dim - t.dim) * t.dim for t in chain)
-                assert _ad_made(monkeypatch, lambda: _core(l, b)) == want
+                assert len(_made(monkeypatch, "ad_raw", lambda: _core(l, b))) == want
                 assert _core(l, b) == chain[-1]
 
 
