@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, NotSubalgebra, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
-from .linalg import Subspace, _unbox, raw_dots, raw_rref, subspace_text, vector_is_zero
+from .linalg import Subspace, _unbox, raw_dots, raw_sum_and_meet, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
 from .structure import _frattini_of_closed, frattini, upper_central_series
@@ -70,19 +70,20 @@ class CIdealVerdict:
 def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     """Check the definition directly: C ideal, B + C = L, B ∩ C <= core(B).
 
-    B + C = L is tested without forming the sum: the rows of B reduced
-    modulo C must have rank dim L - dim C.  For a line B = Fx and a
-    proper C no reduction is run: C must be a hyperplane, and B + C = L
-    with B ∩ C = 0 both say x ∉ C, which is one dot product of x with
-    C's single annihilator row.  With C an ideal the last condition
-    holds exactly when B ∩ C is an ideal: an ideal inside B lies in
-    core(B), and conversely B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C,
-    an intersection of two ideals.  So no core is computed, and when
-    dim B + dim C = dim L the sum condition forces B ∩ C = 0, which
-    needs no check.  Each ideal C is checked by brackets once per
-    algebra: the ideals already shown are kept in the algebra's memo,
-    each with its annihilator once a line has needed it, and a C that
-    fails is checked again on every call.
+    For a proper C, one elimination gives both dim(B + C) and B ∩ C
+    (:func:`~cideals.linalg.raw_sum_and_meet`); for C = L the sum is L and
+    B ∩ C = B.  For a line B = Fx and a proper C no elimination is run:
+    C must be a hyperplane, and B + C = L with B ∩ C = 0 both say
+    x ∉ C, which is one dot product of x with C's single annihilator
+    row.  With C an ideal the last condition holds exactly when B ∩ C
+    is an ideal: an ideal inside B lies in core(B), and conversely
+    B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
+    ideals.  So no core is computed, and when dim B + dim C = dim L the
+    sum condition forces B ∩ C = 0, which needs no check.  Each ideal C
+    is checked by brackets once per algebra: the ideals already shown
+    are kept in the algebra's memo, each with its annihilator once a
+    line has needed it, and a C that fails is checked again on every
+    call.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
@@ -104,11 +105,10 @@ def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
         if not l.is_ideal(c):
             return False
         ideals[c] = None
-    if c.dim < n:
-        left = [c.reduce_raw(r) for r in b.rows]
-        if len(raw_rref(l.field.p, left, n)[0]) != n - c.dim:
-            return False
-    return b.dim + c.dim == n or l.is_ideal(b & c)
+    if c.dim == n:
+        return l.is_ideal(b)
+    width, meet = raw_sum_and_meet(l.field, b.rows, c.rows, n)
+    return width == n and (b.dim + c.dim == n or l.is_ideal(meet))
 
 
 def _ideal_annihilator(l: LieAlgebra, c: Subspace):

@@ -297,25 +297,36 @@ def _t8(l, budget, decide):
 
 def _t9(l, budget, decide):
     """Walks the (B, K) pairs with K a proper subalgebra and B a c-ideal
-    of L inside it: for each K, the subalgebras of the algebra on K,
+    of L inside it: for each K, the subalgebras w of the algebra on K,
     carried back into L.  The subspaces of every K are charged to the
     budget before the walk starts.
+
+    The images in L of canonical rows are canonical rows (see
+    :meth:`~cideals.linalg.Subspace.from_coords`), so B is its rows
+    here: each row of the listing on K is carried into L once per K,
+    and B's verdict in L is kept by B's rows for the length of the walk.
+    So ``decide(l, B)`` is asked once per distinct B, and B is built as
+    a subspace only for that question and for a failure's witness.
     """
     proper = [k for k in enum_subalgebras(l, budget) if k.dim < l.dim]
     searched = sum(subspace_count(k.dim, l.field.p) for k in proper)
     _check_budget(searched, "subspaces of proper subalgebras", budget)
     checked = 0
+    outer = {}  # B's rows -> decide(l, B)
     for k in proper:
         on_k = algebra_on(l, k)
+        images = {}  # a row on K -> its image in L
         for w in enum_subalgebras(on_k, budget):
-            b = k.from_coords(w)
-            v = decide(l, b, budget)
+            rows = _images(k, w.rows, images)
+            v = outer.get(rows)
+            if v is None:
+                v = outer[rows] = decide(l, _carried(k, w, rows), budget)
             if v.answer != YES:
                 continue
             vk = decide(on_k, w, budget)
             if vk.answer != YES:
                 witnesses = {
-                    "cideal": subspace_text(b),
+                    "cideal": subspace_text(_carried(k, w, rows)),
                     "intermediate": subspace_text(k),
                     "outer_verdict": v.as_dict(),
                     "inner_verdict": vk.as_dict(),
@@ -325,21 +336,42 @@ def _t9(l, budget, decide):
     return PASS, None, {"pairs_checked": checked}
 
 
+def _images(k: Subspace, rows, images: dict) -> tuple:
+    # The images in L of rows in k's coordinates, each made once per dict.
+    out = []
+    for r in rows:
+        x = images.get(r)
+        if x is None:
+            x = images[r] = k.from_coords_raw(r)
+        out.append(x)
+    return tuple(out)
+
+
+def _carried(k: Subspace, w: Subspace, rows: tuple) -> Subspace:
+    # k.from_coords(w), given the images ``rows`` of w's rows.
+    return Subspace(k.field, k.ambient_dim, rows, tuple(k.pivots[c] for c in w.pivots))
+
+
 def _t10(l, budget, decide):
     """Walks the (B, I) pairs with I an ideal inside the subalgebra B: for
     each I, the subalgebras w of L/I, with B the preimage of w and so
     B/I = w.  The subspaces of every L/I are charged to the budget before
-    the walk starts.
+    the walk starts.  B's verdict in L is kept by B's rows for the length
+    of the walk, so ``decide(l, B)`` is asked once per distinct B, which
+    lies over as many w as it holds ideals I.
     """
     ideals = enum_ideals(l, budget)
     searched = sum(subspace_count(l.dim - i.dim, l.field.p) for i in ideals)
     _check_budget(searched, "subspaces of quotients by ideals", budget)
     checked = 0
+    outer = {}  # B's rows -> decide(l, B)
     for i in ideals:
         reduced = algebra_modulo(l, i)
         for w in enum_subalgebras(reduced, budget):
             b = i.preimage(w)
-            v_outer = decide(l, b, budget)
+            v_outer = outer.get(b.rows)
+            if v_outer is None:
+                v_outer = outer[b.rows] = decide(l, b, budget)
             v_inner = decide(reduced, w, budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
@@ -429,7 +461,11 @@ def run_suite(
 
     ``decide`` replaces the c-ideal decision procedure and exists for
     harness self-tests; it is called as ``decide(algebra, b, budget)``
-    for every question a suite asks.  The default,
+    for the questions a suite asks.  T9 and T10 ask it for B's verdict
+    in L once per distinct B in a walk, keeping the answer for the
+    length of the walk; their other questions, and T11's, are asked once
+    per pair, and nothing is kept from one walk or call to the next.
+    The default,
     :func:`cideals.cideal.is_cideal`, decides each (algebra, subalgebra,
     budget) value once and keeps the verdict in the algebra's shared
     memo, so value-equal restricted and quotient algebras share one

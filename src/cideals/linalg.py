@@ -311,21 +311,45 @@ def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
 
 
 def raw_kernel(field: Field, rows, ncols: int) -> "Subspace":
-    """The kernel of the raw matrix ``rows`` as a subspace of F^ncols."""
+    """The kernel of the raw matrix ``rows`` as a subspace of F^ncols.
+
+    One elimination: ``rows`` are reduced with their columns reversed,
+    so each pivot is the last nonzero column of its row.  For each free
+    column f the kernel vector e_f - sum_c row[f] e_c over the rows and
+    their pivots c is nonzero only at f and at pivots after f, so it
+    leads with 1 at f and is 0 at every other free column: sorted by f,
+    these vectors are already the kernel's canonical rows.
+    """
     p = field.p
-    red, pivots = raw_rref(p, rows, ncols)
+    red, rpivots = raw_rref(p, [r[::-1] for r in rows], ncols)
+    pivots = [ncols - 1 - c for c in rpivots]
     pivot_set = set(pivots)
+    free = tuple(f for f in range(ncols) if f not in pivot_set)
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in free:
         vec = [0] * ncols
         vec[f] = 1
         for row, c in zip(red, pivots):
-            if row[f]:
-                vec[c] = -row[f] if p is None else p - row[f]
-        basis.append(vec)
-    return Subspace.from_raw(field, ncols, basis)
+            x = row[ncols - 1 - f]
+            if x:
+                vec[c] = -x if p is None else p - x
+        basis.append(tuple(vec))
+    return Subspace(field, ncols, tuple(basis), free)
+
+
+def raw_sum_and_meet(field: Field, u_rows, v_rows, n: int) -> tuple[int, Subspace]:
+    """dim(U + V) and U ∩ V for the spans U, V of raw rows of length n,
+    from one Zassenhaus elimination, without checks.
+
+    In the rref of [[U, U], [V, 0]] the pivots before column n are those
+    of U + V, and the rows with a later pivot have a zero left half and
+    carry the canonical basis of U ∩ V in their right half.
+    """
+    pad = (0,) * n
+    stacked = [r + r for r in u_rows] + [r + pad for r in v_rows]
+    red, pivots = raw_rref(field.p, stacked, 2 * n)
+    k = sum(c < n for c in pivots)
+    return k, Subspace(field, n, tuple(r[n:] for r in red[k:]), tuple(c - n for c in pivots[k:]))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -432,9 +456,11 @@ class Subspace:
     everything is Scalars, which over Q always wrap Fractions:
     :meth:`vectors`, :attr:`basis` and :meth:`reduce` box on request,
     and every Scalar vector passed in is checked against the field once.
+    The hash and the non-pivot columns are made on first use and kept
+    in the instance.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash", "_free")
 
     def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
         """``rows`` must already be canonical raw rows with pivot columns
@@ -444,6 +470,7 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._hash = None
+        self._free = None
 
     @classmethod
     def from_raw(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
@@ -566,14 +593,7 @@ class Subspace:
             return other
         if other.dim == self.ambient_dim:
             return self
-        # Zassenhaus: the rows of rref [[U, U], [V, 0]] whose left half is
-        # zero carry the canonical basis of U ∩ V in their right half.
-        n = self.ambient_dim
-        pad = (0,) * n
-        stacked = [r + r for r in self.rows] + [r + pad for r in other.rows]
-        red, pivots = raw_rref(self.field.p, stacked, 2 * n)
-        rows = tuple(r[n:] for r, c in zip(red, pivots) if c >= n)
-        return Subspace(self.field, n, rows, tuple(c - n for c in pivots if c >= n))
+        return raw_sum_and_meet(self.field, self.rows, other.rows, self.ambient_dim)[1]
 
     def complement(self) -> "Subspace":
         """The span of the standard vectors at the non-pivot columns.
@@ -586,8 +606,11 @@ class Subspace:
         return Subspace(self.field, n, _units(n, free), free)
 
     def _free_columns(self) -> tuple:
-        pivots = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivots)
+        # The non-pivot columns, increasing, made on first use.
+        if self._free is None:
+            pivots = set(self.pivots)
+            self._free = tuple(c for c in range(self.ambient_dim) if c not in pivots)
+        return self._free
 
     # -- coordinates, fixed here and nowhere else: a member of K has as
     # coordinates on K's canonical rows its entries at K's pivot columns;

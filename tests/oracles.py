@@ -26,7 +26,6 @@ from cideals import (
     enum_subspaces,
     frattini_of_subalgebra,
     normalizer,
-    nullspace,
     poly_roots_in_field,
     quotient_algebra,
     rref,
@@ -212,19 +211,23 @@ def oracle_is_ideal(l, u: Subspace) -> bool:
 
 
 def oracle_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """u ∩ v through the kernel of [U^T | -V^T]: each kernel vector (a, b)
-    gives the common vector a·U = b·V."""
-    field, n = u.field, u.ambient_dim
-    mine = u.vectors()
-    cols = list(mine) + [tuple(-x for x in w) for w in v.vectors()]
-    stacked = Matrix(field, len(cols), n, tuple(x for c in cols for x in c)).transpose()
-    vecs = []
-    for coeffs in nullspace(stacked).vectors():
-        acc = (field.zero(),) * n
-        for c, w in zip(coeffs[: len(mine)], mine):
-            acc = tuple(a + c * b for a, b in zip(acc, w))
-        vecs.append(acc)
-    return Subspace.from_vectors(field, n, vecs)
+    """u ∩ v through the kernel of [U^T | -V^T], solved and reduced by the
+    from-scratch eliminations below (GF(p) or Q): each kernel vector
+    (a, b) gives the common vector a·U = b·V."""
+    p, n = u.field.p, u.ambient_dim
+    cols = list(u.rows) + [[-x for x in r] for r in v.rows]
+    system = [[c[k] for c in cols] for k in range(n)]
+    if p is None:
+        kernel = oracle_kernel_q(system, len(cols))
+    else:
+        kernel = oracle_kernel_p(system, len(cols), p)
+    common = [[sum(a * r[k] for a, r in zip(ab, u.rows)) for k in range(n)] for ab in kernel]
+    if p is None:
+        rows, pivots = oracle_rref_q(common, n)
+        rows = tuple(tuple(x.numerator if x.denominator == 1 else x for x in r) for r in rows)
+    else:
+        rows, pivots = oracle_rref_p(common, n, p)
+    return Subspace(u.field, n, rows, pivots)
 
 
 def oracle_preimage(i: Subspace, w: Subspace) -> Subspace:
@@ -470,6 +473,43 @@ def oracle_line_cideal(l, x) -> CIdealVerdict:
     if not (l.is_ideal(c) and len(pivots) == l.dim - c.dim and l.is_ideal(line & c)):
         raise AssertionError("the line witness fails the definition")
     return CIdealVerdict(YES, c, "line_rule", True)
+
+
+# ---------------------------------------------------------------------------
+# the kernel over GF(p) from scratch: Gauss-Jordan elimination on rows of
+# ints, each reduced mod p, with inverses by Fermat's little theorem.
+
+def oracle_rref_p(rows, ncols: int, p: int) -> tuple:
+    """``(rows, pivots)`` of the reduced row echelon form over GF(p), zero
+    rows dropped: each pivot row is scaled by the inverse of its lead,
+    then cleared from every other row."""
+    todo = [[x % p for x in r] for r in rows]
+    done, pivots = [], []
+    for c in range(ncols):
+        k = next((k for k, r in enumerate(todo) if r[c]), None)
+        if k is None:
+            continue
+        lead = todo.pop(k)
+        inv = pow(lead[c], p - 2, p)
+        lead = [x * inv % p for x in lead]
+        todo = [[(a - r[c] * b) % p for a, b in zip(r, lead)] for r in todo]
+        done = [[(a - r[c] * b) % p for a, b in zip(r, lead)] for r in done] + [lead]
+        pivots.append(c)
+    return tuple(map(tuple, done)), tuple(pivots)
+
+
+def oracle_kernel_p(rows, ncols: int, p: int) -> tuple:
+    """The reduced basis of {x : r . x = 0 mod p for every row r}: for
+    each free column f, e_f minus the pivot rows' entries at f."""
+    red, pivots = oracle_rref_p(rows, ncols, p)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [int(k == f) for k in range(ncols)]
+            for r, c in zip(red, pivots):
+                x[c] = -r[f] % p
+            basis.append(x)
+    return oracle_rref_p(basis, ncols, p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from cideals import cideal, fields, liealg, linalg
 from cideals.lattice import ideal_line_families
 from cideals.liealg import derived_subspace
 
-from oracles import oracle_cideal, oracle_core, oracle_is_ideal, oracle_line_cideal
+from oracles import oracle_cideal, oracle_core, oracle_intersection, oracle_is_ideal, oracle_line_cideal
 
 
 def vec(field, coords):
@@ -43,6 +44,43 @@ def vec(field, coords):
 
 def span(l, *coords_list):
     return Subspace.from_vectors(l.field, l.dim, [vec(l.field, c) for c in coords_list])
+
+
+_SWEEP_CORPUS = [
+    (f"{name}/GF({p})", l) for p in (2, 3) for name, l in catalog_algebras(GF(p), max_dim=4)
+] + [("sl2/GF(5)", builtin("sl2", GF(5)))]
+
+
+def _certificate_cases(l) -> Counter:
+    """Check verify_certificate(l, b, c) over every pair of subalgebras
+    against the definition, and count the pairs by the way they pass or
+    fail.  Dimensions decide the sum, dim(B + C) = dim B + dim C -
+    dim(B ∩ C), and containment, B ∩ C <= core(B) exactly when it equals
+    (B ∩ C) ∩ core(B); intersections are the oracle's, each made once."""
+    subalgebras = enum_subalgebras(l)
+    ideal = {c: oracle_is_ideal(l, c) for c in subalgebras}
+    meets = {}
+
+    def meet(u, v):
+        if (u, v) not in meets:
+            meets[u, v] = meets[v, u] = oracle_intersection(u, v)
+        return meets[u, v]
+
+    kinds = Counter()
+    for b in subalgebras:
+        hull = oracle_core(l, b)
+        for c in subalgebras:
+            if not ideal[c]:
+                kind = "non-ideal"
+            elif b.dim + c.dim - meet(b, c).dim < l.dim:
+                kind = "short sum"
+            elif meet(meet(b, c), hull).dim < meet(b, c).dim:
+                kind = "fat meet" if c.dim < l.dim else "fat meet with L"
+            else:
+                kind = "yes"
+            assert verify_certificate(l, b, c) == (kind == "yes"), (b, c, kind)
+            kinds[kind] += 1
+    return kinds
 
 
 class TestVerifyCertificate:
@@ -69,16 +107,20 @@ class TestVerifyCertificate:
         # its core (which is zero in a simple algebra)
         assert not verify_certificate(sl2_gf5, borel, full)
 
-    def test_matches_core_definition(self, h3_gf2, sl2_gf5):
-        # The check never computes a core; compare it with the definition
-        # B ∩ C <= core(B), core taken from the enumeration oracle.
-        for l in (h3_gf2, builtin("t", GF(3), 2), sl2_gf5):
-            ideals = enum_ideals(l)
-            for b in enum_subalgebras(l):
-                hull = oracle_core(l, b)
-                for c in ideals:
-                    expected = (b + c).dim == l.dim and (b & c) <= hull
-                    assert verify_certificate(l, b, c) == expected
+    @pytest.mark.parametrize("l", [l for _, l in _SWEEP_CORPUS], ids=[a for a, _ in _SWEEP_CORPUS])
+    def test_matches_core_definition(self, l):
+        # The check never computes a core or a sum; compare it with the
+        # definition over every pair of subalgebras, the expectation
+        # taken from the oracles' ideal test, core and intersection.
+        _certificate_cases(l)
+
+    def test_every_way_to_fail_occurs(self):
+        # A non-ideal C, a short sum, and a fat intersection with a proper
+        # C and with C = L each occur in the corpus.
+        kinds = Counter()
+        for name in ("heisenberg(3)/GF(2)", "t(2)/GF(3)", "sl2/GF(5)"):
+            kinds += _certificate_cases(dict(_SWEEP_CORPUS)[name])
+        assert set(kinds) == {"yes", "non-ideal", "short sum", "fat meet", "fat meet with L"}
 
     def test_requires_subalgebra(self, sl2_q):
         ef = span(sl2_q, [1, 0, 0], [0, 1, 0])
@@ -259,8 +301,8 @@ class TestLineRoute:
 
 
 def _count_rref(monkeypatch) -> list:
-    """Wrap raw_rref where cideal and linalg bind it; the list collects
-    one entry per call."""
+    """Wrap raw_rref where linalg binds it, which every elimination of
+    cideal goes through; the list collects one entry per call."""
     calls = []
     original = linalg.raw_rref
 
@@ -268,8 +310,8 @@ def _count_rref(monkeypatch) -> list:
         calls.append(args)
         return original(*args)
 
-    for module in (cideal, linalg):
-        monkeypatch.setattr(module, "raw_rref", counting)
+    monkeypatch.setattr(linalg, "raw_rref", counting)
+    assert not hasattr(cideal, "raw_rref")
     return calls
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -30,12 +31,14 @@ from cideals import (
     random_solvable,
     restricted_algebra,
     run_suite,
+    serialize,
     subspace_text,
 )
 import cideals.harness
 from cideals.harness import FAIL, PASS, SKIP, normalize_suites
 from cideals.lattice import subspace_count, subspace_points as _points
-from cideals.liealg import algebra_modulo
+from cideals import liealg
+from cideals.liealg import algebra_modulo, canonical
 from oracles import oracle_t9_pairs, oracle_t10_pairs, oracle_t11_pairs
 
 
@@ -300,6 +303,53 @@ class TestContainmentWalks:
         assert report.status == PASS
         assert report.witnesses == {"pairs_checked": len(pairs)}
         assert calls == _first_seen((l, b) for _, b in pairs)
+
+
+class TestWalkCounts:
+    """T9 and T10 keep B's verdict in L for the length of a walk, and T9
+    carries B into L on canonical rows, with no subspace made per pair."""
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_outer_question_once_per_subalgebra(self, l, monkeypatch):
+        # The walk runs on a copy of l that is not its canonical instance,
+        # so the quotient by the zero ideal, which is that instance, is
+        # told apart from l in T10's questions.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        canonical(l)
+        copy = parse(serialize(l))
+        assert copy == l and canonical(copy) is not copy
+        for suite in ("T9", "T10"):
+            asked = Counter()
+
+            def counting(alg, b, budget):
+                if alg is copy:
+                    asked[b] += 1
+                return is_cideal(alg, b, budget)
+
+            (report,) = run_suite(copy, suite, decide=counting)
+            assert report.status == PASS
+            assert asked and set(asked.values()) == {1}, suite
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_t9_makes_no_subspace_per_pair(self, l, monkeypatch):
+        verdicts = {}
+
+        def recording(alg, b, budget):
+            verdicts[alg, b] = is_cideal(alg, b, budget)
+            return verdicts[alg, b]
+
+        (first,) = run_suite(l, "T9", decide=recording)
+        carried = []
+        from_coords = Subspace.from_coords
+
+        def counting(self, w):
+            carried.append(w)
+            return from_coords(self, w)
+
+        monkeypatch.setattr(Subspace, "from_coords", counting)
+        (report,) = run_suite(l, "T9", decide=lambda alg, b, budget: verdicts[alg, b])
+        assert report.status == PASS and report.witnesses == first.witnesses
+        assert carried == []
 
 
 class TestWalkBudgets:

@@ -27,7 +27,13 @@ from cideals import (
 )
 from cideals import linalg
 
-from oracles import oracle_char_poly, oracle_intersection, oracle_preimage
+from oracles import (
+    oracle_char_poly,
+    oracle_intersection,
+    oracle_kernel_p,
+    oracle_kernel_q,
+    oracle_preimage,
+)
 
 
 def mat(field, rows):
@@ -119,6 +125,68 @@ class TestNullspace:
     def test_zero_map_kernel_full(self):
         m = Matrix.zeros(Q, 2, 3)
         assert nullspace(m).dim == 3
+
+
+_KERNEL_FIELDS = [GF(2), GF(3), GF(5), GF(2**31 - 1), Q]
+
+
+def _oracle_kernel(field, rows, ncols):
+    if field.p is None:
+        return oracle_kernel_q(rows, ncols)
+    return oracle_kernel_p(rows, ncols, field.p)
+
+
+def _assert_kernel_matches_oracle(field, rows, ncols):
+    expected = _oracle_kernel(field, rows, ncols)
+    leads = tuple(next(c for c, x in enumerate(r) if x) for r in expected)
+    for kernel in (
+        linalg.raw_kernel(field, rows, ncols),
+        nullspace(Matrix._from_raw(field, tuple(map(tuple, rows)), ncols)),
+    ):
+        assert kernel.rows == expected
+        assert kernel.pivots == leads
+        assert kernel == Subspace.from_raw(field, ncols, kernel.rows)
+
+
+@st.composite
+def _kernel_case(draw):
+    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    ncols = draw(st.integers(0, 5))
+    if field.p is None:
+        entry = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+        norm = lambda x: x.numerator if x.denominator == 1 else x
+    else:
+        entry = st.sampled_from([0, 1, 2, field.p - 1, field.p // 2]).map(lambda x: x % field.p)
+        norm = lambda x: x
+    row = st.lists(entry, min_size=ncols, max_size=ncols).map(lambda r: tuple(map(norm, r)))
+    return field, draw(st.lists(row, max_size=5)), ncols
+
+
+class TestKernelOracle:
+    """raw_kernel and nullspace give the rows and pivots of a from-scratch
+    Gauss-Jordan kernel over GF(2), GF(3), GF(5), GF(2^31 - 1) and Q."""
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=str)
+    def test_edge_cases(self, field):
+        m = field.p - 1 if field.p else Fraction(-1, 2)
+        cases = [
+            ([], 3),  # no rows: the whole space
+            ([(0, 0, 0)], 3),  # a zero row
+            ([(0, 0, 0, 0)] * 3, 4),  # the zero matrix
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),  # full rank
+            ([(1, 1, 0), (0, 1, 1), (1, 0, m)], 3),
+            ([(0, 1, m, 1), (0, 2 % (field.p or 3), 0, 1)], 4),
+            ([(), ()], 0),  # ncols 0
+            ([], 0),
+        ]
+        for rows, ncols in cases:
+            _assert_kernel_matches_oracle(field, rows, ncols)
+        assert linalg.raw_kernel(field, [], 3) == Subspace.full(field, 3)
+        assert linalg.raw_kernel(field, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3).dim == 0
+
+    @given(_kernel_case())
+    def test_random_matrices(self, case):
+        _assert_kernel_matches_oracle(*case)
 
 
 class TestCharPoly:
