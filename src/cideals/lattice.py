@@ -89,7 +89,8 @@ def _check_budget(count: int, what: str, budget: int):
 
 
 def _check_subspace_budget(l: LieAlgebra, dims, budget: int):
-    count = subspace_count(l.dim, l.field.p, dims)
+    # Kept in the memo per ``dims``; each call compares it with its own budget.
+    count = l._memoized(("subspace_count", dims), lambda: subspace_count(l.dim, l.field.p, dims))
     _check_budget(count, f"subspaces of GF({l.field.p})^{l.dim}", budget)
 
 
@@ -475,14 +476,21 @@ def _line_families(l: LieAlgebra) -> tuple:
     # complement W of [L, L].  Conversely, an x in C_L([L, L]) that is an
     # eigenvector of ad(w) for every row w of W spans an ideal.  So only
     # the dim L/[L, L] maps ad(w) are factored, each cutting C_L([L, L]).
+    # Each ad(w) is factored on each current family, in the family's own
+    # coordinates, never on L: C_L([L, L]) is an ideal, so ad(w) maps it
+    # into itself, and the ad(w) commute there, since [ad(w), ad(w')] is
+    # ad([w, w']) with [w, w'] in [L, L], which centralizes it.  So every
+    # eigenspace cut by one ad(w) is mapped into itself by the next.
     p = l.field.p
     derived = derived_subspace(l)
     families = [l.centralizer(derived)]
     for w in derived.complement().rows:
-        ad = l.ad_matrix_raw(w)
-        roots = sorted(raw_poly_roots(p, raw_char_poly(p, ad)))
-        eigenspaces = [raw_eigenspace(l.field, ad, lam) for lam in roots]
-        families = [cut for fam in families for eig in eigenspaces if (cut := fam & eig).dim]
+        cuts = []
+        for fam in families:
+            ad = tuple(zip(*(fam.coords_raw(l.bracket_raw(w, r)) for r in fam.rows)))
+            for lam in raw_poly_roots(p, raw_char_poly(p, ad)):
+                cuts.append(fam.from_coords(raw_eigenspace(l.field, ad, lam)))
+        families = cuts
     return tuple(sorted((fam for fam in families if fam.dim), key=Subspace.sort_key))
 
 

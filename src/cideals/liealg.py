@@ -209,12 +209,9 @@ class LieAlgebra:
 
     def ad_matrix(self, x: tuple) -> Matrix:
         """The matrix of y -> [x, y] on the chosen basis (columns are [x, e_j])."""
-        return Matrix._from_raw(self.field, self.ad_matrix_raw(self._unbox_vector(x)), self.dim)
-
-    def ad_matrix_raw(self, x) -> tuple:
-        """The raw rows of :meth:`ad_matrix` for a raw row x, without checks."""
-        units = _units(self.dim, range(self.dim))
-        return tuple(zip(*(self.bracket_raw(x, e) for e in units)))
+        raw = self._unbox_vector(x)
+        columns = (self.bracket_raw(raw, e) for e in _units(self.dim, range(self.dim)))
+        return Matrix._from_raw(self.field, tuple(zip(*columns)), self.dim)
 
     def validate(self) -> list:
         """Jacobi-identity violations as ``(i, j, k, residual)`` tuples.

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cideals import (
+    CASE_NEITHER,
     NO,
     YES,
     BadParams,
@@ -18,6 +19,7 @@ from cideals import (
     Subspace,
     builtin,
     catalog_algebras,
+    classify_line_cideals,
     enum_ideals,
     enum_subalgebras,
     frattini,
@@ -36,7 +38,7 @@ from cideals import (
 )
 import cideals.harness
 from cideals.harness import FAIL, PASS, SKIP, normalize_suites
-from cideals.lattice import subspace_count, subspace_points as _points
+from cideals.lattice import point_line, subspace_count, subspace_points as _points
 from cideals import liealg
 from cideals.liealg import algebra_modulo, canonical
 from oracles import oracle_t9_pairs, oracle_t10_pairs, oracle_t11_pairs
@@ -504,6 +506,44 @@ class TestWitnessOrder:
         assert check["verdict"]["method"] == "liar"
         assert check["is_ideal"] is False
         assert frattini(l)[1].dim < l.dim
+
+
+class TestLineSuitesCanFail:
+    """T7 and T8 take no ``decide``: each is made to fail by corrupting
+    the one primitive its claim is about, and the witness is replayed
+    with the honest code."""
+
+    def test_t7_fails_when_the_line_rule_is_flipped(self, h3_gf3, monkeypatch):
+        honest = cideals.harness._line_cideal
+
+        def flipped(l, line):
+            v = honest(l, line)
+            return CIdealVerdict(NO if v.answer == YES else YES, None, "flipped", True)
+
+        with monkeypatch.context() as m:
+            m.setattr(cideals.harness, "_line_cideal", flipped)
+            (report,) = run_suite(h3_gf3, "T7")
+        assert report.status == FAIL
+        assert report.reason == "line rule and enumeration oracle disagree"
+        assert report.witnesses["line_rule"]["method"] == "flipped"
+        # replay: the honest rule agrees with the enumeration on the point
+        x = parse_subspace(h3_gf3.field, h3_gf3.dim, report.witnesses["point"]).rows[0]
+        line = point_line(h3_gf3.field, x)
+        assert honest(h3_gf3, line).answer == report.witnesses["enumeration"]["answer"]
+        assert run_suite(h3_gf3, "T7")[0].status == PASS
+
+    def test_t8_fails_when_the_classifier_says_neither(self, h3_gf3, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cideals.harness, "_line_shape", lambda l: (CASE_NEITHER, None))
+            (report,) = run_suite(h3_gf3, "T8")
+        assert report.status == FAIL
+        assert report.reason == "classifier and the line scan disagree"
+        assert report.witnesses == {"case": CASE_NEITHER, "all_lines_cideal": True}
+        # replay: the honest classifier is positive, as the line scan says
+        assert classify_line_cideals(h3_gf3).case != CASE_NEITHER
+        (honest,) = run_suite(h3_gf3, "T8")
+        assert honest.status == PASS
+        assert honest.witnesses["all_lines_cideal"] is True
 
 
 class TestFuzz:

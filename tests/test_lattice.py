@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from cideals import (
     cartan_subalgebras,
     catalog_algebras,
     core,
+    direct_sum,
     enum_ideals,
     enum_subalgebras,
     enum_subspaces,
@@ -30,9 +32,10 @@ from cideals import (
     one_dim_ideals,
     projective_points,
     random_solvable,
+    restricted_algebra,
     subspace_count,
 )
-from cideals import liealg
+from cideals import lattice, liealg, linalg
 from cideals.harness import _spot_vectors
 from cideals.lattice import (
     _core,
@@ -225,15 +228,16 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("l", _SEARCH_ALGEBRAS, ids=_SEARCH_IDS)
     def test_each_bracket_made_once_per_listing(self, monkeypatch, l):
         # The search's row-pair brackets and the ideal filter's [e_c, row]
-        # are each made once, and only the listings enter the memo.
+        # are each made once, and only the listings and the subspace count
+        # checked against the budget enter the memo.
         monkeypatch.setattr(liealg, "_canonical", {})
         fresh = _fresh(l)
         brackets = _made(monkeypatch, "bracket_raw", lambda: enum_subalgebras(fresh))
         assert len(set(brackets)) == len(brackets)
-        assert set(fresh._memo) == {"subalgebras"}
+        assert set(fresh._memo) == {("subspace_count", None), "subalgebras"}
         images = _made(monkeypatch, "ad_raw", lambda: enum_ideals(fresh))
         assert len(set(images)) == len(images)
-        assert set(fresh._memo) == {"subalgebras", "ideals"}
+        assert set(fresh._memo) == {("subspace_count", None), "subalgebras", "ideals"}
         if l == builtin("t(3)", GF(2)):
             assert len(brackets) == 651
 
@@ -526,6 +530,25 @@ class TestSubspacePoints:
         assert first_line_ideal(l) == lines[0]
 
 
+def _e2(field):
+    # e(2), the solvable algebra of tests/test_structure.py: [x, a1] = a2,
+    # [x, a2] = -a1.
+    return LieAlgebra(field, 3, ["x", "a1", "a2"], {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+
+
+def _rational_solvable(s):
+    # The closure of two seeded vectors of t(4) over Q, as the benchmark's
+    # rational part builds it.
+    t4 = builtin("upper_triangular", Q, 4)
+    rng = random.Random(f"qsolvable/{s}")
+    vecs = [
+        tuple(Q.scalar(rng.choice((-1, 0, 0, 0, 1, 2))) for _ in range(t4.dim))
+        for _ in range(2)
+    ]
+    closed = t4.subalgebra_closure(Subspace.from_vectors(Q, t4.dim, vecs))
+    return restricted_algebra(t4, closed)[0]
+
+
 def _with_quotients(l):
     # l, then l modulo its centre and modulo [l, l] when those are proper.
     out = [l]
@@ -551,6 +574,60 @@ class TestLineFamilies:
             l = random_solvable(s, GF(p), 3 + s % 2, 2 + s % 4)
             for a in _with_quotients(l):
                 assert ideal_line_families(a) == oracle_line_families(a)
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_match_where_a_restricted_char_poly_has_no_root(self, p):
+        # p = 3 mod 4, so ad(x) acts on span(a1, a2) of e(2) by t^2 + 1,
+        # which has no root in GF(p): e(2) has no family, and each sum
+        # keeps only its other summand's.
+        e2 = _e2(GF(p))
+        for other in (None, "abelian(1)", "heisenberg(3)"):
+            l = e2 if other is None else direct_sum(e2, builtin(other, GF(p)))
+            for a in _with_quotients(l):
+                assert ideal_line_families(a) == oracle_line_families(a)
+        assert ideal_line_families(e2) == ()
+
+    def test_match_on_rational_solvable_closures(self):
+        dims = set()
+        for s in range(16):
+            l = _rational_solvable(s)
+            dims.add(l.dim)
+            assert ideal_line_families(l) == oracle_line_families(l)
+        assert dims == {3, 4, 5, 6, 7, 8}
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)", "t(2)", "t(3)"])
+    def test_match_at_the_largest_prime(self, name):
+        l = builtin(name, GF(2**31 - 1))
+        assert ideal_line_families(l) == oracle_line_families(l)
+
+    @pytest.mark.parametrize(
+        "make, dim",
+        [(lambda: builtin("t(3)", Q), 6), (lambda: _rational_solvable(0), 7)],
+        ids=["t(3)/Q", "qrs(0)"],
+    )
+    def test_factored_on_the_families_only(self, make, dim, monkeypatch):
+        # Every char poly is of a family's restriction, no bigger than
+        # C_L([L, L]), and no two subspaces are met.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = make()
+        bound = l.centralizer(derived_subspace(l)).dim
+        sizes, meets = [], []
+        char_poly, sum_and_meet = lattice.raw_char_poly, linalg.raw_sum_and_meet
+
+        def counted_char_poly(p, rows):
+            sizes.append((len(rows), {len(r) for r in rows}))
+            return char_poly(p, rows)
+
+        def counted_sum_and_meet(*args):
+            meets.append(args)
+            return sum_and_meet(*args)
+
+        monkeypatch.setattr(lattice, "raw_char_poly", counted_char_poly)
+        monkeypatch.setattr(linalg, "raw_sum_and_meet", counted_sum_and_meet)
+        families = ideal_line_families(l)
+        assert families and sizes and not meets
+        assert all(n <= bound and widths <= {n} for n, widths in sizes)
+        assert l.dim == dim and bound < dim
 
     def test_point_line_is_the_reduced_line(self):
         for p in (2, 3, 5):

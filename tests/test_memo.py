@@ -26,6 +26,7 @@ from cideals import (
     catalog_algebras,
     enum_ideals,
     enum_subalgebras,
+    enum_subspaces,
     frattini,
     frattini_of_subalgebra,
     is_cideal,
@@ -38,7 +39,7 @@ from cideals import (
     upper_central_series,
     verify_certificate,
 )
-from cideals import cideal, liealg
+from cideals import cideal, lattice, liealg
 from cideals.liealg import SERIES_KINDS
 from cideals.structure import _upper_central
 
@@ -82,6 +83,36 @@ class TestWarmMemoKeepsTheBudget:
         with pytest.raises(BudgetExceeded):
             fn(_t2(), budget=limit - 1)
         assert fn(_t2(), budget=limit) == answer
+
+    def test_subspace_count_is_kept_and_still_compared(self, empty_table, monkeypatch):
+        # The count is made once per algebra value and dims; a memo hit
+        # compares it with the call's own budget, with the same message.
+        made = []
+        count = lattice.subspace_count
+
+        def counting(n, p, dims=None):
+            made.append(dims)
+            return count(n, p, dims)
+
+        monkeypatch.setattr(lattice, "subspace_count", counting)
+        l = _t2()
+        for fn in (enum_subalgebras, enum_ideals, maximal_subalgebras):
+            fn(l)
+            fn(_t2())
+        list(enum_subspaces(l, dims=1))
+        list(enum_subspaces(_t2(), dims=(1,)))
+        assert made == [None, (1,)]
+
+        def lines(a, budget):
+            return enum_subspaces(a, 1, budget)
+
+        for dims, call in ((None, enum_ideals), ((1,), lines)):
+            limit = count(l.dim, l.field.p, dims)
+            with pytest.raises(BudgetExceeded) as raised:
+                call(_t2(), budget=limit - 1)
+            want = f"{limit} subspaces of GF(3)^3 exceed the budget of {limit - 1}"
+            assert str(raised.value) == want
+        assert made == [None, (1,)]
 
     def test_frattini_of_subalgebra(self, empty_table):
         l = _t2()
