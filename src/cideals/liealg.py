@@ -9,13 +9,18 @@ constructions: products of subspaces, closures, series, centralizers
 and transporters, quotients, restrictions and direct sums.  Quotients
 and restrictions box Scalars only in the coordinate maps they return.
 
-The public predicates check their input and then call a trusted form
-that does not: :func:`is_nilpotent` and :func:`is_solvable` of a
-subalgebra check that it is closed and call ``_nilpotent_on`` and
-``_solvable_on``, which answer at once when L itself is nilpotent
-(solvable) and otherwise read the flag of :func:`algebra_on`, itself
-trusted: it reads the subalgebra's structure table without a closure
-test, and builds one algebra per distinct table.
+One reader, ``_table``, reads the structure table of a basis, and one
+builder, ``_algebra``, makes an algebra of it.  Each public form checks
+its input, then calls its trusted form, which checks nothing and calls
+no form that does (``is_nilpotent`` and ``is_solvable`` of L itself
+check nothing):
+
+- ``restrict``, ``quotient`` (closed, an ideal) -> the reader, the builder;
+- ``is_nilpotent``, ``is_solvable`` of a subalgebra (closed) ->
+  ``_nilpotent_on``, ``_solvable_on`` -> :func:`algebra_on`, read only
+  when L itself is not nilpotent (solvable);
+- :func:`algebra_on`, :func:`algebra_modulo` -> the reader, the builder,
+  one canonical algebra per distinct table.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class LieAlgebra:
     flags, c-ideal verdicts, the derived, lower central and ascending
     central series from L, per subspace the algebra on it or modulo it
     (:func:`algebra_on`, :func:`algebra_modulo`), and per distinct
-    structure table of a subalgebra the one algebra built from it.
+    structure table, of a subalgebra or a quotient, the one algebra.
     """
 
     __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")
@@ -405,7 +410,7 @@ class LieAlgebra:
                 raise DimensionMismatch(f"quotient vector of length {len(w)}, expected {comp.dim}")
             return _box(field, comp.from_coords_raw(_unbox(field, w)))
 
-        return self._algebra_on(comp, modulo_raw), project, lift
+        return _algebra(self, comp, _table(self, comp, modulo_raw)), project, lift
 
     def restrict(self, subalgebra: Subspace):
         """The subalgebra as an algebra on its canonical basis.
@@ -442,20 +447,7 @@ class LieAlgebra:
                 )
             return _box(field, subalgebra.from_coords_raw(_unbox(field, c)))
 
-        return self._algebra_on(subalgebra, read), to_coords, from_coords
-
-    def _algebra_on(self, basis: Subspace, read) -> "LieAlgebra":
-        # The algebra on the canonical rows of ``basis``, named after their
-        # pivot columns; ``read`` gives the coordinates of each bracket.
-        rows = basis.rows
-        brackets = {}
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                vec = read(self.bracket_raw(rows[a], rows[b]))
-                if any(vec):
-                    brackets[(a, b)] = vec
-        names = tuple(self.names[c] for c in basis.pivots)
-        return LieAlgebra._from_raw(self.field, names, brackets)
+        return _algebra(self, subalgebra, _table(self, subalgebra, read)), to_coords, from_coords
 
     # -- value semantics ------------------------------------------------------
 
@@ -515,39 +507,47 @@ def canonical(l: LieAlgebra) -> LieAlgebra:
     return first
 
 
+def _table(l: LieAlgebra, basis: Subspace, read) -> tuple:
+    # The one table reader: read([r_a, r_b]) over basis's canonical rows,
+    # each pair a < b once, in is_subalgebra's order; a raise stops it.
+    rows, bracket_raw = basis.rows, l.bracket_raw
+    return tuple(read(bracket_raw(x, y)) for a, x in enumerate(rows) for y in rows[a + 1 :])
+
+
+def _algebra(l: LieAlgebra, basis: Subspace, table: tuple) -> LieAlgebra:
+    # The one builder: a fresh algebra of the table, named after l at basis's pivots.
+    pairs = itertools.combinations(range(basis.dim), 2)
+    brackets = {ab: vec for ab, vec in zip(pairs, table) if any(vec)}
+    return LieAlgebra._from_raw(l.field, tuple(l.names[c] for c in basis.pivots), brackets)
+
+
+def _canonical_algebra(l: LieAlgebra, basis: Subspace, read) -> LieAlgebra:
+    # The canonical algebra of basis's table, built once per distinct table.
+    table = _table(l, basis, read)
+    return l._memoized(("table", basis.dim, table), lambda: canonical(_algebra(l, basis, table)))
+
+
 def algebra_on(l: LieAlgebra, u: Subspace) -> LieAlgebra:
     """The canonical algebra on the subalgebra u, kept in l's memo.
 
     u must be closed, which is not checked here: the public entry points
     that reach this (:func:`is_nilpotent`, :func:`is_solvable`,
-    ``structure.frattini_of_subalgebra``) check it first.  The structure
-    table is read off the brackets of u's canonical rows a < b, each
-    bracket a member of u with its coordinates at u's pivots, so no
-    reduction runs.  Each distinct table is built into an algebra once per
-    value of l, named after l's basis at u's pivots as :meth:`restrict`
-    names it, and kept in l's memo; a table seen before builds nothing.
+    ``structure.frattini_of_subalgebra``) check it first.  Each bracket
+    of u's canonical rows is a member of u, so its coordinates are its
+    entries at u's pivots and no reduction runs.
     """
-    return l._memoized(("on", u), lambda: _algebra_of_table(l, u))
-
-
-def _algebra_of_table(l: LieAlgebra, u: Subspace) -> LieAlgebra:
-    # The canonical algebra whose structure table is u's, read on u's rows.
-    rows, d = u.rows, u.dim
-    bracket, coords = l.bracket_raw, u.coords_raw
-    table = tuple(coords(bracket(x, y)) for a, x in enumerate(rows) for y in rows[a + 1 :])
-
-    def build():
-        pairs = ((a, b) for a in range(d) for b in range(a + 1, d))
-        brackets = {ab: vec for ab, vec in zip(pairs, table) if any(vec)}
-        names = tuple(l.names[c] for c in u.pivots)
-        return canonical(LieAlgebra._from_raw(l.field, names, brackets))
-
-    return l._memoized(("table", d, table), build)
+    return l._memoized(("on", u), lambda: _canonical_algebra(l, u, u.coords_raw))
 
 
 def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
-    """The canonical algebra l/ideal, kept in l's memo."""
-    return l._memoized(("modulo", ideal), lambda: canonical(l.quotient(ideal)[0]))
+    """The canonical algebra l/ideal, kept in l's memo.  ideal must be an
+    ideal, which is not checked here; the table is :meth:`quotient`'s."""
+
+    def make():
+        comp = ideal.complement()
+        return _canonical_algebra(l, comp, lambda v: comp.coords_raw(ideal.reduce_raw(v)))
+
+    return l._memoized(("modulo", ideal), make)
 
 
 def derived_subspace(l: LieAlgebra) -> Subspace:

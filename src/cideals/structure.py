@@ -309,10 +309,9 @@ def _line_shape(l: LieAlgebra) -> tuple:
     if l.span_product(squared, squared).dim != 0:
         return CASE_NEITHER, None
     centre = l.centre()
-    if (centre & squared).dim != 0:
-        return CASE_NEITHER, None
     fixed = centre + squared
-    if l.dim - fixed.dim != 1:
+    # centre ∩ [L, L] = 0 exactly when the sum is direct.
+    if fixed.dim != centre.dim + squared.dim or l.dim - fixed.dim != 1:
         return CASE_NEITHER, None
     x = _scaling_vector(l, fixed.complement().rows[0], squared)
     if x is None:

@@ -16,6 +16,7 @@ from cideals import (
     NO,
     YES,
     CIdealVerdict,
+    LieAlgebra,
     Matrix,
     Subspace,
     ZeroVector,
@@ -208,6 +209,24 @@ def oracle_is_subalgebra(l, u: Subspace) -> bool:
 def oracle_is_ideal(l, u: Subspace) -> bool:
     """[L, u] <= u through the full span product."""
     return oracle_span_product(l, l.full_space(), u) <= u
+
+
+def oracle_quotient(l, i: Subspace) -> LieAlgebra:
+    """L/I on the standard vectors at I's non-pivot columns, from boxed
+    brackets: each [e_a, e_b] of free columns a < b is cleared at I's
+    pivots with I's canonical rows, one row at a time in Scalars, and its
+    entries at the free columns are the structure constants.  The basis
+    is named after L's at the free columns."""
+    free = [c for c in range(l.dim) if c not in i.pivots]
+    brackets = {}
+    for x, a in enumerate(free):
+        for y in range(x + 1, len(free)):
+            v = l.bracket(l.basis_vector(a), l.basis_vector(free[y]))
+            for row, c in zip(i.vectors(), i.pivots):
+                f = v[c]
+                v = tuple(s - f * t for s, t in zip(v, row))
+            brackets[(x, y)] = [v[c] for c in free]
+    return LieAlgebra(l.field, len(free), [l.names[c] for c in free], brackets)
 
 
 def oracle_intersection(u: Subspace, v: Subspace) -> Subspace:

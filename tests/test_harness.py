@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cideals import (
+    CASE_CUBE_ZERO,
     CASE_NEITHER,
     NO,
     YES,
@@ -14,19 +15,23 @@ from cideals import (
     CIdealVerdict,
     FieldNotFinite,
     GF,
+    LieAlgebra,
     Q,
     SUITE_IDS,
     Subspace,
     builtin,
     catalog_algebras,
     classify_line_cideals,
+    direct_sum,
     enum_ideals,
     enum_subalgebras,
     frattini,
     frattini_of_subalgebra,
     fuzz,
     is_cideal,
+    is_solvable,
     maximal_nilpotent_subalgebras,
+    maximal_subalgebras,
     parse,
     parse_subspace,
     quotient_algebra,
@@ -35,6 +40,7 @@ from cideals import (
     run_suite,
     serialize,
     subspace_text,
+    supersolvable_flag,
 )
 import cideals.harness
 from cideals.harness import FAIL, PASS, SKIP, normalize_suites
@@ -195,8 +201,6 @@ class TestCorruptedDecide:
         # at least one maximal subalgebra
         assert report.witnesses["all_maximal_cideal"] is True
         assert report.witnesses["solvable"] is False
-        from cideals import maximal_subalgebras
-
         honest = [is_cideal(l, m).answer for m in maximal_subalgebras(l)]
         assert "no" in honest
 
@@ -213,6 +217,59 @@ class TestCorruptedDecide:
     def test_honest_default_passes(self, h3_gf3):
         (report,) = run_suite(h3_gf3, "T1")
         assert report.status == PASS
+
+    def test_always_no_breaks_t2_on_solvable(self, h3_gf3):
+        def naysayer(alg, b, budget):
+            return CIdealVerdict(NO, None, "naysayer", True)
+
+        (report,) = run_suite(h3_gf3, "T2", decide=naysayer)
+        assert report.status == FAIL
+        assert report.reason == "solvable algebra without a solvable maximal c-ideal"
+        # replay: honestly, a solvable maximal subalgebra is a c-ideal
+        (honest,) = run_suite(h3_gf3, "T2")
+        assert honest.status == PASS
+        m = parse_subspace(h3_gf3.field, h3_gf3.dim, honest.witnesses["maximal_subalgebra"])
+        assert m in maximal_subalgebras(h3_gf3) and is_solvable(h3_gf3, m)
+        assert is_cideal(h3_gf3, m).answer == YES
+
+    def test_always_yes_breaks_t3_on_sl2(self):
+        l = builtin("sl2", GF(3))
+
+        def liar(alg, b, budget):
+            return CIdealVerdict(YES, None, "liar", False)
+
+        (report,) = run_suite(l, "T3", decide=liar)
+        assert report.status == FAIL
+        assert report.witnesses == {"premise_holds": True, "solvable": False}
+        # replay: honestly, a maximal nilpotent subalgebra is no c-ideal
+        (honest,) = run_suite(l, "T3")
+        assert (honest.status, honest.witnesses["premise_holds"]) == (PASS, False)
+        c = parse_subspace(l.field, l.dim, honest.witnesses["maximal_nilpotent"])
+        assert c in maximal_nilpotent_subalgebras(l) and is_cideal(l, c).answer == NO
+
+    @pytest.mark.parametrize("suite", ["T5", "T6"])
+    def test_always_yes_breaks_t5_and_t6_on_e2(self, suite):
+        # e(2) + abelian(1) over GF(3): solvable, every maximal nilpotent
+        # subalgebra of dimension at least two, and no line of e(2) is an
+        # ideal, so it is not supersolvable.
+        e2 = LieAlgebra(GF(3), 3, ["x", "a1", "a2"], {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+        l = direct_sum(e2, builtin("abelian(1)", GF(3)))
+
+        def liar(alg, b, budget):
+            return CIdealVerdict(YES, None, "liar", False)
+
+        (report,) = run_suite(l, suite, decide=liar)
+        assert report.status == FAIL
+        assert report.witnesses == {"premise_holds": True}
+        assert supersolvable_flag(l) is None
+        # replay: honestly, a maximal subalgebra of a maximal nilpotent
+        # subalgebra is no c-ideal of L
+        (honest,) = run_suite(l, suite)
+        assert (honest.status, honest.witnesses["premise_holds"]) == (PASS, False)
+        c = parse_subspace(l.field, l.dim, honest.witnesses["maximal_nilpotent"])
+        b = parse_subspace(l.field, l.dim, honest.witnesses["maximal_subalgebra_of_it"])
+        assert c in maximal_nilpotent_subalgebras(l) and b <= c
+        assert is_cideal(l, b).answer == NO
 
 
 @st.composite
@@ -423,6 +480,30 @@ class TestQuotientComparison:
         (report,) = run_suite(l, "T4")
         assert (report.status, report.witnesses) == (PASS, {"pairs_checked": pairs})
 
+    def test_t4_fails_when_the_quotients_lie(self, monkeypatch):
+        # The maximal nilpotent subalgebras of each quotient L/A, but not
+        # of L, gain the zero subalgebra, which is maximal in no nonzero
+        # quotient.
+        l = builtin("t(2)", GF(3))
+        honest = cideals.harness.maximal_nilpotent_subalgebras
+
+        def lying(alg, budget):
+            found = honest(alg, budget)
+            return found if alg is l or alg.dim == 0 else found + (alg.zero_space(),)
+
+        with monkeypatch.context() as m:
+            m.setattr(cideals.harness, "maximal_nilpotent_subalgebras", lying)
+            (report,) = run_suite(l, "T4")
+        assert report.status == FAIL
+        assert report.reason == "a maximal nilpotent subalgebra of the quotient does not lift"
+        # replay: the preimage is no C + A, and honestly its image is not
+        # maximal nilpotent in L/A
+        a = parse_subspace(l.field, l.dim, report.witnesses["ideal"])
+        lifted = parse_subspace(l.field, l.dim, report.witnesses["preimage"])
+        assert all(c + a != lifted for c in maximal_nilpotent_subalgebras(l))
+        assert a.modulo(lifted) not in maximal_nilpotent_subalgebras(algebra_modulo(l, a))
+        assert run_suite(l, "T4")[0].status == PASS
+
 
 class TestLargePrimes:
     """Every suite answers or skips quickly at primes up to 2^31: the
@@ -544,6 +625,18 @@ class TestLineSuitesCanFail:
         (honest,) = run_suite(h3_gf3, "T8")
         assert honest.status == PASS
         assert honest.witnesses["all_lines_cideal"] is True
+
+    def test_t8_over_q_fails_when_the_classifier_says_cube_zero(self, sl2_q, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cideals.harness, "_line_shape", lambda l: (CASE_CUBE_ZERO, None))
+            (report,) = run_suite(sl2_q, "T8")
+        assert report.status == FAIL
+        assert report.reason == "classifier-positive algebra has a non-c-ideal line"
+        # replay: the line is no c-ideal, and the honest classifier says so
+        line = parse_subspace(sl2_q.field, sl2_q.dim, report.witnesses["point"])
+        assert is_cideal(sl2_q, line).answer == NO
+        assert classify_line_cideals(sl2_q).case == CASE_NEITHER
+        assert run_suite(sl2_q, "T8")[0].status == PASS
 
 
 class TestFuzz:

@@ -36,6 +36,7 @@ from oracles import (
     oracle_is_ideal,
     oracle_is_subalgebra,
     oracle_nilpotent,
+    oracle_quotient,
     oracle_solvable,
     oracle_span_product,
 )
@@ -348,6 +349,22 @@ class TestBracketRoutes:
                 got, want = l.restrict(u)[0], _two_pass_restriction(l, u)
                 assert got == want and got.names == want.names
 
+    @pytest.mark.parametrize("field", [GF(2), GF(3), Q], ids=str)
+    def test_one_reader_for_subalgebras_and_quotients(self, field):
+        # restrict and algebra_on read one table, as do quotient,
+        # algebra_modulo and the boxed oracle.
+        for _, l in catalog_algebras(field, max_dim=None if field.p is None else 5):
+            closed = _closed_subspaces(l)
+            for u in closed:
+                alg = l.restrict(u)[0]
+                assert alg == liealg.algebra_on(l, u)
+                assert alg.names == tuple(l.names[c] for c in u.pivots)
+            ideals = enum_ideals(l) if field.p else [u for u in closed if l.is_ideal(u)]
+            for i in ideals:
+                reduced, want = l.quotient(i)[0], oracle_quotient(l, i)
+                assert reduced == liealg.algebra_modulo(l, i) == want
+                assert reduced.names == want.names
+
     @pytest.mark.parametrize("name", ["sl2", "heisenberg(3)", "t(2)"])
     def test_restrict_rejects_every_open_subspace(self, name):
         l = builtin(name, GF(3))
@@ -385,6 +402,20 @@ class TestBracketCounts:
                 pairs = u.dim * (u.dim - 1) // 2
                 assert _brackets_made(monkeypatch, lambda: l.restrict(u)) == pairs
                 assert _brackets_made(monkeypatch, lambda: l.span_product(u, u)) == pairs
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_algebra_modulo_checks_nothing(self, monkeypatch, p):
+        # On a cold memo: no ideal test, and one bracket per pair of the
+        # k = dim L - dim I rows of the quotient.
+        cases = [(cid, i) for cid, l in catalog_algebras(GF(p), max_dim=4) for i in enum_ideals(l)]
+        checked = []
+        is_ideal = LieAlgebra.is_ideal
+        monkeypatch.setattr(LieAlgebra, "is_ideal", lambda s, u: checked.append(u) or is_ideal(s, u))
+        for cid, i in cases:
+            l = builtin(cid, GF(p))
+            k = l.dim - i.dim
+            assert _brackets_made(monkeypatch, lambda: liealg.algebra_modulo(l, i)) == k * (k - 1) // 2
+        assert checked == []
 
     def test_derived_subspace(self, monkeypatch):
         for field in (GF(2), GF(3), Q):

@@ -93,3 +93,73 @@ def test_true_division_only_in_the_division_helper():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found += visitor.found
     assert found == []
+
+
+# The public forms of liealg, each with the trusted forms it calls once
+# its checks pass, as the module docstring lists them; below them the
+# trusted forms and the ones each calls in turn.
+_TRUSTED_CALLS = {
+    "restrict": ("_table", "_algebra"),
+    "quotient": ("_table", "_algebra"),
+    "is_nilpotent": ("_nilpotent_on",),
+    "is_solvable": ("_solvable_on",),
+    "_nilpotent_on": ("algebra_on",),
+    "_solvable_on": ("algebra_on",),
+    "algebra_on": ("_canonical_algebra",),
+    "algebra_modulo": ("_canonical_algebra",),
+    "_canonical_algebra": ("_table", "_algebra"),
+}
+_TRUSTED = (
+    "_nilpotent_on", "_solvable_on", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra"
+)
+# Of L itself, with no subspace, these answer from L's memo and check nothing.
+_WHOLE_ALGEBRA = ("is_nilpotent", "is_solvable")
+
+
+def _calls(node):
+    """(name, call) for every call made in a function, nested ones too."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            target = call.func
+            yield (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)), call
+
+
+def _checks(name, call):
+    return not (name in _WHOLE_ALGEBRA and len(call.args) == 1)
+
+
+def test_public_forms_check_then_call_trusted_forms():
+    # A checking form raises or calls one, directly or in turn; each public
+    # form of the table checks and calls its trusted forms, and a trusted
+    # form never checks.  So algebra_modulo cannot go back to building
+    # l.quotient, which tests is_ideal again.
+    tree = ast.parse(Path(cideals.liealg.__file__).read_text(encoding="utf-8"))
+    (algebra,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra"]
+    functions = {node.name: node for node in tree.body + algebra.body if isinstance(node, ast.FunctionDef)}
+    checking = {"_check_subspace"}
+    while True:
+        more = {
+            name
+            for name, node in functions.items()
+            if any(isinstance(n, ast.Raise) for n in ast.walk(node))
+            or any(called in checking and _checks(called, call) for called, call in _calls(node))
+        }
+        if more <= checking:
+            break
+        checking |= more
+    public = [form for form in _TRUSTED_CALLS if form not in _TRUSTED]
+    assert [form for form in public if form not in checking] == []
+    missing = [
+        (form, trusted)
+        for form, calls in _TRUSTED_CALLS.items()
+        for trusted in calls
+        if trusted not in {name for name, _ in _calls(functions[form])}
+    ]
+    assert missing == []
+    found = [
+        (form, name)
+        for form in _TRUSTED
+        for name, call in _calls(functions[form])
+        if name in checking and _checks(name, call)
+    ]
+    assert found == [] and not checking & set(_TRUSTED)
