@@ -283,13 +283,24 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
     Slower than :func:`is_cideal` but shares none of its reduction
     logic, which is what makes it useful as a cross-check.  An ideal C
     with dim B + dim C < dim L cannot give B + C = L, so it is passed
-    over before the sum is formed.  Finite fields only.
+    over with no elimination.  For C = L the sum is L and B ∩ C = B, so
+    C passes when B <= core(B), again with no elimination; any other C
+    takes one, which gives both dim(B + C) and B ∩ C
+    (:func:`~cideals.linalg.raw_sum_and_meet`).  Finite fields only.
     """
     if not l.is_subalgebra(b):
         raise NotSubalgebra("c-ideal decisions apply to subalgebras")
     b_core = _core(l, b)
+    n = l.dim
     for cand in enum_ideals(l, budget):
-        if b.dim + cand.dim >= l.dim and (b + cand).dim == l.dim and (b & cand) <= b_core:
+        if b.dim + cand.dim < n:
+            continue
+        if cand.dim == n:
+            passed = b <= b_core
+        else:
+            width, meet = raw_sum_and_meet(l.field, b.rows, cand.rows, n)
+            passed = width == n and meet <= b_core
+        if passed:
             return CIdealVerdict(YES, cand, METHOD_ENUM, True)
     return CIdealVerdict(NO, None, METHOD_ENUM, True)
 

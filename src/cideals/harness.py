@@ -315,9 +315,9 @@ def _t9(l, budget, decide):
     outer = {}  # B's rows -> decide(l, B)
     for k in proper:
         on_k = algebra_on(l, k)
-        images = {}  # a row on K -> its image in L
+        images, carry = {}, k.from_coords_raw  # a row on K -> its image in L
         for w in enum_subalgebras(on_k, budget):
-            rows = _images(k, w.rows, images)
+            rows = _images(w.rows, images, carry)
             v = outer.get(rows)
             if v is None:
                 v = outer[rows] = decide(l, _carried(k, w, rows), budget)
@@ -336,13 +336,13 @@ def _t9(l, budget, decide):
     return PASS, None, {"pairs_checked": checked}
 
 
-def _images(k: Subspace, rows, images: dict) -> tuple:
-    # The images in L of rows in k's coordinates, each made once per dict.
+def _images(rows, images: dict, image) -> tuple:
+    # The images of raw rows under ``image``, each made once per dict.
     out = []
     for r in rows:
         x = images.get(r)
         if x is None:
-            x = images[r] = k.from_coords_raw(r)
+            x = images[r] = image(r)
         out.append(x)
     return tuple(out)
 
@@ -356,9 +356,15 @@ def _t10(l, budget, decide):
     """Walks the (B, I) pairs with I an ideal inside the subalgebra B: for
     each I, the subalgebras w of L/I, with B the preimage of w and so
     B/I = w.  The subspaces of every L/I are charged to the budget before
-    the walk starts.  B's verdict in L is kept by B's rows for the length
-    of the walk, so ``decide(l, B)`` is asked once per distinct B, which
-    lies over as many w as it holds ideals I.
+    the walk starts.
+
+    B is its canonical rows here, merged from I's rows and the lifts of
+    w's rows (see :meth:`~cideals.linalg.Subspace.preimage_raw`): each
+    row of the listing on L/I is lifted once per I.  B's verdict in L is
+    kept by B's rows for the length of the walk, so ``decide(l, B)`` is
+    asked once per distinct B, which lies over as many w as it holds
+    ideals I, and B is built as a subspace only for that question and
+    for a failure's witness.
     """
     ideals = enum_ideals(l, budget)
     searched = sum(subspace_count(l.dim - i.dim, l.field.p) for i in ideals)
@@ -367,15 +373,16 @@ def _t10(l, budget, decide):
     outer = {}  # B's rows -> decide(l, B)
     for i in ideals:
         reduced = algebra_modulo(l, i)
+        lifts, lift = {}, i.lift_raw  # a row of L/I -> its lift in L
         for w in enum_subalgebras(reduced, budget):
-            b = i.preimage(w)
-            v_outer = outer.get(b.rows)
+            rows, pivots = i.preimage_raw(_images(w.rows, lifts, lift), w.pivots)
+            v_outer = outer.get(rows)
             if v_outer is None:
-                v_outer = outer[b.rows] = decide(l, b, budget)
+                v_outer = outer[rows] = decide(l, Subspace(l.field, l.dim, rows, pivots), budget)
             v_inner = decide(reduced, w, budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
-                    "subalgebra": subspace_text(b),
+                    "subalgebra": subspace_text(Subspace(l.field, l.dim, rows, pivots)),
                     "ideal": subspace_text(i),
                     "verdict_in_l": v_outer.as_dict(),
                     "verdict_in_quotient": v_inner.as_dict(),

@@ -219,7 +219,7 @@ def _units(n: int, columns) -> tuple:
 
 
 def _normalized(p, values) -> tuple:
-    return tuple(values) if p is None else tuple(x % p for x in values)
+    return tuple(map(_qraw, values)) if p is None else tuple([x % p for x in values])
 
 
 def _combination(p, w, rows, n: int) -> tuple:
@@ -657,10 +657,25 @@ class Subspace:
         """The image (u + I) / I of u in the quotient by this subspace I.
 
         The coordinates of v + I are the entries of I.reduce(v) at I's
-        non-pivot columns, read off directly.
+        non-pivot columns, read off directly.  No elimination is run for
+        I = 0 (the image is u), for u = F^n (the whole quotient) and for
+        I <= u: there the image has as canonical rows u's rows at the
+        pivots that are not I's, read off.  Such a row is 0 at I's
+        pivots, which are other pivots of u, so I does not reduce it and
+        it keeps its leading 1 and its 0s at the other rows' pivots; u's
+        rows at I's pivots lie in I plus their span.
         """
         self._same_ambient(u)
+        if self.dim == 0:
+            return u
         free = self._free_columns()
+        if u.dim == self.ambient_dim:
+            return Subspace.full(self.field, len(free))
+        if self <= u:
+            place = {c: q for q, c in enumerate(free)}
+            kept = [(r, place[c]) for r, c in zip(u.rows, u.pivots) if c in place]
+            rows = tuple(tuple(r[c] for c in free) for r, _ in kept)
+            return Subspace(self.field, len(free), rows, tuple(q for _, q in kept))
         rows = [tuple(v[c] for c in free) for v in map(self.reduce_raw, u.rows)]
         return Subspace.from_raw(self.field, len(free), rows)
 
@@ -668,37 +683,57 @@ class Subspace:
         """The preimage I + lift(w) in F^n of a subspace w of F^n / I, with
         I this subspace.
 
-        Each canonical row of w is lifted by putting its entries at I's
-        non-pivot columns: the lift of the row with pivot q leads with 1
-        at free[q], is 0 at the other lifts' pivots because w is
-        reduced, and is 0 at I's pivots.  Each row of I is then cleared
-        at the lifts' pivots.  It keeps its 1 at its own pivot and its 0s
-        at I's other pivots: a lift is subtracted only where the row is
-        nonzero, at a pivot after the row's own, and the lift is 0 before
-        that pivot and at I's pivots.  Every pivot column now has a
-        single nonzero entry, so the two row sets, merged by pivot, are
-        already canonical and no elimination is run.
+        For I = 0 that is w, and for w the whole quotient it is F^n.
+        Otherwise each canonical row of w is lifted by :meth:`lift_raw`
+        and the lifts merged with I's rows by :meth:`preimage_raw`; no
+        elimination is run.
         """
         self._same_ambient(w, self.ambient_dim - self.dim)
-        if w.dim == 0:
-            return self
-        n, p = self.ambient_dim, self.field.p
+        if self.dim == 0:
+            return w
+        if w.dim == w.ambient_dim:
+            return Subspace.full(self.field, self.ambient_dim)
+        rows, pivots = self.preimage_raw([self.lift_raw(r) for r in w.rows], w.pivots)
+        return Subspace(self.field, self.ambient_dim, rows, pivots)
+
+    def lift_raw(self, r) -> tuple:
+        """The lift to F^n of a raw row r of F^n / I, with I this subspace:
+        r's entries at I's non-pivot columns and 0 at I's pivots.  Without
+        checks."""
+        lift = [0] * self.ambient_dim
+        for c, x in zip(self._free_columns(), r):
+            lift[c] = x
+        return tuple(lift)
+
+    def preimage_raw(self, lifts, pivots) -> tuple[tuple, tuple]:
+        """The canonical rows and pivots of the preimage of w, from the
+        lifts of w's canonical rows and w's pivots.  Without checks.
+
+        The lift of the row with pivot q leads with 1 at free[q], free
+        being I's non-pivot columns, is 0 at the other lifts' pivots
+        because w is reduced, and is 0 at I's pivots.  Each row of I is
+        cleared at the lifts' pivots.  It keeps its 1 at its own pivot
+        and its 0s at I's other pivots: a lift is subtracted only where
+        the row is nonzero, at a pivot after the row's own, and the lift
+        is 0 before that pivot and at I's pivots.  Every pivot column
+        now has a single nonzero entry, so the two row sets, merged by
+        pivot, are already canonical.
+        """
         free = self._free_columns()
-        lifts = {}  # pivot -> lifted row
-        for r, q in zip(w.rows, w.pivots):
-            lift = [0] * n
-            for c, x in zip(free, r):
-                lift[c] = x
-            lifts[free[q]] = tuple(lift)
-        rows = dict(lifts)
+        at = [free[q] for q in pivots]
+        if not self.rows:
+            return tuple(lifts), tuple(at)
+        p = self.field.p
+        merged = dict(zip(at, lifts))
         for row, c in zip(self.rows, self.pivots):
-            for q, lift in lifts.items():
+            cleared = row
+            for q, lift in zip(at, lifts):
                 f = row[q]
                 if f:
-                    row = [a - f * b for a, b in zip(row, lift)]
-            rows[c] = _normalized(p, row)
-        pivots = tuple(sorted(rows))
-        return Subspace(self.field, n, tuple(rows[c] for c in pivots), pivots)
+                    cleared = [a - f * b for a, b in zip(cleared, lift)]
+            merged[c] = row if cleared is row else _normalized(p, cleared)
+        order = sorted(merged)
+        return tuple([merged[c] for c in order]), tuple(order)
 
     def sort_key(self):
         return (

@@ -500,11 +500,51 @@ class TestScan:
             if v.answer == YES:
                 assert verify_certificate(h3_gf2, b, v.certificate)
 
-    def test_scan_matches_definitional_oracle(self):
-        for field in (GF(2), GF(3)):
-            for _, l in catalog_algebras(field, max_dim=4):
-                for b in enum_subalgebras(l):
-                    assert (is_cideal_by_scan(l, b).answer == YES) == oracle_cideal(l, b)
+    @pytest.mark.parametrize("l", [l for _, l in _SWEEP_CORPUS], ids=[a for a, _ in _SWEEP_CORPUS])
+    def test_scan_certificate_is_the_first_passing_ideal(self, l):
+        # The definition, with the oracles' meets and cores: C passes when
+        # dim(B + C) = dim L and B ∩ C lies in core(B).  The sum can be L
+        # only if dim B + dim C >= dim L, so no meet is made otherwise.
+        ideals = enum_ideals(l)
+        for b in enum_subalgebras(l):
+            hull = oracle_core(l, b)
+
+            def passes(c):
+                meet = oracle_intersection(b, c)
+                return b.dim + c.dim - meet.dim == l.dim and meet <= hull
+
+            first = next((c for c in ideals if b.dim + c.dim >= l.dim and passes(c)), None)
+            v = is_cideal_by_scan(l, b)
+            assert (v.answer == YES) == oracle_cideal(l, b) == (first is not None)
+            assert v.certificate == first
+
+    @pytest.mark.parametrize("l", [l for _, l in _SWEEP_CORPUS], ids=[a for a, _ in _SWEEP_CORPUS])
+    def test_scan_eliminates_once_per_candidate(self, l, monkeypatch):
+        # Only ideals C with dim B + dim C >= dim L are candidates, and C = L
+        # is decided by B <= core(B) with no elimination.
+        subalgebras = enum_subalgebras(l)
+        verdicts = {b: is_cideal_by_scan(l, b) for b in subalgebras}
+        eliminations, sums = [], []
+        sum_and_meet, add = cideal.raw_sum_and_meet, Subspace.__add__
+
+        def counting_sum_and_meet(*args):
+            eliminations.append(args)
+            return sum_and_meet(*args)
+
+        def counting_add(self, other):
+            sums.append(other)
+            return add(self, other)
+
+        monkeypatch.setattr(cideal, "raw_sum_and_meet", counting_sum_and_meet)
+        monkeypatch.setattr(Subspace, "__add__", counting_add)
+        for b in subalgebras:
+            eliminations.clear()
+            assert is_cideal_by_scan(l, b) == verdicts[b]
+            scanned = list(enum_ideals(l))
+            if verdicts[b].answer == YES:
+                scanned = scanned[: scanned.index(verdicts[b].certificate) + 1]
+            assert len(eliminations) == sum(b.dim + c.dim >= l.dim and c.dim < l.dim for c in scanned)
+        assert sums == []
 
     def test_scan_needs_finite_field(self, h3_q):
         with pytest.raises(Exception):

@@ -365,8 +365,10 @@ class TestContainmentWalks:
 
 
 class TestWalkCounts:
-    """T9 and T10 keep B's verdict in L for the length of a walk, and T9
-    carries B into L on canonical rows, with no subspace made per pair."""
+    """T9 and T10 keep B's verdict in L for the length of a walk, and both
+    walk on canonical rows: T9 carries B into L and T10 lifts B from L/I
+    with no subspace made per pair, each row carried or lifted once per
+    K or I."""
 
     @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
     def test_outer_question_once_per_subalgebra(self, l, monkeypatch):
@@ -409,6 +411,34 @@ class TestWalkCounts:
         (report,) = run_suite(l, "T9", decide=lambda alg, b, budget: verdicts[alg, b])
         assert report.status == PASS and report.witnesses == first.witnesses
         assert carried == []
+
+
+    @pytest.mark.parametrize("l", [l for _, l in _WALK_CORPUS], ids=[a for a, _ in _WALK_CORPUS])
+    def test_t10_lifts_each_row_once_per_ideal(self, l, monkeypatch):
+        verdicts = {}
+
+        def recording(alg, b, budget):
+            verdicts[alg, b] = is_cideal(alg, b, budget)
+            return verdicts[alg, b]
+
+        (first,) = run_suite(l, "T10", decide=recording)
+        preimages, lifted = [], Counter()
+        preimage, lift_raw = Subspace.preimage, Subspace.lift_raw
+
+        def counting_preimage(self, w):
+            preimages.append(w)
+            return preimage(self, w)
+
+        def counting_lift(self, r):
+            lifted[self, r] += 1
+            return lift_raw(self, r)
+
+        monkeypatch.setattr(Subspace, "preimage", counting_preimage)
+        monkeypatch.setattr(Subspace, "lift_raw", counting_lift)
+        (report,) = run_suite(l, "T10", decide=lambda alg, b, budget: verdicts[alg, b])
+        assert report.status == PASS and report.witnesses == first.witnesses
+        assert preimages == []
+        assert lifted and set(lifted.values()) == {1}
 
 
 class TestWalkBudgets:

@@ -449,15 +449,25 @@ class TestSubspace:
         assert (u & v) <= u <= (u + v)
 
 
+def _modulo_by_rref(i: Subspace, u: Subspace) -> Subspace:
+    # (u + I) / I through I.reduce and one elimination.
+    comp = i.complement()
+    return Subspace.from_raw(i.field, comp.dim, [comp.coords_raw(i.reduce_raw(r)) for r in u.rows])
+
+
 class TestCoordinateShortcuts:
     """``coords``, ``from_coords``, ``modulo`` and ``preimage`` skip the
     elimination or the complement; each must give what the ``from_raw``
-    route (for ``preimage``, ``oracle_preimage``) gives, rows and pivots.
+    route (for ``preimage``, ``oracle_preimage``) gives, rows, pivots and
+    ambient dimension.
 
     With ``inside`` the rows of U are combinations of K's rows, so U's
     pivots are among K's.  The examples pin U outside K with pivots
     among K's, U with pivots (0, 2) inside K with pivots (0, 2, 3), so
-    at places (0, 1), and U with a pivot that is not one of K's.
+    at places (0, 1), U with a pivot that is not one of K's, and for
+    ``modulo`` K = 0 and U = F^4.  ``preimage`` has examples with I = 0
+    and with w the whole quotient, and ``modulo`` of I + span(extra) by
+    I, the case read off without elimination, over GF(3) and Q.
     """
 
     @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
@@ -467,6 +477,8 @@ class TestCoordinateShortcuts:
     @example(GF(3), [[1, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], False)
     @example(Q, [[1, 0, 2], [0, 1, 1]], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], True)
     @example(GF(2), [[0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]], False)
+    @example(GF(3), [[1, 2, 0, 1], [0, 1, 1, 0]], [], False)
+    @example(GF(5), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 2, 0, 0]], False)
     def test_match_the_raw_route(self, f, coeffs, rows_k, inside):
         k = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_k])
         rows_u = coeffs
@@ -483,10 +495,33 @@ class TestCoordinateShortcuts:
         want = Subspace.from_raw(f, k.dim, [k.coords_raw(r) for r in u.rows])
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
 
-        comp = k.complement()
-        got = k.modulo(u)
-        want = Subspace.from_raw(f, comp.dim, [comp.coords_raw(k.reduce_raw(r)) for r in u.rows])
+        got, want = k.modulo(u), _modulo_by_rref(k, u)
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+
+    @given(st.sampled_from([GF(2), GF(3), GF(5), Q]),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=4),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3))
+    @example(GF(3), [[1, 0, 2, 0]], [[0, 1, 1, 0], [1, 0, 0, 1]])
+    @example(Q, [[2, 1, 0, 3]], [[1, 1, 1, 1]])
+    def test_modulo_of_a_subspace_over_i_runs_no_elimination(self, f, rows_i, rows_extra):
+        # u = I + span(extra), so I <= u: the image is read off u's rows.
+        i = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_i])
+        u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_i + rows_extra])
+        assert i <= u
+        eliminations = []
+        raw_rref = linalg.raw_rref
+
+        def counting(*args):
+            eliminations.append(args)
+            return raw_rref(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "raw_rref", counting)
+            got = i.modulo(u)
+        assert eliminations == []
+        want = _modulo_by_rref(i, u)
+        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+        assert i.preimage(got) == u
 
     @given(st.sampled_from([GF(2), GF(3), GF(5), GF(7), Q]),
            st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5),
@@ -507,6 +542,7 @@ class TestCoordinateShortcuts:
     @example(GF(5), [[1, 2, 0, 0, 1], [0, 0, 1, 3, 4]], [])
     @example(GF(7), [[0, 1, 2, 0, 0], [0, 0, 0, 1, 3]], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
     @example(Q, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 0]], [[1, 2, 3, 0, 0], [0, 0, 1, 0, 0]])
+    @example(GF(3), [[1, 2, 0, 0, 1]], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
     def test_preimage_matches_the_oracle(self, f, rows_i, rows_w):
         i = Subspace.from_vectors(f, 5, [vec(f, r) for r in rows_i])
         w = Subspace.from_vectors(f, 5 - i.dim, [vec(f, r[: 5 - i.dim]) for r in rows_w])
