@@ -15,16 +15,34 @@ canonically (derived and central series terms, centralizers, and their
 sums and intersections); when none of those work the honest answer is
 Unknown.  Every Yes carries a certificate that is re-verified against
 the definition before it is returned.
+
+Each public form checks its input, then calls its trusted form, which
+checks nothing and calls no form that does; a B is checked closed by
+:func:`~cideals.liealg._require_closed`, the one place that raises
+NotSubalgebra:
+
+- :func:`verify_certificate` (B closed, C a subspace of L) ->
+  ``_verify_closed``, which shows C an ideal one way, by its
+  annihilator (``_ideal_annihilator``), and B, B ∩ C by
+  ``_closed_is_ideal``;
+- :func:`is_cideal` -> ``_is_cideal``, which checks B on a memo miss
+  only (the named exception: a repeat pays no closure test) and then
+  walks one candidate loop over the rungs of the ladder;
+- :func:`is_cideal_by_scan` (B closed) -> ``_core``;
+- :func:`line_cideal` (x nonzero, in L) -> ``_line_cideal``;
+- :func:`frattini_consequence_check` (B, C closed, B <= F(C)) ->
+  ``_frattini_consequence``, which T11 calls for each B it carries out
+  of F(C).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, NotSubalgebra, PreconditionUnmet, ZeroVector
+from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
 from .linalg import Subspace, _unbox, raw_dots, raw_sum_and_meet, subspace_text, vector_is_zero
-from .liealg import LieAlgebra, algebra_modulo, derived_subspace
+from .liealg import LieAlgebra, _require_closed, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
 from .structure import _frattini_of_closed, frattini, upper_central_series
 
@@ -80,56 +98,50 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
     ideals.  So no core is computed, and when dim B + dim C = dim L the
     sum condition forces B ∩ C = 0, which needs no check.  Each ideal C
-    is checked by brackets once per algebra: the ideals already shown
-    are kept in the algebra's memo, each with its annihilator once a
-    line has needed it, and a C that fails is checked again on every
-    call.
+    is checked once per algebra (see :func:`_ideal_annihilator`), and a
+    C that fails is checked again on every call.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
-    always closed.
+    always closed.  Then C is checked to be a subspace of L.
     """
-    if not l.is_subalgebra(b):
-        raise NotSubalgebra("certificates are checked for subalgebras")
+    _require_closed(l, b, "certificates are checked for subalgebras")
+    l._check_subspace(c)
     return _verify_closed(l, b, c)
 
 
 def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
-    # verify_certificate for a b already known to be a subalgebra of l.
+    # verify_certificate for a closed b and a subspace c of l.  B, and B ∩ C
+    # with C an ideal, are closed, so their ideal tests try only the
+    # brackets with e_j at their non-pivot columns j.
     n = l.dim
-    if b.dim == 1 and c.dim < n:
-        dual = _ideal_annihilator(l, c)
-        return c.dim == n - 1 and dual is not None and any(raw_dots(l.field.p, dual, b.rows[0]))
-    ideals = l._memoized("verified_ideals", dict)
-    if c not in ideals:
-        if not l.is_ideal(c):
-            return False
-        ideals[c] = None
+    dual = _ideal_annihilator(l, c)
+    if dual is None:
+        return False
     if c.dim == n:
-        return l.is_ideal(b)
+        return l._closed_is_ideal(b)
+    if b.dim == 1:
+        return c.dim == n - 1 and any(raw_dots(l.field.p, dual, b.rows[0]))
     width, meet = raw_sum_and_meet(l.field, b.rows, c.rows, n)
-    return width == n and (b.dim + c.dim == n or l.is_ideal(meet))
+    return width == n and (b.dim + c.dim == n or l._closed_is_ideal(meet))
 
 
 def _ideal_annihilator(l: LieAlgebra, c: Subspace):
-    """C's annihilator rows when C is an ideal of l, else None.
+    """C's annihilator rows when the subspace C is an ideal of l, else None.
 
-    The rows are made on first use and kept as the value of C's entry
-    in the memo "verified_ideals".  A C not yet shown there is checked
-    by brackets with them: [e_i, r] lies in C exactly when every row
-    has dot product 0 with it.
+    The rows are kept as the value of C's entry in the memo
+    "verified_ideals", so the memo holds exactly the ideals shown.  A C
+    not yet shown there is checked by brackets with them: [e_i, r] lies
+    in C exactly when every row has dot product 0 with it.  C = L has no
+    rows and passes with no bracket.
     """
     ideals = l._memoized("verified_ideals", dict)
     dual = ideals.get(c)
     if dual is None:
-        l._check_subspace(c)
         dual = c.annihilator_raw()
-        if c not in ideals:
-            p = l.field.p
-            for i in range(l.dim):
-                for r in c.rows:
-                    if any(raw_dots(p, dual, l.ad_raw(i, r))):
-                        return None
+        p = l.field.p
+        if dual and any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
+            return None
         ideals[c] = dual
     return dual
 
@@ -250,8 +262,9 @@ def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdea
 
 
 def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
-    if not l.is_subalgebra(b):
-        raise NotSubalgebra("c-ideal decisions apply to subalgebras")
+    # is_cideal on a memo miss.  Each rung's candidates are made only when
+    # it is reached, so characteristic_ideals runs after every derived term fails.
+    _require_closed(l, b, "c-ideal decisions apply to subalgebras")
     if l._closed_is_ideal(b):
         return _yes(l, b, l.full_space(), METHOD_IDEAL)
     if b.dim == 1:
@@ -263,18 +276,19 @@ def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     target = reduced.dim - b_red.dim
 
     if l.field.p is not None:
-        for cand in enum_ideals(reduced, budget):
+        rungs = ((METHOD_ENUM, lambda: enum_ideals(reduced, budget)),)
+        miss = CIdealVerdict(NO, None, METHOD_ENUM, True)
+    else:
+        rungs = (
+            (METHOD_DERIVED, lambda: reduced.derived_series().terms[1:]),
+            (METHOD_LATTICE, lambda: characteristic_ideals(reduced)),
+        )
+        miss = CIdealVerdict(UNKNOWN, None, METHOD_LATTICE, False)
+    for method, candidates in rungs:
+        for cand in candidates():
             if cand.dim == target and (b_red + cand).dim == reduced.dim:
-                return _yes(l, b, b_core.preimage(cand), METHOD_ENUM)
-        return CIdealVerdict(NO, None, METHOD_ENUM, True)
-
-    for cand in reduced.derived_series().terms[1:]:
-        if cand.dim == target and (b_red + cand).dim == reduced.dim:
-            return _yes(l, b, b_core.preimage(cand), METHOD_DERIVED)
-    for cand in characteristic_ideals(reduced):
-        if cand.dim == target and (b_red + cand).dim == reduced.dim:
-            return _yes(l, b, b_core.preimage(cand), METHOD_LATTICE)
-    return CIdealVerdict(UNKNOWN, None, METHOD_LATTICE, False)
+                return _yes(l, b, b_core.preimage(cand), method)
+    return miss
 
 
 def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdealVerdict:
@@ -288,8 +302,7 @@ def is_cideal_by_scan(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) 
     takes one, which gives both dim(B + C) and B ∩ C
     (:func:`~cideals.linalg.raw_sum_and_meet`).  Finite fields only.
     """
-    if not l.is_subalgebra(b):
-        raise NotSubalgebra("c-ideal decisions apply to subalgebras")
+    _require_closed(l, b, "c-ideal decisions apply to subalgebras")
     b_core = _core(l, b)
     n = l.dim
     for cand in enum_ideals(l, budget):
@@ -382,19 +395,22 @@ def frattini_consequence_check(
     subalgebras come from maximal-subalgebra enumeration.  ``decide``
     decides the premise; it is the hook of :func:`cideals.harness.run_suite`.
     """
-    if not l.is_subalgebra(b):
-        raise NotSubalgebra("b must be a subalgebra")
-    if not l.is_subalgebra(c_sub):
-        raise NotSubalgebra("c_sub must be a subalgebra")
-    f_c = _frattini_of_closed(l, c_sub, budget)
-    if not b <= f_c:
+    _require_closed(l, b, "b must be a subalgebra")
+    _require_closed(l, c_sub, "c_sub must be a subalgebra")
+    if not b <= _frattini_of_closed(l, c_sub, budget):
         raise PreconditionUnmet(
             "b does not lie inside the Frattini subalgebra of c_sub"
         )
+    return _frattini_consequence(l, b, budget, decide)
+
+
+def _frattini_consequence(l: LieAlgebra, b: Subspace, budget: int, decide) -> FrattiniConsequence:
+    # frattini_consequence_check for a closed b known to lie inside the
+    # Frattini subalgebra of a subalgebra, without the checks.
     verdict = decide(l, b, budget)
     if verdict.answer != YES:
         return FrattiniConsequence(True, False, verdict, None, None)
-    ideal_ok = l.is_ideal(b)
+    ideal_ok = l._closed_is_ideal(b)
     _, phi = frattini(l, budget)
     inside = b <= phi
     return FrattiniConsequence(ideal_ok and inside, True, verdict, ideal_ok, inside)

@@ -18,6 +18,12 @@ The subalgebra and ideal lattices, the maximal and maximal-nilpotent
 lists and the line-ideal families live in the memo the algebra shares
 with every value-equal algebra (see :class:`~cideals.liealg.LieAlgebra`);
 every entry point checks the budget before it reads the memo.
+
+The budgeted listings (``enum_*``, ``maximal_*``, ``one_dim_ideals``)
+check the field and charge the budget, not an input subspace, so
+trusted forms may call them.  The one public/trusted pair is
+:func:`core` (B closed) -> ``_core``, which library code that already
+knows B closed calls directly.
 """
 
 from __future__ import annotations
@@ -26,23 +32,17 @@ import heapq
 import itertools
 import operator
 
-from .errors import BudgetExceeded, FieldNotFinite, NotSubalgebra
+from .errors import BudgetExceeded, FieldNotFinite
 from .fields import Field, raw_poly_roots
 from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel, raw_rref
-from .liealg import LieAlgebra, _nilpotent_on, derived_subspace, is_nilpotent
+from .liealg import LieAlgebra, _nilpotent_on, _require_closed, derived_subspace, is_nilpotent
 
 DEFAULT_BUDGET = 10**6
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """The number of k-dimensional subspaces of GF(p)^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
+    return subspace_count(n, p, (k,))
 
 
 def subspace_count(n: int, p: int, dims=None) -> int:
@@ -371,8 +371,7 @@ def core(l: LieAlgebra, b: Subspace) -> Subspace:
     the kernel is the whole coordinate space, and that fixed point is an
     ideal.  Works over any field.
     """
-    if not l.is_subalgebra(b):
-        raise NotSubalgebra("core is defined for subalgebras")
+    _require_closed(l, b, "core is defined for subalgebras")
     return _core(l, b)
 
 

@@ -331,9 +331,7 @@ class LieAlgebra:
             raise ValueError(f"unknown series kind {kind!r}")
         if start is None:
             return self._memoized(("series", kind), lambda: self._series(kind, self.full_space()))
-        self._check_subspace(start)
-        if not self.is_subalgebra(start):
-            raise NotSubalgebra("series must start at a subalgebra")
+        _require_closed(self, start, "series must start at a subalgebra")
         return self._series(kind, start)
 
     def _series(self, kind: str, cur: Subspace) -> SeriesResult:
@@ -602,10 +600,12 @@ def is_nilpotent(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
     return _nilpotent_on(l, subspace)
 
 
-def _require_closed(l: LieAlgebra, u: Subspace):
-    # The check of the public forms: u is a subspace of L and closed.
+def _require_closed(l: LieAlgebra, u: Subspace, why="restriction to a subspace that is not closed"):
+    # The check of the public forms: u is a subspace of L and closed.  The
+    # one place, but for the reader of restrict, where a subspace that is
+    # not closed raises NotSubalgebra, with the caller's message.
     if not l.is_subalgebra(u):
-        raise NotSubalgebra("restriction to a subspace that is not closed")
+        raise NotSubalgebra(why)
 
 
 def _solvable_on(l: LieAlgebra, u: Subspace) -> bool:

@@ -683,14 +683,12 @@ class Subspace:
         """The preimage I + lift(w) in F^n of a subspace w of F^n / I, with
         I this subspace.
 
-        For I = 0 that is w, and for w the whole quotient it is F^n.
-        Otherwise each canonical row of w is lifted by :meth:`lift_raw`
-        and the lifts merged with I's rows by :meth:`preimage_raw`; no
-        elimination is run.
+        For w the whole quotient that is F^n.  Otherwise each canonical
+        row of w is lifted by :meth:`lift_raw` and the lifts merged with
+        I's rows by :meth:`preimage_raw`; no elimination is run.  For
+        I = 0 the lifts are w's rows and the merge keeps them.
         """
         self._same_ambient(w, self.ambient_dim - self.dim)
-        if self.dim == 0:
-            return w
         if w.dim == w.ambient_dim:
             return Subspace.full(self.field, self.ambient_dim)
         rows, pivots = self.preimage_raw([self.lift_raw(r) for r in w.rows], w.pivots)

@@ -10,6 +10,14 @@ Radicals, Frattini objects and the socle rest on exhaustive ideal or
 maximal-subalgebra enumeration, so they require a finite field; the
 predicates and the classifier are pure linear algebra and work over Q
 as well.
+
+Public and trusted forms, as in :mod:`cideals.liealg`:
+
+- :func:`frattini_of_subalgebra` (u closed) -> ``_frattini_of_closed``;
+- :func:`frattini` -> ``_frattini_subalgebra``, then ``_core`` of F(L),
+  an intersection of subalgebras and so closed;
+- :func:`radicals` -> ``_nilpotent_on``, ``_solvable_on`` of ideals and
+  their sums, all closed.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .liealg import (
 )
 from .lattice import (
     DEFAULT_BUDGET,
-    core,
+    _core,
     enum_ideals,
     first_line_ideal,
     maximal_subalgebras,
@@ -181,7 +189,7 @@ def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     For a zero- or one-dimensional algebra F(L) is 0.
     """
     f = _frattini_subalgebra(l, budget)
-    return f, core(l, f)
+    return f, _core(l, f)
 
 
 def frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int = DEFAULT_BUDGET) -> Subspace:

@@ -33,6 +33,18 @@ from cideals import (
 )
 
 
+def oracle_gaussian_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of GF(p)^n, as the product
+    of (p^(n-i) - 1) / (p^(i+1) - 1) over i < k."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def oracle_poly_roots(coeffs) -> set:
     """Roots in GF(p) of sum(coeffs[k] * t**k), by trying every residue."""
     field = coeffs[0].field

@@ -147,6 +147,39 @@ class TestVerifiedIdealMemo:
         assert verified
         assert all(oracle_is_ideal(l, c) for c in verified)
 
+    @pytest.mark.parametrize("name, field", [("heisenberg(3)+abelian(1)", GF(3)), ("t(2)", Q)], ids=str)
+    def test_members_hold_their_annihilators(self, monkeypatch, name, field):
+        # Each ideal is shown one way, so each entry holds C's annihilator,
+        # whichever branch checked it: a line with its hyperplane, a B of
+        # dim >= 2 with a proper C, and C = L.  The B are the closed spans
+        # of one or two basis vectors.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin(name, field)
+        units = [[int(i == j) for j in range(l.dim)] for i in range(l.dim)]
+        spans = [span(l, u) for u in units] + [span(l, u, v) for i, u in enumerate(units) for v in units[i + 1 :]]
+        verdicts = [(b, is_cideal(l, b)) for b in spans if l.is_subalgebra(b)]
+        dims = [(b.dim, v.certificate.dim) for b, v in verdicts if v.answer == YES]
+        n = l.dim
+        assert (1, n - 1) in dims
+        assert any(d > 1 and c < n for d, c in dims)
+        assert any(c == n for _, c in dims)
+        verified = l._memo["verified_ideals"]
+        assert {c: c.annihilator_raw() for c in verified} == verified
+
+    def test_whole_algebra_passes_with_no_bracket(self, monkeypatch):
+        # C = L has no annihilator row: checking B against it brackets only
+        # what B's closure and ideal tests do.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin("heisenberg(3)+abelian(1)", GF(3))
+        b = span(l, [1, 0, 0, 1], [0, 0, 1, 0])
+        calls = []
+        ad_raw = LieAlgebra.ad_raw
+        monkeypatch.setattr(LieAlgebra, "ad_raw", lambda l, i, v: calls.append((i, v)) or ad_raw(l, i, v))
+        assert verify_certificate(l, b, l.full_space())
+        assert l.full_space() in l._memo["verified_ideals"]
+        checked, calls[:] = calls[:], []
+        assert l.is_subalgebra(b) and l._closed_is_ideal(b) and checked == calls
+
     def test_non_ideal_rejected_on_every_call(self, sl2_q):
         # B + C = L and B ∩ C = 0: only the ideal check can reject C
         b = span(sl2_q, [0, 1, 0])

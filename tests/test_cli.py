@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cideals
 from cideals import GF, builtin, enum_ideals, serialize
 from cideals.cli import main
 
@@ -158,6 +161,16 @@ class TestCatalog:
         assert main(["catalog", "list"]) == 0
         out = capsys.readouterr().out
         assert "heisenberg" in out and "sl2" in out
+
+    def test_list_through_python_m(self):
+        # `python -m cideals` runs the same entry point as the installed script.
+        src = os.path.dirname(os.path.dirname(cideals.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "cideals", "catalog", "list"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0
+        assert "sl2                  sl2: [e,f]=h, [e,h]=-2e, [f,h]=2f (char != 2)" in done.stdout.splitlines()
 
     def test_emit_round_trip(self, capsys):
         assert main(["catalog", "emit", "heisenberg", "--field", "gf3", "--param", "3"]) == 0
