@@ -43,8 +43,8 @@ from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
 from .linalg import Subspace, _unbox, raw_dots, raw_sum_and_meet, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, _require_closed, algebra_modulo, derived_subspace
-from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line
-from .structure import _frattini_of_closed, frattini, upper_central_series
+from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line, upper_central_series
+from .structure import _frattini_of_closed, frattini
 
 YES = "yes"
 NO = "no"

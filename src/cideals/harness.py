@@ -59,6 +59,7 @@ from .lattice import (
     point_line,
     subspace_count,
     subspace_points,
+    supersolvable_flag,
 )
 from .cideal import (
     YES,
@@ -71,7 +72,6 @@ from .structure import (
     CASE_NEITHER,
     _frattini_of_closed,
     _line_shape,
-    supersolvable_flag,
 )
 from .catalog import random_solvable, serialize
 

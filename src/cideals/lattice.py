@@ -15,9 +15,17 @@ of that filter computed once per listing too.  The subspace count,
 one row of the Gaussian triangle, is checked against the budget
 before any work happens so overruns fail loudly instead of truncating.
 The subalgebra and ideal lattices, the maximal and maximal-nilpotent
-lists and the line-ideal families live in the memo the algebra shares
-with every value-equal algebra (see :class:`~cideals.liealg.LieAlgebra`);
-every entry point checks the budget before it reads the memo.
+lists, the line-ideal families and the flag of ideals live in the memo
+the algebra shares with every value-equal algebra (see
+:class:`~cideals.liealg.LieAlgebra`); every entry point checks the
+budget before it reads the memo.
+
+The flag of ideals of a supersolvable L (:func:`supersolvable_flag`,
+built on :func:`first_line_ideal` and the ascending central series)
+lives here because the maximal subalgebras of such an L are its
+codimension-one subalgebras, read off the listing with no containment
+test.  The pairwise containment filter :func:`_maximal_among` serves
+only an L with no flag and the maximal nilpotent subalgebras.
 
 The budgeted listings (``enum_*``, ``maximal_*``, ``one_dim_ideals``)
 check the field and charge the budget, not an input subspace, so
@@ -35,7 +43,14 @@ import operator
 from .errors import BudgetExceeded, FieldNotFinite
 from .fields import Field, raw_poly_roots
 from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel, raw_rref
-from .liealg import LieAlgebra, _nilpotent_on, _require_closed, derived_subspace, is_nilpotent
+from .liealg import (
+    LieAlgebra,
+    _nilpotent_on,
+    _require_closed,
+    algebra_modulo,
+    derived_subspace,
+    is_nilpotent,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -266,10 +281,12 @@ def _ideals(l: LieAlgebra, subalgebras) -> tuple:
 def _maximal_among(candidates, proper_of_dim: int) -> tuple:
     """Subspaces of the list not strictly contained in another member.
 
-    Each candidate is tested only against the members kept so far of
-    larger dimension, by their annihilators, and only against those whose
-    pivot columns include its own: every vector of a member leads at one
-    of the member's pivots.
+    The pairwise filter, for the maximal subalgebras of an L with no
+    flag of ideals and for the maximal nilpotent ones.  Each candidate
+    is tested only against the members kept so far of larger dimension,
+    by their annihilators, and only against those whose pivot columns
+    include its own: every vector of a member leads at one of the
+    member's pivots.
     """
     picked = []  # (member, its pivot bitmask, its annihilator)
     dim = larger = None  # picked[:larger] are the kept members above dim
@@ -294,12 +311,24 @@ def maximal_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Proper subalgebras contained in no larger proper subalgebra.
 
     Ordered by dimension descending, enumeration order within a
-    dimension.  Each subalgebra is tested against the kept ones of
-    larger dimension, so the filter makes at most the square of the
-    subalgebra count of containment tests; it has no budget of its own.
+    dimension.  When L has a flag of ideals 0 = G_0 < ... < G_n = L
+    (:func:`supersolvable_flag`) they are the listed subalgebras of
+    dimension n - 1, with no containment test: a codimension-one
+    subalgebra is maximal, and for a maximal M, with i least such that
+    G_i is not in M, M + G_i is a subalgebra larger than M, so it is L,
+    and M meets G_i in G_{i-1}, so dim M = n - 1.  Otherwise each
+    subalgebra is tested against the kept ones of larger dimension
+    (:func:`_maximal_among`), at most the square of the subalgebra count
+    of containment tests; that filter has no budget of its own.
     """
     subalgebras = enum_subalgebras(l, budget)
-    return l._memoized("maximal", lambda: _maximal_among(subalgebras, l.dim))
+    return l._memoized("maximal", lambda: _maximal(l, subalgebras))
+
+
+def _maximal(l: LieAlgebra, subalgebras: tuple) -> tuple:
+    if supersolvable_flag(l) is None:
+        return _maximal_among(subalgebras, l.dim)
+    return tuple(u for u in subalgebras if u.dim == l.dim - 1)
 
 
 def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -308,9 +337,9 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
     When L is itself nilpotent the unique answer is L, given without
     the budget check.  Otherwise each subalgebra's nilpotency is read
     off the canonical algebra of its structure table (see
-    :func:`~cideals.liealg.algebra_on`), and the filter of
-    :func:`maximal_subalgebras` keeps the maximal ones, at most the
-    square of the nilpotent count of containment tests.
+    :func:`~cideals.liealg.algebra_on`), and the pairwise filter
+    :func:`_maximal_among` keeps the maximal ones, at most the square of
+    the nilpotent count of containment tests.
     """
     _require_finite(l)
     if is_nilpotent(l):
@@ -543,3 +572,75 @@ def _pivot_points(p: int, u: Subspace):
     # of lead row m has u's pivot m.
     for m, c in enumerate(u.pivots):
         yield from zip(itertools.repeat(c), _running_sums(p, u.rows[m], u.rows[m + 1:]))
+
+
+# ---------------------------------------------------------------------------
+# the ascending central series and supersolvability (any field)
+
+def upper_central_series(l: LieAlgebra) -> tuple:
+    """0 = Z_0 <= Z_1 <= ... up to the hypercentre (ascending, stabilized).
+
+    Made once per algebra value and kept in its memo.
+    """
+    return l._memoized("upper_central", lambda: _upper_central(l))
+
+
+def _upper_central(l: LieAlgebra) -> tuple:
+    terms = [l.zero_space()]
+    full = l.full_space()
+    while True:
+        nxt = l.transporter(full, terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return tuple(terms)
+
+
+def _refine_through(lower: Subspace, upper: Subspace, flag: list):
+    # Extend the flag one dimension at a time from lower to upper.
+    cur = lower
+    for r in upper.rows:
+        if cur.holds_raw(r):
+            continue
+        cur = Subspace.from_raw(cur.field, cur.ambient_dim, cur.rows + (r,))
+        flag.append(cur)
+
+
+def _nilpotent_flag(l: LieAlgebra) -> tuple:
+    # Between consecutive terms of the ascending central series every
+    # intermediate subspace is an ideal, so any refinement works.
+    series = upper_central_series(l)
+    flag = [l.zero_space()]
+    for lower, upper in zip(series, series[1:]):
+        _refine_through(flag[-1], upper, flag)
+    return tuple(flag)
+
+
+def supersolvable_flag(l: LieAlgebra) -> tuple | None:
+    """A complete flag of ideals 0 = I_0 < I_1 < ... < I_n = L, or None.
+
+    Nilpotent algebras are refined through the ascending central
+    series.  Otherwise the first line ideal I of :func:`one_dim_ideals`,
+    read by :func:`first_line_ideal`, decides: every quotient of a
+    supersolvable algebra is supersolvable, so L has a flag exactly when
+    L/I has one, and the flag of L/I lifts through I.  No line ideal
+    means no flag.  Over Q the lines come from the joint eigenspace
+    families, which is exactly the set available to a rational
+    structure; a None over Q means the rational form has no such flag.
+    Kept in the memo.
+    """
+    return l._memoized("supersolvable_flag", lambda: _flag(l))
+
+
+def _flag(l: LieAlgebra) -> tuple | None:
+    if l.dim == 0:
+        return (l.zero_space(),)
+    if is_nilpotent(l):
+        return _nilpotent_flag(l)
+    line = first_line_ideal(l)
+    if line is None:
+        return None
+    rest = supersolvable_flag(algebra_modulo(l, line))
+    if rest is None:
+        return None
+    return (l.zero_space(),) + tuple(line.preimage(w) for w in rest)

@@ -4,7 +4,9 @@ Solvability, nilpotency and supersolvability; the ascending central
 series; nilradical and solvable radical; Frattini subalgebra and ideal;
 abelian socle; almost-abelian recognition; and the classifier for the
 two shapes of algebra in which every line is a c-ideal (cube zero, or
-an abelian ideal plus an almost-abelian ideal).
+an abelian ideal plus an almost-abelian ideal).  The flag of ideals and
+the ascending central series are built in :mod:`cideals.lattice`, whose
+maximal subalgebras rest on them, and imported from there.
 
 Radicals, Frattini objects and the socle rest on exhaustive ideal or
 maximal-subalgebra enumeration, so they require a finite field; the
@@ -16,8 +18,8 @@ Public and trusted forms, as in :mod:`cideals.liealg`:
 - :func:`frattini_of_subalgebra` (u closed) -> ``_frattini_of_closed``;
 - :func:`frattini` -> ``_frattini_subalgebra``, then ``_core`` of F(L),
   an intersection of subalgebras and so closed;
-- :func:`radicals` -> ``_nilpotent_on``, ``_solvable_on`` of ideals and
-  their sums, all closed.
+- :func:`radicals` -> ``_nilpotent_on``, ``_solvable_on`` of ideals,
+  all closed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .liealg import (
     _nilpotent_on,
     _require_closed,
     _solvable_on,
-    algebra_modulo,
     algebra_on,
     derived_subspace,
     is_nilpotent,
@@ -41,8 +42,9 @@ from .lattice import (
     DEFAULT_BUDGET,
     _core,
     enum_ideals,
-    first_line_ideal,
     maximal_subalgebras,
+    supersolvable_flag,
+    upper_central_series,
 )
 
 CASE_CUBE_ZERO = "cube_zero"
@@ -66,76 +68,8 @@ def nilpotency_class(l: LieAlgebra) -> int | None:
     return len(terms) - 1 if terms[-1].dim == 0 else None
 
 
-def upper_central_series(l: LieAlgebra) -> tuple:
-    """0 = Z_0 <= Z_1 <= ... up to the hypercentre (ascending, stabilized).
-
-    Made once per algebra value and kept in its memo.
-    """
-    return l._memoized("upper_central", lambda: _upper_central(l))
-
-
-def _upper_central(l: LieAlgebra) -> tuple:
-    terms = [l.zero_space()]
-    full = l.full_space()
-    while True:
-        nxt = l.transporter(full, terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return tuple(terms)
-
-
 # ---------------------------------------------------------------------------
 # supersolvability
-
-def _refine_through(lower: Subspace, upper: Subspace, flag: list):
-    # Extend the flag one dimension at a time from lower to upper.
-    cur = lower
-    for r in upper.rows:
-        if cur.holds_raw(r):
-            continue
-        cur = Subspace.from_raw(cur.field, cur.ambient_dim, cur.rows + (r,))
-        flag.append(cur)
-
-
-def _nilpotent_flag(l: LieAlgebra) -> tuple:
-    # Between consecutive terms of the ascending central series every
-    # intermediate subspace is an ideal, so any refinement works.
-    series = upper_central_series(l)
-    flag = [l.zero_space()]
-    for lower, upper in zip(series, series[1:]):
-        _refine_through(flag[-1], upper, flag)
-    return tuple(flag)
-
-
-def supersolvable_flag(l: LieAlgebra) -> tuple | None:
-    """A complete flag of ideals 0 = I_0 < I_1 < ... < I_n = L, or None.
-
-    Nilpotent algebras are refined through the ascending central
-    series.  Otherwise the first line ideal I of :func:`one_dim_ideals`,
-    read by :func:`first_line_ideal`, decides: every quotient of a
-    supersolvable algebra is supersolvable, so L has a flag exactly when
-    L/I has one, and the flag of L/I lifts through I.  No line ideal
-    means no flag.  Over Q the lines come from the joint eigenspace
-    families, which is exactly the set available to a rational
-    structure; a None over Q means the rational form has no such flag.
-    """
-    return l._memoized("supersolvable_flag", lambda: _flag(l))
-
-
-def _flag(l: LieAlgebra) -> tuple | None:
-    if l.dim == 0:
-        return (l.zero_space(),)
-    if is_nilpotent(l):
-        return _nilpotent_flag(l)
-    line = first_line_ideal(l)
-    if line is None:
-        return None
-    rest = supersolvable_flag(algebra_modulo(l, line))
-    if rest is None:
-        return None
-    return (l.zero_space(),) + tuple(line.preimage(w) for w in rest)
-
 
 def is_supersolvable(l: LieAlgebra) -> bool:
     return supersolvable_flag(l) is not None
@@ -147,22 +81,20 @@ def is_supersolvable(l: LieAlgebra) -> bool:
 def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Subspace]:
     """(nilradical, solvable radical), verified against the ideal list.
 
-    The nilradical is the sum of all nilpotent ideals and the radical
-    the sum of all solvable ideals; both sums are checked to still have
-    the defining property and to contain every contributing ideal.
-    Ideals and their sums are closed, so each is decided by the trusted
-    forms: at once when L itself is nilpotent (solvable), otherwise on
-    the canonical algebra of its structure table.
+    A sum of two nilpotent (solvable) ideals is one, so a nilpotent
+    (solvable) ideal of largest dimension contains every other and is
+    unique: the nilradical is the largest listed nilpotent ideal and the
+    radical the largest listed solvable ideal, with no sum formed.  Both
+    are checked to still have the defining property and to contain
+    every listed such ideal.  Ideals are closed, so each is decided by
+    the trusted forms: at once when L itself is nilpotent (solvable),
+    otherwise on the canonical algebra of its structure table.
     """
     ideals = enum_ideals(l, budget)
     nil = [i for i in ideals if _nilpotent_on(l, i)]
     sol = [i for i in ideals if _solvable_on(l, i)]
-    nilrad = l.zero_space()
-    for i in nil:
-        nilrad = nilrad + i
-    rad = l.zero_space()
-    for i in sol:
-        rad = rad + i
+    nilrad = max(nil, key=lambda i: i.dim)
+    rad = max(sol, key=lambda i: i.dim)
     if not _nilpotent_on(l, nilrad) or any(not (i <= nilrad) for i in nil):
         raise AssertionError("nilradical failed its own verification")
     if not _solvable_on(l, rad) or any(not (i <= rad) for i in sol):

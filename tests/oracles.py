@@ -343,6 +343,21 @@ def oracle_nilpotent_on(l, u: Subspace) -> bool:
         cur = nxt
 
 
+def oracle_radicals(l) -> tuple:
+    """(nilradical, solvable radical) as the sums of every ideal that is
+    nilpotent (solvable) by its own series through the full span
+    product, the ideals found by testing every subalgebra."""
+    nilrad = rad = Subspace.zero(l.field, l.dim)
+    for u in oracle_subalgebras(l):
+        if not oracle_is_ideal(l, u):
+            continue
+        if oracle_nilpotent_on(l, u):
+            nilrad = nilrad + u
+        if oracle_solvable_on(l, u):
+            rad = rad + u
+    return nilrad, rad
+
+
 def oracle_core(l, b: Subspace) -> Subspace:
     """Largest ideal of l inside b, as the sum of all enumerated ideals
     contained in b."""

@@ -67,6 +67,7 @@ from oracles import (
     oracle_solvable_on,
     oracle_subalgebras,
     oracle_subspace_points,
+    oracle_supersolvable,
 )
 
 
@@ -278,6 +279,71 @@ class TestMaximal:
     def test_zero_dim_has_none(self):
         l = builtin("abelian", GF(2), 0)
         assert maximal_subalgebras(l) == ()
+
+
+# Algebras with no flag of ideals: e(2) and e(2) + abelian(1) over GF(p)
+# with p = 3 mod 4 (solvable, no line ideal in e(2)), and sl2 and
+# sl2 + abelian(2).
+_NO_FLAG = [
+    *((name, p) for name in ("e(2)", "e(2)+abelian(1)") for p in (3, 7, 11)),
+    *((name, p) for name in ("sl2", "sl2+abelian(2)") for p in (3, 5)),
+]
+
+
+def _no_flag_algebra(name: str, p: int) -> LieAlgebra:
+    if name == "e(2)":
+        return _e2(GF(p))
+    if name == "e(2)+abelian(1)":
+        return direct_sum(_e2(GF(p)), builtin("abelian(1)", GF(p)))
+    return builtin(name, GF(p))
+
+
+def _counting_maximal_among(monkeypatch) -> list:
+    # Wrap lattice._maximal_among; the list grows by one per call.
+    calls = []
+    original = lattice._maximal_among
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "_maximal_among", counted)
+    return calls
+
+
+class TestMaximalByCodimension:
+    """With a flag of ideals the maximal subalgebras are the listed ones
+    of codimension one; with none the pairwise filter still runs.  The
+    two routes are compared with oracle_maximal on the search corpus in
+    TestPrunedSearch, and on the algebras with no flag here."""
+
+    @pytest.mark.parametrize("name, p", _NO_FLAG, ids=[f"{n}/GF({p})" for n, p in _NO_FLAG])
+    def test_pairwise_route_matches_oracle(self, name, p):
+        l = _no_flag_algebra(name, p)
+        assert maximal_subalgebras(l) == oracle_maximal(oracle_subalgebras(l), l.dim)
+
+    def test_filter_runs_only_without_a_flag(self, monkeypatch):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        calls = _counting_maximal_among(monkeypatch)
+        # sl2 over GF(3) and GF(5) is in both lists; each value runs once.
+        corpus = _SEARCH_ALGEBRAS + [_no_flag_algebra(name, p) for name, p in _NO_FLAG]
+        corpus = list(dict.fromkeys(corpus))
+        routes = set()
+        for l in corpus:
+            before = len(calls)
+            maximal_subalgebras(_fresh(l))
+            supersolvable = oracle_supersolvable(l)
+            routes.add(supersolvable)
+            assert len(calls) - before == (0 if supersolvable else 1)
+        assert routes == {True, False}
+
+    def test_abelian_3_over_gf151_by_codimension(self, monkeypatch):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        calls = _counting_maximal_among(monkeypatch)
+        ms = maximal_subalgebras(builtin("abelian", GF(151), 3))
+        assert len(ms) == 22953 == gaussian_binomial(3, 2, 151)
+        assert all(m.dim == 2 for m in ms)
+        assert calls == []
 
 
 class TestMaximalNilpotent:

@@ -41,7 +41,7 @@ from cideals import (
 )
 from cideals import cideal, lattice, liealg
 from cideals.liealg import SERIES_KINDS
-from cideals.structure import _upper_central
+from cideals.lattice import _upper_central
 
 from oracles import (
     oracle_is_ideal,
@@ -72,17 +72,24 @@ def _t2():
     return builtin("t(2)", GF(3))
 
 
+def _sl2():
+    # No flag of ideals, so maximal_subalgebras keeps the pairwise filter.
+    return builtin("sl2", GF(3))
+
+
 class TestWarmMemoKeepsTheBudget:
+    # t(2) takes the flag route of maximal_subalgebras, sl2 the pairwise one.
+    @pytest.mark.parametrize("make", [_t2, _sl2], ids=["t(2)", "sl2"])
     @pytest.mark.parametrize("fn", _WHOLE, ids=lambda fn: fn.__name__)
-    def test_whole_algebra(self, empty_table, fn):
-        l = _t2()
+    def test_whole_algebra(self, empty_table, fn, make):
+        l = make()
         limit = subspace_count(l.dim, l.field.p)
         answer = fn(l)
         with pytest.raises(BudgetExceeded):
             fn(l, budget=limit - 1)
         with pytest.raises(BudgetExceeded):
-            fn(_t2(), budget=limit - 1)
-        assert fn(_t2(), budget=limit) == answer
+            fn(make(), budget=limit - 1)
+        assert fn(make(), budget=limit) == answer
 
     def test_subspace_count_is_kept_and_still_compared(self, empty_table, monkeypatch):
         # The count is made once per algebra value and dims; a memo hit

@@ -40,7 +40,7 @@ from cideals import (
 from cideals.harness import PASS
 from cideals.lattice import first_line_ideal
 
-from oracles import oracle_supersolvable
+from oracles import oracle_radicals, oracle_supersolvable
 
 
 def vec(field, coords):
@@ -198,6 +198,21 @@ class TestRadicals:
     def test_nilpotent_algebra(self, h3_gf2):
         nil, solv = radicals(h3_gf2)
         assert nil == solv == h3_gf2.full_space()
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+    def test_largest_listed_ideals_are_the_sums(self, field):
+        # The largest listed nilpotent (solvable) ideal is the sum of all.
+        for _, l in catalog_algebras(field, max_dim=5):
+            assert radicals(l) == oracle_radicals(l)
+
+    def test_sum_of_two_nilpotent_ideals(self):
+        # e(2) + abelian(1) over GF(3): span(a1, a2) and the summand are
+        # nilpotent ideals, and the nilradical is their sum.
+        e2 = LieAlgebra(GF(3), 3, ["x", "a1", "a2"], {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+        l = direct_sum(e2, builtin("abelian(1)", GF(3)))
+        nil, solv = radicals(l)
+        assert (nil, solv) == oracle_radicals(l)
+        assert nil.dim == 3 and solv == l.full_space()
 
 
 class TestFrattini:
