@@ -9,7 +9,9 @@ same order, but from a search that fixes the rows one at a time and
 drops a partial basis as soon as one of its brackets is seen to fall
 outside every completion (see :func:`_subalgebras`), so most subspaces
 are never built; within one listing each candidate row is built once
-per pivot tuple and each bracket of two rows is computed once.  The
+per pivot tuple and each bracket of two rows is computed once, and
+those brackets stay in the memo for the structure tables of the listed
+subalgebras (see :func:`~cideals.liealg.algebra_on`).  The
 ideals are the subalgebras that pass the ideal test, each [e_c, row]
 of that filter computed once per listing too.  The subspace count,
 one row of the Gaussian triangle, is checked against the budget
@@ -168,11 +170,13 @@ def _subalgebras(l: LieAlgebra) -> tuple:
     from p_m on, are built once per pivot tuple, when the search first
     reaches that depth, and every node there walks the same list.  The
     same rows recur under other pivot tuples, so each bracket of an
-    earlier row with a candidate is kept in one dict for the length of
-    this call and computed once.
+    earlier row with a candidate is computed once and kept, as a tuple,
+    in one dict in the memo under "brackets".  Every pair of canonical
+    rows of a listed subalgebra is in it, so reading the structure table
+    of a listed subalgebra brackets nothing.
     """
     field, n = l.field, l.dim
-    brackets = {}
+    brackets = l._memoized("brackets", dict)
     out = [Subspace.zero(field, n)]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
@@ -225,7 +229,7 @@ def _closed_bases(l: LieAlgebra, pivots: tuple, brackets: dict) -> list:
                 for u in rows:
                     v = brackets.get((u, row))
                     if v is None:
-                        v = brackets[u, row] = bracket(u, row)
+                        v = brackets[u, row] = tuple(bracket(u, row))
                     for r, c in zip(basis, pivots):
                         f = v[c]
                         if f:
@@ -335,11 +339,12 @@ def maximal_nilpotent_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -
     """Nilpotent subalgebras maximal among the nilpotent ones.
 
     When L is itself nilpotent the unique answer is L, given without
-    the budget check.  Otherwise each subalgebra's nilpotency is read
-    off the canonical algebra of its structure table (see
-    :func:`~cideals.liealg.algebra_on`), and the pairwise filter
-    :func:`_maximal_among` keeps the maximal ones, at most the square of
-    the nilpotent count of containment tests.
+    the budget check.  Otherwise each subalgebra's nilpotency is
+    decided on its structure table, read from the listing's brackets,
+    by its lower central series in its own coordinates, once per
+    distinct table (see :func:`~cideals.liealg.is_nilpotent`), and the
+    pairwise filter :func:`_maximal_among` keeps the maximal ones, at
+    most the square of the nilpotent count of containment tests.
     """
     _require_finite(l)
     if is_nilpotent(l):

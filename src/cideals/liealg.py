@@ -17,8 +17,10 @@ check nothing):
 
 - ``restrict``, ``quotient`` (closed, an ideal) -> the reader, the builder;
 - ``is_nilpotent``, ``is_solvable`` of a subalgebra (closed) ->
-  ``_nilpotent_on``, ``_solvable_on`` -> :func:`algebra_on`, read only
-  when L itself is not nilpotent (solvable);
+  ``_nilpotent_on``, ``_solvable_on`` -> ``_reaches_zero``, run only
+  when L itself is not nilpotent (solvable): the reader, then the series
+  loop on the builder's bare algebra of the table, neither canonical nor
+  memoized, with one verdict per distinct table;
 - :func:`algebra_on`, :func:`algebra_modulo` -> the reader, the builder,
   one canonical algebra per distinct table.
 """
@@ -44,6 +46,7 @@ from .linalg import (
     _unbox,
     _units,
     raw_kernel,
+    raw_rref,
     standard_vector,
     zero_vector,
 )
@@ -80,8 +83,12 @@ class LieAlgebra:
     ``_memo`` slot, which stays out of equality and hashing: lattices,
     flags, c-ideal verdicts, the derived, lower central and ascending
     central series from L, per subspace the algebra on it or modulo it
-    (:func:`algebra_on`, :func:`algebra_modulo`), and per distinct
-    structure table, of a subalgebra or a quotient, the one algebra.
+    (:func:`algebra_on`, :func:`algebra_modulo`), per distinct
+    structure table, of a subalgebra or a quotient, the one algebra,
+    and of a subalgebra whether its own derived (lower central) series
+    reaches 0.  The subalgebra listing keeps there the bracket of each
+    pair of rows it made, as a tuple, and the table reader reads a pair
+    from it instead of bracketing again.
     """
 
     __slots__ = ("field", "dim", "names", "meta", "_ad", "_hash", "_memo")
@@ -316,8 +323,9 @@ class LieAlgebra:
         From L both series start with [L, L], which
         :func:`derived_subspace` reads off the structure table with no
         bracket.  Each later derived step brackets the pairs a < b of
-        the term's rows (see :meth:`span_product`), and each lower
-        central step every e_i with every row of the term.
+        the term's rows, reading a pair that the subalgebra listing of L
+        kept instead of bracketing it again, and each lower central step
+        every e_i with every row of the term.
 
         The lower central step brackets against the whole algebra, so
         for a proper starting subalgebra it descends through the ideal
@@ -336,18 +344,32 @@ class LieAlgebra:
 
     def _series(self, kind: str, cur: Subspace) -> SeriesResult:
         # series from the subalgebra cur, without checks.
-        full = self.full_space()
-        terms = [cur]
+        terms = self._series_rows(kind, cur.rows, cur.pivots)[1:]
+        field, n = self.field, self.dim
+        return SeriesResult(kind, (cur,) + tuple(Subspace(field, n, r, c) for r, c in terms))
+
+    def _series_rows(self, kind: str, rows: tuple, pivots: tuple) -> list:
+        # The one series loop, on raw rows: (rows, pivots) of each term,
+        # the start first, each step's span put in canonical form, until a
+        # step gives its term back.  From the whole algebra the step is
+        # [L, L], read from the memo; a derived step brackets the pairs of
+        # the term's rows (see _pair_brackets), a lower central step every
+        # e_i with every row.  A bare algebra, which must not make a memo,
+        # starts strictly below itself, so it never steps from the whole.
+        p, n = self.field.p, self.dim
+        terms = [(rows, pivots)]
         while True:
-            if cur.dim == self.dim:
-                nxt = derived_subspace(self)
+            if len(rows) == n:
+                derived = derived_subspace(self)
+                nxt = derived.rows, derived.pivots
+            elif kind == "derived":
+                nxt = raw_rref(p, _pair_brackets(self, rows), n)
             else:
-                nxt = self.span_product(cur if kind == "derived" else full, cur)
-            if nxt == cur:
-                break
+                nxt = raw_rref(p, [self.ad_raw(i, r) for i in range(n) for r in rows], n)
+            if nxt[0] == rows:
+                return terms
             terms.append(nxt)
-            cur = nxt
-        return SeriesResult(kind, tuple(terms))
+            rows = nxt[0]
 
     def derived_series(self, start: Subspace | None = None) -> SeriesResult:
         return self.series("derived", start)
@@ -505,11 +527,23 @@ def canonical(l: LieAlgebra) -> LieAlgebra:
     return first
 
 
+def _pair_brackets(l: LieAlgebra, rows: tuple):
+    # [r_a, r_b] for each pair a < b of rows, in is_subalgebra's order, one
+    # at a time.  A pair that the subalgebra listing of l bracketed is read
+    # from the brackets it kept in l's memo (non-empty tuples, so ``or``
+    # brackets only a pair it does not hold).
+    memo = l._memo
+    kept = memo.get("brackets", {}) if memo else {}
+    bracket_raw = l.bracket_raw
+    for a, x in enumerate(rows):
+        for y in rows[a + 1 :]:
+            yield kept.get((x, y)) or bracket_raw(x, y)
+
+
 def _table(l: LieAlgebra, basis: Subspace, read) -> tuple:
     # The one table reader: read([r_a, r_b]) over basis's canonical rows,
     # each pair a < b once, in is_subalgebra's order; a raise stops it.
-    rows, bracket_raw = basis.rows, l.bracket_raw
-    return tuple(read(bracket_raw(x, y)) for a, x in enumerate(rows) for y in rows[a + 1 :])
+    return tuple(map(read, _pair_brackets(l, basis.rows)))
 
 
 def _algebra(l: LieAlgebra, basis: Subspace, table: tuple) -> LieAlgebra:
@@ -528,11 +562,12 @@ def _canonical_algebra(l: LieAlgebra, basis: Subspace, read) -> LieAlgebra:
 def algebra_on(l: LieAlgebra, u: Subspace) -> LieAlgebra:
     """The canonical algebra on the subalgebra u, kept in l's memo.
 
-    u must be closed, which is not checked here: the public entry points
-    that reach this (:func:`is_nilpotent`, :func:`is_solvable`,
-    ``structure.frattini_of_subalgebra``) check it first.  Each bracket
-    of u's canonical rows is a member of u, so its coordinates are its
-    entries at u's pivots and no reduction runs.
+    u must be closed, which is not checked here: the public entry point
+    that reaches this with a subspace of the caller's,
+    ``structure.frattini_of_subalgebra``, checks it first; the suites
+    pass listed subalgebras, and the classifier an ideal it has just
+    checked.  Each bracket of u's canonical rows is a member of u, so
+    its coordinates are its entries at u's pivots and no reduction runs.
     """
     return l._memoized(("on", u), lambda: _canonical_algebra(l, u, u.coords_raw))
 
@@ -576,7 +611,10 @@ def is_solvable(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
     """Solvability of L, or of a subalgebra's intrinsic algebra.
 
     A subspace that is not closed raises NotSubalgebra; the zero
-    subspace is solvable before any check.
+    subspace is solvable before any check.  A subalgebra of a solvable L
+    is solvable; otherwise its derived series runs on its structure
+    table, in its own coordinates, and the verdict is kept in L's memo
+    once per distinct table.
     """
     if subspace is None:
         return l._memoized("solvable", lambda: l.derived_series().terms[-1].dim == 0)
@@ -590,7 +628,10 @@ def is_nilpotent(l: LieAlgebra, subspace: Subspace | None = None) -> bool:
     """Nilpotency of L, or of a subalgebra's intrinsic algebra.
 
     A subspace that is not closed raises NotSubalgebra; the zero
-    subspace is nilpotent before any check.
+    subspace is nilpotent before any check.  A subalgebra of a nilpotent L
+    is nilpotent; otherwise its lower central series runs on its structure
+    table, in its own coordinates, and the verdict is kept in L's memo
+    once per distinct table.
     """
     if subspace is None:
         return l._memoized("nilpotent", lambda: l.lower_central_series().terms[-1].dim == 0)
@@ -611,10 +652,34 @@ def _require_closed(l: LieAlgebra, u: Subspace, why="restriction to a subspace t
 def _solvable_on(l: LieAlgebra, u: Subspace) -> bool:
     # is_solvable(l, u) for a closed u, without the check: every
     # subalgebra of a solvable L is solvable.
-    return u.dim == 0 or is_solvable(l) or is_solvable(algebra_on(l, u))
+    return u.dim == 0 or is_solvable(l) or _reaches_zero(l, u, "derived")
 
 
 def _nilpotent_on(l: LieAlgebra, u: Subspace) -> bool:
     # is_nilpotent(l, u) for a closed u, without the check: every
     # subalgebra of a nilpotent L is nilpotent.
-    return u.dim == 0 or is_nilpotent(l) or is_nilpotent(algebra_on(l, u))
+    return u.dim == 0 or is_nilpotent(l) or _reaches_zero(l, u, "lower_central")
+
+
+def _reaches_zero(l: LieAlgebra, u: Subspace, kind: str) -> bool:
+    # Whether the series ``kind`` of the closed u, in u's own coordinates,
+    # reaches 0.  It is decided on u's structure table, once per distinct
+    # table, the verdict kept in l's memo.  Both series go on from [u, u],
+    # the span of the table, so an abelian u is both and a u = [u, u] is
+    # neither.  A nonzero [u, u] of codimension 1 rules out nilpotency:
+    # then u = Fx + [u, u], so [u, u] <= [x, [u, u]] + [[u, u], [u, u]]
+    # <= [u, [u, u]] and the lower central series stops at [u, u].
+    # Otherwise the series loop runs from [u, u] on a bare algebra of the
+    # table, neither canonical nor memoized.
+    d = u.dim
+    table = _table(l, u, u.coords_raw)
+
+    def decide() -> bool:
+        rows, pivots = raw_rref(l.field.p, table, d)
+        if not rows or len(rows) == d:
+            return not rows
+        if kind == "lower_central" and len(rows) == d - 1:
+            return False
+        return not _algebra(l, u, table)._series_rows(kind, rows, pivots)[-1][0]
+
+    return l._memoized((kind, d, table), decide)

@@ -619,7 +619,7 @@ class Subspace:
 
     def coords_raw(self, v) -> tuple:
         """The coordinates of a member v on the canonical rows."""
-        return tuple(v[c] for c in self.pivots)
+        return tuple([v[c] for c in self.pivots])
 
     def from_coords_raw(self, w) -> tuple:
         """The member with coordinates w: the combination of the canonical rows."""

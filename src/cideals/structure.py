@@ -88,7 +88,9 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     are checked to still have the defining property and to contain
     every listed such ideal.  Ideals are closed, so each is decided by
     the trusted forms: at once when L itself is nilpotent (solvable),
-    otherwise on the canonical algebra of its structure table.
+    otherwise by its own lower central (derived) series on its
+    structure table, read from the listing's brackets, once per
+    distinct table.
     """
     ideals = enum_ideals(l, budget)
     nil = [i for i in ideals if _nilpotent_on(l, i)]

@@ -31,6 +31,7 @@ from cideals import (
     normalizer,
     one_dim_ideals,
     projective_points,
+    radicals,
     random_solvable,
     restricted_algebra,
     subspace_count,
@@ -64,6 +65,7 @@ from oracles import (
     oracle_maximal,
     oracle_maximal_nilpotent_subalgebras,
     oracle_nilpotent_on,
+    oracle_radicals,
     oracle_solvable_on,
     oracle_subalgebras,
     oracle_subspace_points,
@@ -234,16 +236,20 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("l", _SEARCH_ALGEBRAS, ids=_SEARCH_IDS)
     def test_each_bracket_made_once_per_listing(self, monkeypatch, l):
         # The search's row-pair brackets and the ideal filter's [e_c, row]
-        # are each made once, and only the listings and the subspace count
-        # checked against the budget enter the memo.
+        # are each made once.  Only the listings, the subspace count
+        # checked against the budget and the search's brackets enter the
+        # memo; the brackets are kept as tuples, keyed by their row pairs.
         monkeypatch.setattr(liealg, "_canonical", {})
         fresh = _fresh(l)
         brackets = _made(monkeypatch, "bracket_raw", lambda: enum_subalgebras(fresh))
         assert len(set(brackets)) == len(brackets)
-        assert set(fresh._memo) == {("subspace_count", None), "subalgebras"}
+        assert set(fresh._memo) == {("subspace_count", None), "subalgebras", "brackets"}
+        kept = fresh._memo["brackets"]
+        assert set(kept) == set(brackets)
+        assert all(type(v) is tuple and v == tuple(fresh.bracket_raw(*k)) for k, v in kept.items())
         images = _made(monkeypatch, "ad_raw", lambda: enum_ideals(fresh))
         assert len(set(images)) == len(images)
-        assert set(fresh._memo) == {("subspace_count", None), "subalgebras", "ideals"}
+        assert set(fresh._memo) == {("subspace_count", None), "subalgebras", "brackets", "ideals"}
         if l == builtin("t(3)", GF(2)):
             assert len(brackets) == 651
 
@@ -534,6 +540,60 @@ class TestTrustedFilters:
         l = builtin("sl2", GF(3))
         zero = Subspace.zero(GF(5), 7)
         assert is_nilpotent(l, zero) and is_solvable(l, zero)
+
+
+class TestTableRoute:
+    """Nilpotency and solvability of a subalgebra are read from its
+    structure table: after the listing nothing is bracketed or made
+    canonical, and inputs that no listing reaches agree with the oracles."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: builtin("t(3)", GF(2)),
+            lambda: random_solvable(12, GF(2), 4, 3),
+            lambda: random_solvable(13, GF(3), 4, 2),
+            lambda: builtin("sl2", GF(5)),
+        ],
+        ids=["t(3)/GF(2)", "random_solvable(12, 4, 3)/GF(2)", "random_solvable(13, 4, 2)/GF(3)", "sl2/GF(5)"],
+    )
+    def test_listed_subalgebras_make_no_bracket_and_no_algebra(self, monkeypatch, make):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = make()
+        assert not is_nilpotent(l)
+        enum_subalgebras(l)
+        made = []
+        bracket_raw, canonical = LieAlgebra.bracket_raw, liealg.canonical
+        with monkeypatch.context() as m:
+            m.setattr(LieAlgebra, "bracket_raw", lambda s, u, v: made.append("bracket_raw") or bracket_raw(s, u, v))
+            m.setattr(liealg, "canonical", lambda a: made.append("canonical") or canonical(a))
+            found = maximal_nilpotent_subalgebras(l), radicals(l)
+        assert made == []
+        assert found == (oracle_maximal_nilpotent_subalgebras(l, oracle_subalgebras(l)), oracle_radicals(l))
+
+    def test_rational_subalgebras_no_listing_reaches(self):
+        rng = random.Random(7)
+        for _, l in catalog_algebras(Q):
+            closures = [
+                l.subalgebra_closure(Subspace.span(Q, l.dim, [[rng.randint(-2, 2) for _ in range(l.dim)] for _ in "xy"]))
+                for _ in range(6)
+            ]
+            terms = l.derived_series().terms + l.lower_central_series().terms
+            for u in (*terms, l.centre(), *closures):
+                nilpotent, solvable = oracle_nilpotent_on(l, u), oracle_solvable_on(l, u)
+                assert _nilpotent_on(l, u) == is_nilpotent(l, u) == nilpotent
+                assert _solvable_on(l, u) == is_solvable(l, u) == solvable
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_public_forms_on_a_cold_memo(self, monkeypatch, p):
+        for cid, l in catalog_algebras(GF(p), max_dim=4):
+            subalgebras = oracle_subalgebras(l)
+            monkeypatch.setattr(liealg, "_canonical", {})
+            cold = builtin(cid, GF(p))
+            for u in subalgebras:
+                assert is_nilpotent(cold, u) == oracle_nilpotent_on(l, u)
+                assert is_solvable(cold, u) == oracle_solvable_on(l, u)
+            assert not {"subalgebras", "brackets"} & set(cold._memo)
 
 
 @st.composite

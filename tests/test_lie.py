@@ -397,10 +397,14 @@ class TestBracketCounts:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_restrict_and_square_span_product(self, monkeypatch, p):
-        for _, l in catalog_algebras(GF(p), max_dim=4):
+        # restrict on an algebra never listed brackets each pair once; on
+        # the listed one it reads every pair from the listing's brackets.
+        for cid, l in catalog_algebras(GF(p), max_dim=4):
+            unlisted = builtin(cid, GF(p))
             for u in enum_subalgebras(l):
                 pairs = u.dim * (u.dim - 1) // 2
-                assert _brackets_made(monkeypatch, lambda: l.restrict(u)) == pairs
+                assert _brackets_made(monkeypatch, lambda: unlisted.restrict(u)) == pairs
+                assert _brackets_made(monkeypatch, lambda: l.restrict(u)) == 0
                 assert _brackets_made(monkeypatch, lambda: l.span_product(u, u)) == pairs
 
     @pytest.mark.parametrize("p", [2, 3])

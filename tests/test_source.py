@@ -105,8 +105,9 @@ _TRUSTED_CALLS = {
     "quotient": ("_table", "_algebra"),
     "is_nilpotent": ("_nilpotent_on",),
     "is_solvable": ("_solvable_on",),
-    "_nilpotent_on": ("algebra_on",),
-    "_solvable_on": ("algebra_on",),
+    "_nilpotent_on": ("_reaches_zero",),
+    "_solvable_on": ("_reaches_zero",),
+    "_reaches_zero": ("_table", "_algebra"),
     "algebra_on": ("_canonical_algebra",),
     "algebra_modulo": ("_canonical_algebra",),
     "_canonical_algebra": ("_table", "_algebra"),
@@ -133,7 +134,7 @@ _TRUSTED_CALLS = {
     "_t11": ("_frattini_of_closed", "_frattini_consequence"),
 }
 _TRUSTED = (
-    "_nilpotent_on", "_solvable_on", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
+    "_nilpotent_on", "_solvable_on", "_reaches_zero", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
     "_core",
     "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra",
     "_verify_closed", "_ideal_annihilator", "_yes", "_line_cideal", "_non_ideal_line", "_frattini_consequence",
