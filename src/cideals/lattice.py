@@ -26,8 +26,10 @@ The flag of ideals of a supersolvable L (:func:`supersolvable_flag`,
 built on :func:`first_line_ideal` and the ascending central series)
 lives here because the maximal subalgebras of such an L are its
 codimension-one subalgebras, read off the listing with no containment
-test.  The pairwise containment filter :func:`_maximal_among` serves
-only an L with no flag and the maximal nilpotent subalgebras.
+test; its basis and weights (``_flag_weights``) pick the Cartan ones of
+the maximal nilpotent subalgebras and give :mod:`cideals.structure` the
+radicals, F(L) and socle.  The pairwise filter :func:`_maximal_among`
+serves an L with no flag and the maximal nilpotent subalgebras.
 
 The budgeted listings (``enum_*``, ``maximal_*``, ``one_dim_ideals``)
 check the field and charge the budget, not an input subspace, so
@@ -44,7 +46,7 @@ import operator
 
 from .errors import BudgetExceeded, FieldNotFinite
 from .fields import Field, raw_poly_roots
-from .linalg import Subspace, _box, raw_char_poly, raw_eigenspace, raw_kernel, raw_rref
+from .linalg import Subspace, _box, _units, raw_char_poly, raw_dots, raw_eigenspace, raw_kernel, raw_rref
 from .liealg import (
     LieAlgebra,
     _nilpotent_on,
@@ -364,24 +366,28 @@ def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     :func:`maximal_nilpotent_subalgebras` (a Cartan subalgebra inside a
     larger nilpotent K would be normalized by an element of K outside
     it), so a nilpotent L is answered as its own without the budget check.
-    Self-normalization is tested by :func:`_self_normalizing`.
+    :func:`_self_normalizing` tests each: with a flag of ideals by counting
+    the flag's weights that vanish on it, in O(n^2 dim u), else by a solve.
     """
-    return tuple(
-        sorted(
-            (u for u in maximal_nilpotent_subalgebras(l, budget) if _self_normalizing(l, u)),
-            key=Subspace.sort_key,
-        )
-    )
+    members = maximal_nilpotent_subalgebras(l, budget)
+    weights = _flag_weights(l)
+    return tuple(sorted((u for u in members if _self_normalizing(l, u, weights)), key=Subspace.sort_key))
 
 
-def _self_normalizing(l: LieAlgebra, u: Subspace) -> bool:
-    # normalizer(l, u) == u for a closed u, by one solve over u's free
-    # columns c: L is u plus the span of those e_c, and u normalizes
-    # itself, so N(u) = u exactly when no nonzero x = sum_c w_c e_c has
-    # [x, r] in u for every row r of u.  [x, r] lies in u when its
-    # reduction by u, which is sum_c w_c times that of [e_c, r], is zero;
-    # it is always zero at u's pivots, so one equation per row and free
-    # column.
+def _self_normalizing(l: LieAlgebra, u: Subspace, weights=None) -> bool:
+    # normalizer(l, u) == u for a nilpotent u.  With the flag's weights,
+    # in O(n^2 dim u): N(u) <= L_0(u), the null component of ad u, and by
+    # Engel's theorem N(u) = u exactly when L_0(u) = u; ad u is triangular
+    # on the flag's basis with the weights on the diagonal, so dim L_0(u)
+    # is the number of weights vanishing on u.
+    if weights is not None:
+        return u.dim == sum(not any(raw_dots(l.field.p, u.rows, w)) for w in weights[3])
+    # Otherwise one solve over u's free columns c: L is u plus the span of
+    # those e_c, and u normalizes itself, so N(u) = u exactly when no
+    # nonzero x = sum_c w_c e_c has [x, r] in u for every row r of u.
+    # [x, r] lies in u when its reduction by u, which is sum_c w_c times
+    # that of [e_c, r], is zero; it is always zero at u's pivots, so one
+    # equation per row and free column.
     free = u._free_columns()
     reduced = [[u.reduce_raw(l.ad_raw(c, r)) for c in free] for r in u.rows]
     equations = [[v[j] for v in images] for images in reduced for j in free]
@@ -635,6 +641,39 @@ def supersolvable_flag(l: LieAlgebra) -> tuple | None:
     Kept in the memo.
     """
     return l._memoized("supersolvable_flag", lambda: _flag(l))
+
+
+def _flag_weights(l: LieAlgebra) -> tuple | None:
+    """The flag's basis and weights, or None when L has no flag or is over
+    Q; kept in the memo.  For the flag 0 = G_0 < ... < G_n = L, b_i is
+    G_i's canonical row at the pivot q_i that G_{i-1} lacks, and lambda_i
+    is the form with [x, b_i] = lambda_i(x) b_i mod G_{i-1}.  Returns the
+    b_i, the coordinates on the b's of [b_j, b_k] (j < k), lam[i][j] =
+    lambda_i(b_j), and each lambda_i on L's coordinates.  O(n^4): b_i is 1
+    at q_i and 0 at every earlier pivot, so coordinates are triangular.
+    """
+    return l._memoized("flag_weights", lambda: _weights(l))
+
+
+def _weights(l: LieAlgebra) -> tuple | None:
+    p, n = l.field.p, l.dim
+    flag = None if p is None else supersolvable_flag(l)
+    if flag is None:
+        return None
+    steps = [next(rc for rc in zip(g.rows, g.pivots) if rc[1] not in h.pivots) for h, g in zip(flag, flag[1:])]
+    b = [r for r, _ in steps]
+
+    def coords(x) -> list:
+        y = []
+        for _, q in steps:
+            y.append((x[q] - sum(c * r[q] for c, r in zip(y, b))) % p)
+        return y
+
+    table = {(j, k): coords(l.bracket_raw(b[j], b[k])) for j, k in itertools.combinations(range(n), 2)}
+    # [b_j, b_i] lies in the ideal G_i, and its b_i coordinate is lambda_i(b_j).
+    lam = [[(table[j, i][i] if j < i else -table[i, j][i]) % p if j != i else 0 for j in range(n)] for i in range(n)]
+    units = [coords(e) for e in _units(n, range(n))]
+    return b, table, lam, [list(raw_dots(p, units, row)) for row in lam]
 
 
 def _flag(l: LieAlgebra) -> tuple | None:

@@ -17,10 +17,10 @@ check nothing):
 
 - ``restrict``, ``quotient`` (closed, an ideal) -> the reader, the builder;
 - ``is_nilpotent``, ``is_solvable`` of a subalgebra (closed) ->
-  ``_nilpotent_on``, ``_solvable_on`` -> ``_reaches_zero``, run only
-  when L itself is not nilpotent (solvable): the reader, then the series
-  loop on the builder's bare algebra of the table, neither canonical nor
-  memoized, with one verdict per distinct table;
+  ``_nilpotent_on``, ``_solvable_on`` -> ``_reaches_zero``, run only for
+  dim >= 3 when L is not nilpotent (solvable): the reader, a trace, then
+  the series loop on the builder's bare algebra of the table, neither
+  canonical nor memoized, with one verdict per distinct table;
 - :func:`algebra_on`, :func:`algebra_modulo` -> the reader, the builder,
   one canonical algebra per distinct table.
 """
@@ -651,14 +651,20 @@ def _require_closed(l: LieAlgebra, u: Subspace, why="restriction to a subspace t
 
 def _solvable_on(l: LieAlgebra, u: Subspace) -> bool:
     # is_solvable(l, u) for a closed u, without the check: every
-    # subalgebra of a solvable L is solvable.
-    return u.dim == 0 or is_solvable(l) or _reaches_zero(l, u, "derived")
+    # subalgebra of a solvable L is solvable, and so is every u of dim <= 2.
+    return u.dim <= 2 or is_solvable(l) or _reaches_zero(l, u, "derived")
 
 
 def _nilpotent_on(l: LieAlgebra, u: Subspace) -> bool:
     # is_nilpotent(l, u) for a closed u, without the check: every
-    # subalgebra of a nilpotent L is nilpotent.
-    return u.dim == 0 or is_nilpotent(l) or _reaches_zero(l, u, "lower_central")
+    # subalgebra of a nilpotent L is nilpotent.  A u of dimension 2 is
+    # nilpotent exactly when abelian (see _reaches_zero), by its one
+    # bracket, as the listing kept it.
+    if u.dim < 2 or is_nilpotent(l):
+        return True
+    if u.dim == 2:
+        return not any(next(_pair_brackets(l, u.rows)))
+    return _reaches_zero(l, u, "lower_central")
 
 
 def _reaches_zero(l: LieAlgebra, u: Subspace, kind: str) -> bool:
@@ -669,13 +675,22 @@ def _reaches_zero(l: LieAlgebra, u: Subspace, kind: str) -> bool:
     # neither.  A nonzero [u, u] of codimension 1 rules out nilpotency:
     # then u = Fx + [u, u], so [u, u] <= [x, [u, u]] + [[u, u], [u, u]]
     # <= [u, [u, u]] and the lower central series stops at [u, u].
-    # Otherwise the series loop runs from [u, u] on a bare algebra of the
-    # table, neither canonical nor memoized.
-    d = u.dim
+    # So does a nonzero tr ad_u(r_a) = sum_b [r_a, r_b]_b, read off the
+    # table in O(d^2): ad maps of a nilpotent u are nilpotent.  Otherwise
+    # the series loop runs from [u, u] on a bare algebra of the table,
+    # neither canonical nor memoized.
+    p, d = l.field.p, u.dim
     table = _table(l, u, u.coords_raw)
 
     def decide() -> bool:
-        rows, pivots = raw_rref(l.field.p, table, d)
+        if kind == "lower_central":
+            traces = [0] * d
+            for (a, b), v in zip(itertools.combinations(range(d), 2), table):
+                traces[a] += v[b]
+                traces[b] -= v[a]
+            if any(t if p is None else t % p for t in traces):
+                return False
+        rows, pivots = raw_rref(p, table, d)
         if not rows or len(rows) == d:
             return not rows
         if kind == "lower_central" and len(rows) == d - 1:

@@ -569,6 +569,8 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._same_ambient(other)
+        if other.dim == other.ambient_dim:
+            return True
         # Every nonzero vector of other leads at one of other's pivots.
         if self.dim > other.dim or not set(self.pivots).issubset(other.pivots):
             return False

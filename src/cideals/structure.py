@@ -8,26 +8,27 @@ an abelian ideal plus an almost-abelian ideal).  The flag of ideals and
 the ascending central series are built in :mod:`cideals.lattice`, whose
 maximal subalgebras rest on them, and imported from there.
 
-Radicals, Frattini objects and the socle rest on exhaustive ideal or
-maximal-subalgebra enumeration, so they require a finite field; the
-predicates and the classifier are pure linear algebra and work over Q
-as well.
+Over a finite field, radicals, F(L), phi(L) and the socle of a
+supersolvable L are read off its flag's weights in polynomial time, with
+no listing; any other L lists its ideals or maximal subalgebras.  Over
+Q they are not computed; the rest is linear algebra over either field.
 
 Public and trusted forms, as in :mod:`cideals.liealg`:
 
 - :func:`frattini_of_subalgebra` (u closed) -> ``_frattini_of_closed``;
-- :func:`frattini` -> ``_frattini_subalgebra``, then ``_core`` of F(L),
-  an intersection of subalgebras and so closed;
+- :func:`frattini` -> ``_flag_frattini`` or ``_frattini_subalgebra``,
+  then ``_core`` of F(L), an intersection of subalgebras, so closed;
 - :func:`radicals` -> ``_nilpotent_on``, ``_solvable_on`` of ideals,
   all closed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fields import _qdiv
-from .linalg import Subspace, _box, subspace_text, vector_text
+from .linalg import Subspace, _box, raw_dots, raw_kernel, subspace_text, vector_text
 from .liealg import (
     LieAlgebra,
     _nilpotent_on,
@@ -41,7 +42,9 @@ from .liealg import (
 from .lattice import (
     DEFAULT_BUDGET,
     _core,
+    _flag_weights,
     enum_ideals,
+    ideal_line_families,
     maximal_subalgebras,
     supersolvable_flag,
     upper_central_series,
@@ -76,22 +79,29 @@ def is_supersolvable(l: LieAlgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration-backed invariants (finite fields)
+# radicals, Frattini objects and the socle (finite fields)
 
 def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Subspace]:
-    """(nilradical, solvable radical), verified against the ideal list.
+    """(nilradical, solvable radical).
 
-    A sum of two nilpotent (solvable) ideals is one, so a nilpotent
-    (solvable) ideal of largest dimension contains every other and is
-    unique: the nilradical is the largest listed nilpotent ideal and the
-    radical the largest listed solvable ideal, with no sum formed.  Both
-    are checked to still have the defining property and to contain
-    every listed such ideal.  Ideals are closed, so each is decided by
-    the trusted forms: at once when L itself is nilpotent (solvable),
-    otherwise by its own lower central (derived) series on its
-    structure table, read from the listing's brackets, once per
-    distinct table.
+    With a flag of ideals, in O(n^4) with no listing and no budget
+    charged: L is solvable, so the radical is L, and the nilradical is
+    the common kernel of the flag's weights (``lattice._flag_weights``),
+    checked to be an ideal and nilpotent.  A nilpotent ideal acts by zero
+    on each factor G_i/G_{i-1}, and the common kernel acts strictly
+    triangularly on the flag's basis, so is nilpotent by Engel's theorem.
+
+    Otherwise the nilradical (radical) is the largest listed nilpotent
+    (solvable) ideal, as a sum of two such ideals is one, checked to
+    contain every other; each ideal is decided on its structure table.
     """
+    weights = _flag_weights(l)
+    if weights is not None:
+        nilrad = raw_kernel(l.field, weights[3], l.dim)
+        ideal = all(nilrad.holds_raw(l.ad_raw(c, r)) for c in range(l.dim) for r in nilrad.rows)
+        if not ideal or not _nilpotent_on(l, nilrad):
+            raise AssertionError("nilradical failed its own verification")
+        return nilrad, l.full_space()
     ideals = enum_ideals(l, budget)
     nil = [i for i in ideals if _nilpotent_on(l, i)]
     sol = [i for i in ideals if _solvable_on(l, i)]
@@ -105,7 +115,7 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
 
 
 def _frattini_subalgebra(l: LieAlgebra, budget: int) -> Subspace:
-    # F(L), the intersection of the maximal subalgebras.
+    # F(L), the intersection of the listed maximal subalgebras.
     maxes = maximal_subalgebras(l, budget)
     return l._memoized("frattini_subalgebra", lambda: _intersection(l, maxes))
 
@@ -117,12 +127,42 @@ def _intersection(l: LieAlgebra, subspaces) -> Subspace:
     return f
 
 
+def _flag_frattini(l: LieAlgebra, b: list, table: dict, lam: list, _) -> Subspace:
+    # F(L) on the coordinates y of x = sum_j y_j b_j: with t_jk^l those of
+    # [b_j, b_k], ker(s b_i* + sum_{l>i} c_l b_l*) is closed exactly when
+    # s t_jk^i + sum_{l>i} t_jk^l c_l - lam[i][j] c_k + lam[i][k] c_j = 0
+    # for every i < j < k.  Step i counts when a solution has s != 0.
+    p, n = l.field.p, l.dim
+    forms = []
+    for i in range(n):
+        equations = []
+        for j, k in itertools.combinations(range(i + 1, n), 2):
+            row = list(table[j, k][i:])
+            row[k - i] -= lam[i][j]
+            row[j - i] += lam[i][k]
+            equations.append([x % p for x in row])
+        solutions = raw_kernel(l.field, equations, n - i)
+        if solutions.pivots[:1] == (0,):
+            forms += [(0,) * i + r for r in solutions.rows]
+    common = raw_kernel(l.field, forms, n).rows
+    return Subspace.from_raw(l.field, n, [list(raw_dots(p, zip(*b), ys)) for ys in common])
+
+
 def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Subspace]:
     """(F(L), phi(L)): intersection of the maximal subalgebras, and its core.
 
+    With a flag of ideals, in O(n^5) with no listing and no budget
+    charged: each maximal subalgebra is ker f, of codimension 1, and the
+    f first nonzero at b_i solve one homogeneous system on the structure
+    constants on the flag's basis; F(L) is their common kernel.
+    Otherwise it is the intersection of the listed maximal subalgebras.
     For a zero- or one-dimensional algebra F(L) is 0.
     """
-    f = _frattini_subalgebra(l, budget)
+    weights = _flag_weights(l)
+    if weights is None:
+        f = _frattini_subalgebra(l, budget)
+    else:
+        f = l._memoized("frattini_subalgebra", lambda: _flag_frattini(l, *weights))
     return f, _core(l, f)
 
 
@@ -142,11 +182,20 @@ def _frattini_of_closed(l: LieAlgebra, u: Subspace, budget: int) -> Subspace:
 
 
 def abelian_socle(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
-    """The sum of the minimal abelian ideals."""
+    """The sum of the minimal abelian ideals.
+
+    With a flag of ideals every minimal ideal is a line (its meet with
+    the first G_i it meets is one), so the socle is the span of
+    :func:`~cideals.lattice.ideal_line_families`, polynomial, with no
+    listing and no budget charged.  Otherwise each listed ideal not in
+    the running sum is tested for minimality against the listed ideals.
+    """
+    if _flag_weights(l) is not None:
+        return sum(ideal_line_families(l), l.zero_space())
     ideals = [i for i in enum_ideals(l, budget) if i.dim > 0]
     out = l.zero_space()
     for i in ideals:
-        if any(j.dim < i.dim and j <= i for j in ideals):
+        if i <= out or any(j.dim < i.dim and j <= i for j in ideals):
             continue
         if l.span_product(i, i).dim == 0:
             out = out + i
@@ -280,8 +329,9 @@ def _line_shape(l: LieAlgebra) -> tuple:
 class StructureProfile:
     """A bundle of structural facts about one algebra.
 
-    Enumeration-backed fields (nilradical, solvable_radical, frattini
-    pair, socle) are None over Q.
+    The nilradical, solvable_radical, frattini pair and socle are None
+    over Q; over GF(p) a supersolvable L has them from its flag, any
+    other L from its listed lattice, within the budget.
     """
 
     field: str

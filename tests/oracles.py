@@ -358,6 +358,27 @@ def oracle_radicals(l) -> tuple:
     return nilrad, rad
 
 
+def oracle_frattini(l) -> Subspace:
+    """F(L), the intersection of the maximal subalgebras, found by testing
+    pairs of listed subalgebras; L itself when there are none (dim 0)."""
+    f = l.full_space()
+    for m in oracle_maximal(enum_subalgebras(l), l.dim):
+        f = f & m
+    return f
+
+
+def oracle_socle(l) -> Subspace:
+    """The sum of the minimal abelian ideals: each nonzero listed ideal
+    containing no smaller nonzero listed ideal, abelian by its brackets."""
+    ideals = [i for i in enum_ideals(l) if i.dim]
+    out = Subspace.zero(l.field, l.dim)
+    for i in ideals:
+        minimal = not any(j.dim < i.dim and j <= i for j in ideals)
+        if minimal and oracle_span_product(l, i, i).dim == 0:
+            out = out + i
+    return out
+
+
 def oracle_core(l, b: Subspace) -> Subspace:
     """Largest ideal of l inside b, as the sum of all enumerated ideals
     contained in b."""

@@ -25,6 +25,7 @@ from cideals import (
     frattini_of_subalgebra,
     gaussian_binomial,
     is_nilpotent,
+    is_supersolvable,
     is_solvable,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
@@ -36,7 +37,7 @@ from cideals import (
     restricted_algebra,
     subspace_count,
 )
-from cideals import lattice, liealg, linalg
+from cideals import lattice, liealg, linalg, structure
 from cideals.harness import _spot_vectors
 from cideals.lattice import (
     _core,
@@ -558,18 +559,27 @@ class TestTableRoute:
         ids=["t(3)/GF(2)", "random_solvable(12, 4, 3)/GF(2)", "random_solvable(13, 4, 2)/GF(3)", "sl2/GF(5)"],
     )
     def test_listed_subalgebras_make_no_bracket_and_no_algebra(self, monkeypatch, make):
+        # radicals of an L with a flag of ideals reads the flag's weights,
+        # which brackets the flag's basis but lists no ideal; sl2 has no
+        # flag and decides its listed ideals on their tables.
         monkeypatch.setattr(liealg, "_canonical", {})
         l = make()
         assert not is_nilpotent(l)
         enum_subalgebras(l)
         made = []
-        bracket_raw, canonical = LieAlgebra.bracket_raw, liealg.canonical
+        bracket_raw, canonical, listed = LieAlgebra.bracket_raw, liealg.canonical, structure.enum_ideals
         with monkeypatch.context() as m:
             m.setattr(LieAlgebra, "bracket_raw", lambda s, u, v: made.append("bracket_raw") or bracket_raw(s, u, v))
             m.setattr(liealg, "canonical", lambda a: made.append("canonical") or canonical(a))
-            found = maximal_nilpotent_subalgebras(l), radicals(l)
-        assert made == []
-        assert found == (oracle_maximal_nilpotent_subalgebras(l, oracle_subalgebras(l)), oracle_radicals(l))
+            m.setattr(structure, "enum_ideals", lambda *a: made.append("enum_ideals") or listed(*a))
+            nilpotents = maximal_nilpotent_subalgebras(l)
+            assert made == []
+            found = radicals(l)
+        if is_supersolvable(l):
+            assert "enum_ideals" not in made
+        else:
+            assert made == ["enum_ideals"]
+        assert (nilpotents, found) == (oracle_maximal_nilpotent_subalgebras(l, oracle_subalgebras(l)), oracle_radicals(l))
 
     def test_rational_subalgebras_no_listing_reaches(self):
         rng = random.Random(7)
@@ -593,7 +603,86 @@ class TestTableRoute:
             for u in subalgebras:
                 assert is_nilpotent(cold, u) == oracle_nilpotent_on(l, u)
                 assert is_solvable(cold, u) == oracle_solvable_on(l, u)
-            assert not {"subalgebras", "brackets"} & set(cold._memo)
+            assert not {"subalgebras", "brackets"} & set(cold._memo or ())
+
+
+def _benchmark_universe():
+    """(id, algebra) pairs: every algebra of the benchmark's lattice
+    workload (its fixed algebras and its random solvable pools) and of its
+    sweep (the catalog to dimension 4 over GF(2) and GF(3), and sl2/GF(5))."""
+    out = [(f"{name}/GF({p})", builtin(name, GF(p))) for name, p in (("heisenberg(5)", 2), ("t(3)", 2), ("n(4)", 2), ("heisenberg(5)", 3))]
+    pools = {(2, 2): (0, 10, 12, 21, 23, 25, 26, 28, 33, 37, 44, 53, 67, 71, 75, 77), (2, 3): (12,), (3, 2): (13,)}
+    for (p, target), seeds in pools.items():
+        out += [(f"random_solvable({s}, 4, {target})/GF({p})", random_solvable(s, GF(p), 4, target)) for s in seeds]
+    out += [(f"{cid}/GF({p})", l) for p in (2, 3) for cid, l in catalog_algebras(GF(p), max_dim=4)]
+    return out + [("sl2/GF(5)", builtin("sl2", GF(5)))]
+
+
+_BENCHMARK_UNIVERSE = _benchmark_universe()
+
+
+def _traces(l, u) -> list:
+    # tr ad_u(r) for each canonical row r of u, from u's own algebra.
+    s = l.restrict(u)[0]
+    return [sum(s.ad_matrix(e).entry(i, i).value for i in range(s.dim)) % l.field.p for e in s.basis()]
+
+
+class TestNilpotencyShortcuts:
+    """A subalgebra of dimension <= 2 is answered from its one bracket, and
+    a nonzero trace of ad_u rules out nilpotency before any elimination;
+    both against the oracle on every subalgebra of the benchmark's
+    algebras."""
+
+    @pytest.mark.parametrize("l", [l for _, l in _BENCHMARK_UNIVERSE], ids=[cid for cid, _ in _BENCHMARK_UNIVERSE])
+    def test_rules_match_the_oracle(self, l):
+        for u in enum_subalgebras(l):
+            nilpotent = oracle_nilpotent_on(l, u)
+            assert _nilpotent_on(l, u) == nilpotent
+            assert _solvable_on(l, u) == oracle_solvable_on(l, u)
+            if u.dim == 2:
+                assert nilpotent == (l.span_product(u, u).dim == 0)
+            if any(_traces(l, u)):
+                assert not nilpotent
+
+    def test_traceless_with_a_nonzero_diagonal(self):
+        # heisenberg(3) on x, y, x + z beside nonabelian2: on those rows
+        # ad(y) has diagonal (1, 0, -1), so the trace must add the pairs'
+        # entries with opposite signs to read 0 and leave u nilpotent.
+        for p in (2, 3, 5):
+            l = LieAlgebra(GF(p), 5, None, {(0, 1): [-1, 0, 1, 0, 0], (1, 2): [1, 0, -1, 0, 0], (3, 4): [0, 0, 0, 0, 1]})
+            u = Subspace.span(GF(p), 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+            assert not l.validate() and not is_nilpotent(l)
+            assert _nilpotent_on(l, u) and is_nilpotent(l, u) and oracle_nilpotent_on(l, u)
+
+    def test_both_rules_fire(self):
+        # Counted over the lattice workload's first non-nilpotent algebra.
+        l = builtin("t(3)", GF(2))
+        subalgebras = enum_subalgebras(l)
+        planes = [u for u in subalgebras if u.dim == 2]
+        traced = [u for u in subalgebras if u.dim > 2 and any(_traces(l, u))]
+        assert any(l.span_product(u, u).dim for u in planes) and any(l.span_product(u, u).dim == 0 for u in planes)
+        assert traced
+
+
+class TestCartanWeights:
+    """With a flag of ideals, a nilpotent u is self-normalizing exactly
+    when dim u is the number of the flag's weights vanishing on u."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_weight_count_matches_the_solve(self, p):
+        algebras = [l for _, l in catalog_algebras(GF(p), max_dim=5)]
+        algebras += [random_solvable(s, GF(p), 3, 2 + s % 4) for s in range(12)]
+        checked = 0
+        for l in algebras:
+            weights = lattice._flag_weights(l)
+            if weights is None or subspace_count(l.dim, p) > 3000:
+                continue
+            for u in enum_subalgebras(l):
+                if oracle_nilpotent_on(l, u):
+                    vanishing = sum(all(sum(a * b for a, b in zip(w, r)) % p == 0 for r in u.rows) for w in weights[3])
+                    assert (vanishing == u.dim) == _self_normalizing(l, u, weights) == _self_normalizing(l, u)
+                    checked += 1
+        assert checked > 500
 
 
 @st.composite

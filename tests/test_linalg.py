@@ -295,6 +295,18 @@ class TestSubspace:
         assert small < big
         assert not big <= small
 
+    def test_whole_space_holds_everything_with_no_reduction(self, monkeypatch):
+        made = []
+        reduce_raw = Subspace.reduce_raw
+        monkeypatch.setattr(Subspace, "reduce_raw", lambda s, v: made.append(v) or reduce_raw(s, v))
+        for field in (Q, GF(5)):
+            full = Subspace.full(field, 3)
+            for u in (Subspace.zero(field, 3), Subspace.span(field, 3, [[0, 1, 2], [0, 0, 1]]), full):
+                assert u <= full
+        assert made == []
+        with pytest.raises(AmbientMismatch):
+            Subspace.zero(Q, 2) <= Subspace.full(Q, 3)
+
     def test_complement(self):
         u = Subspace.from_vectors(Q, 3, [vec(Q, [1, 0, 2])])
         comp = u.complement()

@@ -105,7 +105,7 @@ _TRUSTED_CALLS = {
     "quotient": ("_table", "_algebra"),
     "is_nilpotent": ("_nilpotent_on",),
     "is_solvable": ("_solvable_on",),
-    "_nilpotent_on": ("_reaches_zero",),
+    "_nilpotent_on": ("_pair_brackets", "_reaches_zero"),
     "_solvable_on": ("_reaches_zero",),
     "_reaches_zero": ("_table", "_algebra"),
     "algebra_on": ("_canonical_algebra",),
@@ -113,10 +113,11 @@ _TRUSTED_CALLS = {
     "_canonical_algebra": ("_table", "_algebra"),
     # lattice
     "core": ("_core",),
-    # structure: F(L) is closed, and so are the ideals of L
+    # structure: F(L) is closed, and so are the ideals of L; with a flag of
+    # ideals F(L) and the nilradical are read off the flag's weights
     "frattini_of_subalgebra": ("_frattini_of_closed",),
-    "frattini": ("_frattini_subalgebra", "_core"),
-    "radicals": ("_nilpotent_on", "_solvable_on"),
+    "frattini": ("_flag_weights", "_flag_frattini", "_frattini_subalgebra", "_core"),
+    "radicals": ("_flag_weights", "_nilpotent_on", "_solvable_on"),
     "_frattini_of_closed": ("algebra_on", "_frattini_subalgebra"),
     # cideal.  The named exception: is_cideal checks in _is_cideal, on a
     # memo miss only, so a repeat pays no closure test.
@@ -136,13 +137,13 @@ _TRUSTED_CALLS = {
 _TRUSTED = (
     "_nilpotent_on", "_solvable_on", "_reaches_zero", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
     "_core",
-    "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra",
+    "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra", "_flag_frattini",
     "_verify_closed", "_ideal_annihilator", "_yes", "_line_cideal", "_non_ideal_line", "_frattini_consequence",
     "_t11",
 )
 _MODULES = ("liealg", "lattice", "structure", "cideal", "harness")
 # Of L itself, with no subspace, these answer from L's memo and check nothing.
-_WHOLE_ALGEBRA = ("is_nilpotent", "is_solvable")
+_WHOLE_ALGEBRA = ("is_nilpotent", "is_solvable", "_flag_weights")
 # The budgeted listings check the field and charge the budget, not an
 # input subspace, so trusted forms may call them.
 _BUDGET_CHARGES = (

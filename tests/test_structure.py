@@ -4,6 +4,7 @@ import time
 import pytest
 
 from cideals import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CASE_CUBE_ZERO,
     CASE_NEITHER,
@@ -30,17 +31,27 @@ from cideals import (
     nilpotency_class,
     one_dim_ideals,
     radicals,
+    random_solvable,
     restricted_algebra,
     run_suite,
     structure_profile,
+    subspace_count,
     supersolvable_flag,
     upper_central_series,
 )
 
+from cideals import structure
 from cideals.harness import PASS
 from cideals.lattice import first_line_ideal
 
-from oracles import oracle_radicals, oracle_supersolvable
+from oracles import (
+    oracle_cartan_subalgebras,
+    oracle_core,
+    oracle_frattini,
+    oracle_radicals,
+    oracle_socle,
+    oracle_supersolvable,
+)
 
 
 def vec(field, coords):
@@ -240,6 +251,112 @@ class TestSocle:
     def test_abelian_socle_is_everything(self):
         l = builtin("abelian", GF(2), 3)
         assert abelian_socle(l) == l.full_space()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: builtin("sl2", GF(3)),
+            lambda: builtin("sl2", GF(5)),
+            lambda: direct_sum(builtin("sl2", GF(3)), builtin("abelian(2)", GF(3))),
+            lambda: direct_sum(_e2(), builtin("abelian(1)", GF(3))),
+        ],
+        ids=["sl2/GF(3)", "sl2/GF(5)", "sl2+abelian(2)/GF(3)", "e(2)+abelian(1)/GF(3)"],
+    )
+    def test_no_flag_matches_the_brute_force_socle(self, make):
+        # With no flag the listed ideals are tested; one already inside the
+        # running sum is skipped before its minimality test.
+        l = make()
+        assert not is_supersolvable(l)
+        assert abelian_socle(l) == oracle_socle(l)
+
+
+def _e2():
+    # The Euclidean algebra e(2) over GF(3): solvable with no flag of ideals,
+    # since x acts on span(a1, a2) as a rotation with no eigenvector.
+    return LieAlgebra(GF(3), 3, ["x", "a1", "a2"], {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+
+
+def _flag_corpus():
+    """(id, algebra) pairs: the catalog to dimension 6 over GF(2), GF(3)
+    and GF(5) inside the subspace gate, and the first 60 random solvable
+    algebras of the criterion-3 shape within 3000 subspaces, the prime
+    cycling over 2, 3, 5 and 7 with the seed."""
+    out = [
+        (f"{cid}/GF({p})", l)
+        for p in (2, 3, 5)
+        for cid, l in catalog_algebras(GF(p), max_dim=6)
+        if subspace_count(l.dim, p) <= DEFAULT_BUDGET
+    ]
+    seed = found = 0
+    while found < 60:
+        p = (2, 3, 5, 7)[seed % 4]
+        l = random_solvable(seed, GF(p), 3, 2 + seed % 4)
+        if subspace_count(l.dim, p) <= 3000:
+            out.append((f"random_solvable({seed})/GF({p})", l))
+            found += 1
+        seed += 1
+    return out
+
+
+_FLAG_CORPUS = _flag_corpus()
+
+
+class TestFlagRoutes:
+    """With a flag of ideals the radicals, F(L), phi(L), the socle and the
+    Cartan subalgebras are read off the flag's weights; they must equal
+    the listing oracles, and the first four charge no budget."""
+
+    @pytest.mark.parametrize("l", [l for _, l in _FLAG_CORPUS], ids=[cid for cid, _ in _FLAG_CORPUS])
+    def test_matches_the_listing_oracles(self, l):
+        budget = 1 if is_supersolvable(l) else DEFAULT_BUDGET
+        f, phi = frattini(l, budget)
+        assert radicals(l, budget) == oracle_radicals(l)
+        assert f == oracle_frattini(l)
+        assert phi == oracle_core(l, f)
+        assert abelian_socle(l, budget) == oracle_socle(l)
+        assert cartan_subalgebras(l) == oracle_cartan_subalgebras(l)
+
+    def test_corpus(self):
+        ids = [cid for cid, _ in _FLAG_CORPUS]
+        assert sum(cid.startswith("random") for cid in ids) == 60
+        assert {"t(3)/GF(3)", "n(4)/GF(3)", "heisenberg(5)/GF(5)", "sl2/GF(5)"} <= set(ids)
+        assert "t(3)/GF(5)" not in ids
+        assert sum(is_supersolvable(l) for _, l in _FLAG_CORPUS) > 100
+
+    def test_nilradical_checks_itself(self, monkeypatch):
+        # Weights that all vanish would make t(2) its own nilradical, which
+        # is not nilpotent: the check raises, under -O too.
+        l = builtin("t(2)", GF(3))
+        b, table, lam, weights = structure._flag_weights(l)
+        zero = [[0] * l.dim for _ in weights]
+        monkeypatch.setattr(structure, "_flag_weights", lambda a: (b, table, lam, zero))
+        with pytest.raises(AssertionError, match="nilradical"):
+            radicals(l)
+
+    @pytest.mark.parametrize(
+        "name, p, dims",
+        [
+            ("t(3)", 5, (1, 1, 4, 2)),
+            ("n(4)", 5, (3, 3, 6, 1)),
+            ("t(3)", 7, (1, 1, 4, 2)),
+            ("heisenberg(3)", 2**31 - 1, (1, 1, 3, 1)),
+            ("abelian(3)", 151, (0, 0, 3, 3)),
+        ],
+    )
+    def test_past_the_subspace_gate(self, name, p, dims):
+        # The first four are past the subspace gate, and the socle of the
+        # last was a loop over pairs of its 45,908 ideals; with a budget of
+        # 1 no listing can run, so these answers are the flag's.
+        l = builtin(name, GF(p))
+        start = time.perf_counter()
+        profile = structure_profile(l, budget=1)
+        assert time.perf_counter() - start < 2.0
+        found = (profile.frattini_subalgebra, profile.frattini_ideal, profile.nilradical, profile.socle)
+        assert tuple(u.dim for u in found) == dims
+        assert profile.solvable_radical == l.full_space()
+        nilrad = profile.nilradical
+        assert l.is_ideal(nilrad) and is_nilpotent(l, nilrad)
+        assert l.is_ideal(profile.frattini_ideal) and profile.frattini_ideal <= profile.frattini_subalgebra
 
 
 class TestAlmostAbelian:
