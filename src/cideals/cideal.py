@@ -22,7 +22,7 @@ checks nothing and calls no form that does; a B is checked closed by
 NotSubalgebra:
 
 - :func:`verify_certificate` (B closed, C a subspace of L) ->
-  ``_verify_closed``, which shows C an ideal one way, by its
+  ``_verify_closed``, which shows a proper C an ideal one way, by its
   annihilator (``_ideal_annihilator``), and B, B ∩ C by
   ``_closed_is_ideal``;
 - :func:`is_cideal` -> ``_is_cideal``, which checks B on a memo miss
@@ -97,9 +97,10 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     is an ideal: an ideal inside B lies in core(B), and conversely
     B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
     ideals.  So no core is computed, and when dim B + dim C = dim L the
-    sum condition forces B ∩ C = 0, which needs no check.  Each ideal C
-    is checked once per algebra (see :func:`_ideal_annihilator`), and a
-    C that fails is checked again on every call.
+    sum condition forces B ∩ C = 0, which needs no check.  C = L is
+    answered by B's ideal test alone.  Each proper ideal C is checked
+    once per algebra (see :func:`_ideal_annihilator`), and a C that
+    fails is checked again on every call.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
@@ -113,13 +114,14 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
 def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     # verify_certificate for a closed b and a subspace c of l.  B, and B ∩ C
     # with C an ideal, are closed, so their ideal tests try only the
-    # brackets with e_j at their non-pivot columns j.
+    # brackets with e_j at their non-pivot columns j.  C = L is an ideal
+    # with no annihilator row, so it is answered before the memo lookup.
     n = l.dim
+    if c.dim == n:
+        return l._closed_is_ideal(b)
     dual = _ideal_annihilator(l, c)
     if dual is None:
         return False
-    if c.dim == n:
-        return l._closed_is_ideal(b)
     if b.dim == 1:
         return c.dim == n - 1 and any(raw_dots(l.field.p, dual, b.rows[0]))
     width, meet = raw_sum_and_meet(l.field, b.rows, c.rows, n)
@@ -127,33 +129,43 @@ def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
 
 
 def _ideal_annihilator(l: LieAlgebra, c: Subspace):
-    """C's annihilator rows when the subspace C is an ideal of l, else None.
+    """C's annihilator rows when the proper subspace C is an ideal of l,
+    else None.
 
     The rows are kept as the value of C's entry in the memo
-    "verified_ideals", so the memo holds exactly the ideals shown.  A C
-    not yet shown there is checked by brackets with them: [e_i, r] lies
-    in C exactly when every row has dot product 0 with it.  C = L has no
-    rows and passes with no bracket.
+    "verified_ideals", so the memo holds exactly the proper ideals shown.
+    A C not yet shown there is checked by brackets with them: [e_i, r]
+    lies in C exactly when every row has dot product 0 with it.
     """
     ideals = l._memoized("verified_ideals", dict)
     dual = ideals.get(c)
     if dual is None:
         dual = c.annihilator_raw()
         p = l.field.p
-        if dual and any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
+        if any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
             return None
         ideals[c] = dual
     return dual
 
 
+def _whole(l: LieAlgebra) -> Subspace:
+    # L as a subspace, the certificate of every ideal, made once per value.
+    return l._memoized("full_space", l.full_space)
+
+
 def _yes(l, b, c, method) -> CIdealVerdict:
+    return _checked(l, b, CIdealVerdict(YES, c, method, True))
+
+
+def _checked(l, b, verdict: CIdealVerdict) -> CIdealVerdict:
+    # verdict, a yes for b, once its certificate passes re-verification;
     # b is a subalgebra of l here: the ladder has checked it, and a line
     # is closed.
-    if not _verify_closed(l, b, c):
+    if not _verify_closed(l, b, verdict.certificate):
         raise AssertionError(
-            f"internal error: {method} produced a certificate that fails re-verification"
+            f"internal error: {verdict.method} produced a certificate that fails re-verification"
         )
-    return CIdealVerdict(YES, c, method, True)
+    return verdict
 
 
 def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
@@ -161,15 +173,17 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
 
     Fx is a c-ideal iff it is an ideal or x lies outside [L, L].  In the
     second case a concrete witness exists: [L, L] plus the complement of
-    [L, L] + Fx is a codimension-one ideal that misses x.
+    [L, L] + Fx is a codimension-one ideal that misses x.  Whether x lies
+    in [L, L] is asked first; outside [L, L], Fx is an ideal exactly when
+    x is central, so the ideal test runs only for x in [L, L] (see
+    :func:`_line_cideal`).
 
     x is checked to be nonzero (ZeroVector), of length dim L
     (AmbientMismatch) and over L's field (FieldMismatch), in that order.
     The line's canonical row is x scaled by the inverse of its first
     nonzero entry, so no elimination is run, and the line is the only
     subspace reduced: whether x lies in [L, L], and outside the
-    witness, are dot products with annihilator rows kept in L's memo
-    (see :func:`_non_ideal_line`).
+    witness, are dot products with annihilator rows kept in L's memo.
     """
     if vector_is_zero(x):
         raise ZeroVector("a line needs a nonzero spanning vector")
@@ -187,43 +201,52 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     return _line_cideal(l, point_line(l.field, v))
 
 
-def _line_cideal(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
-    """The line rule on a line of l: yes with witness L when the line is
-    an ideal, otherwise :func:`_non_ideal_line`."""
-    if l._closed_is_ideal(line):
-        return _yes(l, line, l.full_space(), METHOD_LINE)
-    return _non_ideal_line(l, line)
+_LINE_NO = CIdealVerdict(NO, None, METHOD_LINE, True)
 
 
-def _non_ideal_line(l: LieAlgebra, line: Subspace) -> CIdealVerdict:
-    """The line rule on a line Fx known not to be an ideal.
+def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE) -> CIdealVerdict:
+    """The line rule on a line Fx of l; an ideal line's yes carries
+    ``ideal_method``.
 
     x lies in [L, L] exactly when a_j . x = 0 for every annihilator row
-    a_j of [L, L]; then the answer is no.  Otherwise q is the first
-    non-pivot column j of [L, L] with a_j . x != 0, which is x's lead
-    column mod [L, L], and the answer is yes with the hyperplane of
-    :func:`_hyperplane` at q, re-verified like every yes.  The
-    annihilator is made once per algebra value (memo
-    "derived_annihilator", with its columns) and each hyperplane once
-    per algebra value and column (memo "line_hyperplanes"), so no
-    subspace but the line is reduced.
+    a_j of [L, L].  Then Fx is a c-ideal exactly when it is an ideal,
+    which the bracket ideal test decides, and otherwise the answer is no.
+    For x outside [L, L], Fx is an ideal exactly when x is central:
+    Fx ∩ [L, L] = 0, so [y, x] in Fx ∩ [L, L] is 0 for every y.  So
+    [e_c, x] is tried for each column c but x's pivot (L is Fx plus
+    those e_c, and [x, x] = 0), stopping at the first nonzero bracket,
+    with no reduction.  A central x gets the yes with witness L.  Any
+    other x gets the yes with the hyperplane of :func:`_hyperplane` at
+    q, the first non-pivot column j of [L, L] with a_j . x != 0, which
+    is x's lead column mod [L, L].
+
+    The annihilator and its columns are made once per algebra value, and
+    each hyperplane's frozen verdict once per algebra value and column
+    (memo "line_rule"), so no subspace but the line is reduced.  Every
+    yes is re-verified before it is returned, the memo's too.
     """
-    columns, dual = l._memoized("derived_annihilator", lambda: _column_annihilator(l))
-    dots = raw_dots(l.field.p, dual, line.rows[0])
-    q = next((j for j, d in zip(columns, dots) if d), None)
+    columns, dual, verdicts = l._memoized("line_rule", lambda: _line_rule(l))
+    x = line.rows[0]
+    q = next((j for j, d in zip(columns, raw_dots(l.field.p, dual, x)) if d), None)
     if q is None:
-        return CIdealVerdict(NO, None, METHOD_LINE, True)
-    hyperplanes = l._memoized("line_hyperplanes", dict)
-    h = hyperplanes.get(q)
-    if h is None:
-        h = hyperplanes[q] = _hyperplane(l, derived_subspace(l), q)
-    return _yes(l, line, h, METHOD_LINE)
+        if l._closed_is_ideal(line):
+            return _yes(l, line, _whole(l), ideal_method)
+        return _LINE_NO
+    pivot = line.pivots[0]
+    if not any(any(l.ad_raw(c, x)) for c in range(l.dim) if c != pivot):
+        return _yes(l, line, _whole(l), ideal_method)
+    verdict = verdicts.get(q)
+    if verdict is None:
+        h = _hyperplane(l, derived_subspace(l), q)
+        verdict = verdicts[q] = CIdealVerdict(YES, h, METHOD_LINE, True)
+    return _checked(l, line, verdict)
 
 
-def _column_annihilator(l: LieAlgebra) -> tuple:
-    # The non-pivot columns of [L, L] and its annihilator rows, one each.
+def _line_rule(l: LieAlgebra) -> tuple:
+    # The non-pivot columns of [L, L], its annihilator rows, one each, and
+    # the hyperplane verdicts by column, filled as columns are met.
     derived = derived_subspace(l)
-    return derived._free_columns(), derived.annihilator_raw()
+    return derived._free_columns(), derived.annihilator_raw(), {}
 
 
 def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:
@@ -265,10 +288,10 @@ def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     # is_cideal on a memo miss.  Each rung's candidates are made only when
     # it is reached, so characteristic_ideals runs after every derived term fails.
     _require_closed(l, b, "c-ideal decisions apply to subalgebras")
-    if l._closed_is_ideal(b):
-        return _yes(l, b, l.full_space(), METHOD_IDEAL)
     if b.dim == 1:
-        return _non_ideal_line(l, b)
+        return _line_cideal(l, b, METHOD_IDEAL)
+    if l._closed_is_ideal(b):
+        return _yes(l, b, _whole(l), METHOD_IDEAL)
 
     b_core = _core(l, b)
     reduced = algebra_modulo(l, b_core)

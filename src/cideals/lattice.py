@@ -473,12 +473,19 @@ def subspace_points(p: int, u: Subspace):
 
 def _running_sums(p: int, acc: tuple, rows: tuple):
     # acc plus t_k * rows[k] for every tail t, in product order, mod p; a
-    # step adds rows[0] at its nonzero columns only.
+    # step adds rows[0] at its nonzero columns only.  The rows are
+    # canonical rows after acc's, so acc is 0 at each of their pivots, and
+    # a last row that is a unit row e_c puts t at column c.
     if not rows:
         yield acc
         return
     row, rest = rows[0], rows[1:]
     support = [(c, x) for c, x in enumerate(row) if x]
+    if not rest and len(support) == 1 and support[0][1] == 1:
+        c = support[0][0]
+        pre, post = acc[:c], acc[c + 1:]
+        yield from ((*pre, t, *post) for t in range(p))
+        return
     cur = list(acc)
     for t in range(p):
         if t:
@@ -574,15 +581,18 @@ def _line_ideals(l: LieAlgebra):
     if p is None:
         lines = (point_line(field, v) for fam in families for v in fam.rows)
         return iter(sorted(lines, key=Subspace.sort_key))
-    points = heapq.merge(*(_pivot_points(p, fam) for fam in families))
-    return (Subspace(field, n, (v,), (c,)) for c, v in points)
+    if len(families) == 1:
+        points = _pivot_points(p, families[0])
+    else:
+        points = heapq.merge(*(_pivot_points(p, fam) for fam in families))
+    return (Subspace(field, n, (v,), c) for c, v in points)
 
 
 def _pivot_points(p: int, u: Subspace):
-    # The points of subspace_points(p, u), each after its pivot: the run
-    # of lead row m has u's pivot m.
+    # The points of subspace_points(p, u), each after its pivot tuple,
+    # one tuple per column: the run of lead row m has u's pivot m.
     for m, c in enumerate(u.pivots):
-        yield from zip(itertools.repeat(c), _running_sums(p, u.rows[m], u.rows[m + 1:]))
+        yield from zip(itertools.repeat((c,)), _running_sums(p, u.rows[m], u.rows[m + 1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,20 @@ def oracle_is_ideal(l, u: Subspace) -> bool:
     return oracle_span_product(l, l.full_space(), u) <= u
 
 
+def oracle_centre(l) -> Subspace:
+    """{x : [e_i, x] = 0 for every i}: the kernel of the matrices of
+    ad(e_i) stacked, from boxed brackets, solved and reduced by the
+    from-scratch eliminations below (GF(p) or Q)."""
+    p, n = l.field.p, l.dim
+    system = [[l.structure_vector(i, j)[k].value for j in range(n)] for i in range(n) for k in range(n)]
+    if p is None:
+        rows, pivots = oracle_rref_q(oracle_kernel_q(system, n), n)
+        rows = tuple(tuple(x.numerator if x.denominator == 1 else x for x in r) for r in rows)
+    else:
+        rows, pivots = oracle_rref_p(oracle_kernel_p(system, n, p), n, p)
+    return Subspace(l.field, n, rows, pivots)
+
+
 def oracle_quotient(l, i: Subspace) -> LieAlgebra:
     """L/I on the standard vectors at I's non-pivot columns, from boxed
     brackets: each [e_a, e_b] of free columns a < b is cleared at I's

@@ -35,7 +35,15 @@ from cideals import cideal, fields, liealg, linalg
 from cideals.lattice import ideal_line_families
 from cideals.liealg import derived_subspace
 
-from oracles import oracle_cideal, oracle_core, oracle_intersection, oracle_is_ideal, oracle_line_cideal
+from oracles import (
+    oracle_centre,
+    oracle_cideal,
+    oracle_core,
+    oracle_intersection,
+    oracle_is_ideal,
+    oracle_line_cideal,
+    oracle_span_product,
+)
 
 
 def vec(field, coords):
@@ -168,7 +176,8 @@ class TestVerifiedIdealMemo:
 
     def test_whole_algebra_passes_with_no_bracket(self, monkeypatch):
         # C = L has no annihilator row: checking B against it brackets only
-        # what B's closure and ideal tests do.
+        # what B's closure and ideal tests do, and it is answered before
+        # the memo lookup, so nothing is hashed or stored.
         monkeypatch.setattr(liealg, "_canonical", {})
         l = builtin("heisenberg(3)+abelian(1)", GF(3))
         b = span(l, [1, 0, 0, 1], [0, 0, 1, 0])
@@ -176,7 +185,7 @@ class TestVerifiedIdealMemo:
         ad_raw = LieAlgebra.ad_raw
         monkeypatch.setattr(LieAlgebra, "ad_raw", lambda l, i, v: calls.append((i, v)) or ad_raw(l, i, v))
         assert verify_certificate(l, b, l.full_space())
-        assert l.full_space() in l._memo["verified_ideals"]
+        assert "verified_ideals" not in (l._memo or {})
         checked, calls[:] = calls[:], []
         assert l.is_subalgebra(b) and l._closed_is_ideal(b) and checked == calls
 
@@ -291,6 +300,15 @@ def _scaled_points(l):
     return [tuple(c * a for a in v) for v in list(basis) + sums for c in scales]
 
 
+def _route(l, x) -> str:
+    """Which of the four cases of the line rule x falls in, by the oracles."""
+    full = l.full_space()
+    line = Subspace.from_vectors(l.field, l.dim, [x])
+    if line <= oracle_span_product(l, full, full):
+        return "inside, ideal" if oracle_is_ideal(l, line) else "inside, not ideal"
+    return "central" if line <= oracle_centre(l) else "outside, not central"
+
+
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -305,15 +323,56 @@ class TestLineRoute:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_point_over_gf_p(self, p):
+        # Each route occurs: in [L, L] an ideal or not (over GF(2) every
+        # line of [L, L] in the catalog is an ideal), and outside it
+        # central (heisenberg(3)+abelian(1), t(2)) or not.
         field = GF(p)
+        routes = Counter()
         for l in [l for _, l in catalog_algebras(field, max_dim=4)] + [_tilted(field)]:
             for x in projective_points(field, l.dim):
                 assert line_cideal(l, x) == oracle_line_cideal(l, x)
+                routes[_route(l, x)] += 1
+        expected = {"inside, ideal", "inside, not ideal", "central", "outside, not central"}
+        assert set(routes) == (expected - {"inside, not ideal"} if p == 2 else expected)
 
     def test_scaled_points_over_q(self):
+        routes = Counter()
         for l in [l for _, l in catalog_algebras(Q, max_dim=4)] + [_tilted(Q)]:
             for x in _scaled_points(l):
                 assert line_cideal(l, x) == oracle_line_cideal(l, x)
+                routes[_route(l, x)] += 1
+        assert set(routes) == {"inside, ideal", "inside, not ideal", "central", "outside, not central"}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_is_cideal_matches_the_scan_on_every_line(self, p):
+        # is_cideal takes the line route too; only an ideal line's method
+        # differs from line_cideal's.
+        field = GF(p)
+        for _, l in catalog_algebras(field, max_dim=4):
+            for x in projective_points(field, l.dim):
+                line = Subspace.from_vectors(field, l.dim, [x])
+                verdict = is_cideal(l, line)
+                assert verdict.answer == is_cideal_by_scan(l, line).answer
+                quick = line_cideal(l, x)
+                method = cideal.METHOD_IDEAL if oracle_is_ideal(l, line) else quick.method
+                assert verdict == CIdealVerdict(quick.answer, quick.certificate, method, True)
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), Q], ids=str)
+    def test_outside_derived_ideal_exactly_when_central(self, field):
+        # The lemma the route rests on: for x outside [L, L], Fx ∩ [L, L] = 0,
+        # so Fx is an ideal exactly when x is central.
+        seen = Counter()
+        for l in [l for _, l in catalog_algebras(field, max_dim=4)] + [_tilted(field)]:
+            full = l.full_space()
+            derived, centre = oracle_span_product(l, full, full), oracle_centre(l)
+            points = _scaled_points(l) if field.p is None else projective_points(field, l.dim)
+            for x in points:
+                line = Subspace.from_vectors(field, l.dim, [x])
+                if not line <= derived:
+                    ideal = oracle_is_ideal(l, line)
+                    assert ideal == (line <= centre)
+                    seen[ideal] += 1
+        assert seen[True] and seen[False]
 
     @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
     def test_bad_vectors_raise_as_before(self, field):
@@ -350,8 +409,9 @@ def _count_rref(monkeypatch) -> list:
 
 class TestLineCounts:
     """A line decision runs no elimination, once warm reduces no subspace
-    but its line, and its witnesses are made once per algebra value and
-    column."""
+    but its line, and its hyperplane verdicts are made once per algebra
+    value and column (memo "line_rule": [L, L]'s non-pivot columns, its
+    annihilator rows and the verdicts by column)."""
 
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
     def test_no_elimination(self, monkeypatch, name):
@@ -373,15 +433,17 @@ class TestLineCounts:
         l = _tilted(field) if name == "tilted" else builtin(name, field)
         points = _scaled_points(l) if field.p is None else projective_points(field, l.dim)
         verdicts = [line_cideal(l, x) for x in points]
-        hyperplanes = l._memo["line_hyperplanes"]
+        columns, dual, kept = l._memo["line_rule"]
         derived = derived_subspace(l)
-        assert hyperplanes and len(hyperplanes) <= l.dim - derived.dim
-        for q, h in hyperplanes.items():
+        assert columns == derived._free_columns() and dual == derived.annihilator_raw()
+        assert kept and len(kept) <= l.dim - derived.dim
+        for q, v in kept.items():
+            h = v.certificate
             assert q not in derived.pivots and q not in h.pivots
             assert h in l._memo["verified_ideals"]
-        made = {id(h) for h in hyperplanes.values()}
-        witnesses = [v.certificate for v in verdicts if v.certificate is not None]
-        assert all(id(c) in made for c in witnesses if c.dim < l.dim)
+        # Every hyperplane yes is the memo's frozen verdict itself.
+        made = {id(v) for v in kept.values()}
+        assert all(id(v) in made for v in verdicts if v.certificate is not None and v.certificate.dim < l.dim)
 
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted"])
     @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
@@ -396,7 +458,7 @@ class TestLineCounts:
         copy = fields.Field(field.p)
         points = [tuple(copy.scalar(s.value) for s in x) for x in points]
         line_cideal(l, points[0])
-        warm = len(l._memo["line_hyperplanes"])
+        warm = len(l._memo["line_rule"][2])
         dims, compared = [], []
         reduce_raw, field_eq = linalg.Subspace.reduce_raw, fields.Field.__eq__
 
@@ -415,7 +477,36 @@ class TestLineCounts:
             line_cideal(l, x)
             assert len(compared) - before <= 1
         assert dims and max(dims) == 1
-        assert len(l._memo["line_hyperplanes"]) > warm or name == "t(2)"
+        assert len(l._memo["line_rule"][2]) > warm or name == "t(2)"
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted"])
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_warm_non_central_line_outside_derived_makes_no_ideal_test(self, monkeypatch, name, field):
+        # Outside [L, L] the central test decides whether the line is an
+        # ideal, so the bracket ideal test runs only for a line in [L, L]
+        # and in the re-check of a yes with witness L.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
+        points = _scaled_points(l) if field.p is None else list(projective_points(field, l.dim))
+        for x in points:
+            line_cideal(l, x)
+        full = l.full_space()
+        derived, centre = oracle_span_product(l, full, full), oracle_centre(l)
+        calls = []
+        closed_is_ideal = LieAlgebra._closed_is_ideal
+        monkeypatch.setattr(
+            LieAlgebra, "_closed_is_ideal", lambda l, u, ad=None: calls.append(u) or closed_is_ideal(l, u, ad)
+        )
+        counts = Counter()
+        for x in points:
+            line = Subspace.from_vectors(field, l.dim, [x])
+            route = "inside" if line <= derived else "central" if line <= centre else "outside"
+            calls.clear()
+            line_cideal(l, x)
+            counts[route, len(calls)] += 1
+        assert counts[("outside", 0)] and all(n == 0 for route, n in counts if route == "outside")
+        assert all(n == 1 for route, n in counts if route == "central")
+        assert counts[("inside", 2)] and all(n >= 1 for route, n in counts if route == "inside")
 
 
 class TestClosureChecks:

@@ -749,6 +749,24 @@ class TestSubspacePoints:
         assert [s.pivots for s in lines] == [s.pivots for s in expected]
         assert first_line_ideal(l) == lines[0]
 
+    def test_one_family_is_listed_with_no_merge_and_one_pivot_tuple_per_column(self, monkeypatch):
+        # abelian(3) has the one family L, whose rows are unit rows, so the
+        # last row's run is the (*pre, t, *post) generator.
+        def no_merge(*args, **kwargs):
+            raise AssertionError("heapq.merge called for one family")
+
+        l = builtin("abelian(3)", GF(5))
+        monkeypatch.setattr(lattice.heapq, "merge", no_merge)
+        lines = one_dim_ideals(l)
+        assert [s.rows[0] for s in lines] == list(subspace_points(5, l.full_space()))
+        assert len({id(s.pivots) for s in lines}) == len({s.pivots for s in lines}) == 3
+
+    @pytest.mark.parametrize("name", ["abelian(3)", "t(2)+abelian(2)"])
+    def test_first_line_ideal_holds_nothing_of_size_p(self, name):
+        l = builtin(name, GF(2**31 - 1))
+        ideal_line_families(l)
+        assert self._first_point_peak(lambda: iter([first_line_ideal(l)])) < 1_000_000
+
 
 def _e2(field):
     # e(2), the solvable algebra of tests/test_structure.py: [x, a1] = a2,

@@ -123,13 +123,14 @@ _TRUSTED_CALLS = {
     # memo miss only, so a repeat pays no closure test.
     "verify_certificate": ("_verify_closed",),
     "is_cideal": ("_is_cideal",),
-    "_is_cideal": ("_core", "_yes", "_non_ideal_line"),
+    "_is_cideal": ("_core", "_yes", "_line_cideal"),
     "is_cideal_by_scan": ("_core",),
     "line_cideal": ("_line_cideal",),
     "frattini_consequence_check": ("_frattini_of_closed", "_frattini_consequence"),
-    "_yes": ("_verify_closed",),
+    "_yes": ("_checked",),
+    "_checked": ("_verify_closed",),
     "_verify_closed": ("_ideal_annihilator", "_closed_is_ideal"),
-    "_line_cideal": ("_yes", "_non_ideal_line"),
+    "_line_cideal": ("_yes", "_checked"),
     "_frattini_consequence": ("_closed_is_ideal", "frattini"),
     # harness: each B of T11 is closed and lies inside F(C) by construction
     "_t11": ("_frattini_of_closed", "_frattini_consequence"),
@@ -138,7 +139,7 @@ _TRUSTED = (
     "_nilpotent_on", "_solvable_on", "_reaches_zero", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
     "_core",
     "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra", "_flag_frattini",
-    "_verify_closed", "_ideal_annihilator", "_yes", "_line_cideal", "_non_ideal_line", "_frattini_consequence",
+    "_verify_closed", "_ideal_annihilator", "_yes", "_checked", "_line_cideal", "_frattini_consequence",
     "_t11",
 )
 _MODULES = ("liealg", "lattice", "structure", "cideal", "harness")
