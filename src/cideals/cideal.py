@@ -38,6 +38,7 @@ NotSubalgebra:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
@@ -123,7 +124,11 @@ def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     if dual is None:
         return False
     if b.dim == 1:
-        return c.dim == n - 1 and any(raw_dots(l.field.p, dual, b.rows[0]))
+        if c.dim != n - 1:
+            return False
+        p = l.field.p
+        d = sum(map(mul, dual[0], b.rows[0]))
+        return bool(d if p is None else d % p)
     width, meet = raw_sum_and_meet(l.field, b.rows, c.rows, n)
     return width == n and (b.dim + c.dim == n or l._closed_is_ideal(meet))
 
@@ -137,7 +142,10 @@ def _ideal_annihilator(l: LieAlgebra, c: Subspace):
     A C not yet shown there is checked by brackets with them: [e_i, r]
     lies in C exactly when every row has dot product 0 with it.
     """
-    ideals = l._memoized("verified_ideals", dict)
+    memo = l._memo
+    ideals = memo.get("verified_ideals") if memo else None
+    if ideals is None:
+        ideals = l._memoized("verified_ideals", dict)
     dual = ideals.get(c)
     if dual is None:
         dual = c.annihilator_raw()
@@ -190,7 +198,9 @@ def line_cideal(l: LieAlgebra, x: tuple) -> CIdealVerdict:
     if len(x) != l.dim:
         raise AmbientMismatch(f"vector of length {len(x)} in F^{l.dim}")
     v = _unbox(l.field, x)
-    lead = next(a for a in v if a)
+    for lead in v:
+        if lead:
+            break
     if lead != 1:
         p = l.field.p
         if p is None:
@@ -225,15 +235,31 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
     (memo "line_rule"), so no subspace but the line is reduced.  Every
     yes is re-verified before it is returned, the memo's too.
     """
-    columns, dual, verdicts = l._memoized("line_rule", lambda: _line_rule(l))
+    # Plain loops that stop at the first nonzero dot product or bracket:
+    # this runs once per line decision, and a generator, zip and lambda
+    # per call cost about a third of a warm one.
+    memo = l._memo
+    rule = memo.get("line_rule") if memo else None
+    if rule is None:
+        rule = l._memoized("line_rule", lambda: _line_rule(l))
+    columns, dual, verdicts = rule
+    p = l.field.p
     x = line.rows[0]
-    q = next((j for j, d in zip(columns, raw_dots(l.field.p, dual, x)) if d), None)
-    if q is None:
+    for k, a in enumerate(dual):
+        d = sum(map(mul, a, x))
+        if d if p is None else d % p:
+            q = columns[k]
+            break
+    else:
         if l._closed_is_ideal(line):
             return _yes(l, line, _whole(l), ideal_method)
         return _LINE_NO
     pivot = line.pivots[0]
-    if not any(any(l.ad_raw(c, x)) for c in range(l.dim) if c != pivot):
+    ad = l.ad_raw
+    for c in range(l.dim):
+        if c != pivot and any(ad(c, x)):
+            break
+    else:
         return _yes(l, line, _whole(l), ideal_method)
     verdict = verdicts.get(q)
     if verdict is None:

@@ -358,13 +358,12 @@ def oracle_nilpotent_on(l, u: Subspace) -> bool:
 
 
 def oracle_radicals(l) -> tuple:
-    """(nilradical, solvable radical) as the sums of every ideal that is
-    nilpotent (solvable) by its own series through the full span
-    product, the ideals found by testing every subalgebra."""
+    """(nilradical, solvable radical) as the sums of every listed ideal
+    that is nilpotent (solvable) by its own series through the full span
+    product.  The listing is enum_ideals, which TestPrunedSearch checks
+    against oracle_is_ideal on every subalgebra."""
     nilrad = rad = Subspace.zero(l.field, l.dim)
-    for u in oracle_subalgebras(l):
-        if not oracle_is_ideal(l, u):
-            continue
+    for u in enum_ideals(l):
         if oracle_nilpotent_on(l, u):
             nilrad = nilrad + u
         if oracle_solvable_on(l, u):

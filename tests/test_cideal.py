@@ -508,6 +508,40 @@ class TestLineCounts:
         assert all(n == 1 for route, n in counts if route == "central")
         assert counts[("inside", 2)] and all(n >= 1 for route, n in counts if route == "inside")
 
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted", "sl2"])
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_one_recheck_per_yes(self, monkeypatch, name, field):
+        # Every yes is re-verified by exactly one _verify_closed call on its
+        # own certificate, cold or warm, a hyperplane verdict read from the
+        # memo included; a no is not re-checked.  sl2 is perfect, so its
+        # lines outside the ideals answer no.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
+        points = _scaled_points(l) if field.p is None else list(projective_points(field, l.dim))
+        calls = []
+        verify_closed = cideal._verify_closed
+        monkeypatch.setattr(
+            cideal, "_verify_closed", lambda l, b, c: calls.append(c) or verify_closed(l, b, c)
+        )
+        counts = Counter()
+        for phase in ("cold", "warm"):
+            for x in points:
+                kept = dict(l._memo["line_rule"][2]) if l._memo and "line_rule" in l._memo else {}
+                calls.clear()
+                verdict = line_cideal(l, x)
+                if verdict.answer == YES:
+                    assert calls == [verdict.certificate]
+                    hit = any(v is verdict for v in kept.values())
+                    counts[phase, "memo" if hit else "yes"] += 1
+                else:
+                    assert verdict.answer == NO and calls == []
+                    counts[phase, "no"] += 1
+        yes = {r: counts[r, "yes"] + counts[r, "memo"] for r in ("cold", "warm")}
+        assert yes["cold"] == yes["warm"] and counts["cold", "no"] == counts["warm", "no"]
+        # sl2 has no hyperplane ideal and no ideal line; the others have both.
+        assert bool(counts["warm", "memo"]) == bool(yes["warm"]) == (name != "sl2")
+        assert bool(counts["cold", "no"]) == (name == "sl2")
+
 
 class TestClosureChecks:
     def test_one_closure_check_per_decision(self, monkeypatch):
