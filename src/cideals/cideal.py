@@ -23,8 +23,9 @@ NotSubalgebra:
 
 - :func:`verify_certificate` (B closed, C a subspace of L) ->
   ``_verify_closed``, which shows a proper C an ideal one way, by its
-  annihilator (``_ideal_annihilator``), and B, B ∩ C by
-  ``_closed_is_ideal``;
+  annihilator (``_ideal_annihilator``: against the table's [e_i, e_k]
+  first, which settles every C that contains [L, L] and every
+  hyperplane, then by brackets), and B, B ∩ C by ``_closed_is_ideal``;
 - :func:`is_cideal` -> ``_is_cideal``, which checks B on a memo miss
   only (the named exception: a repeat pays no closure test) and then
   walks one candidate loop over the rungs of the ladder;
@@ -101,7 +102,10 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     sum condition forces B ∩ C = 0, which needs no check.  C = L is
     answered by B's ideal test alone.  Each proper ideal C is checked
     once per algebra (see :func:`_ideal_annihilator`), and a C that
-    fails is checked again on every call.
+    fails is checked again on every call.  The check reads the structure
+    table first, with no bracket: a C that holds every [e_i, e_k]
+    contains [L, L] and so is an ideal, and a hyperplane is an ideal only
+    then.  Only a C of codimension >= 2 that misses [L, L] is bracketed.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
@@ -139,8 +143,15 @@ def _ideal_annihilator(l: LieAlgebra, c: Subspace):
 
     The rows are kept as the value of C's entry in the memo
     "verified_ideals", so the memo holds exactly the proper ideals shown.
-    A C not yet shown there is checked by brackets with them: [e_i, r]
-    lies in C exactly when every row has dot product 0 with it.
+    A C not yet shown there is checked against the structure table first
+    (``LieAlgebra._holds_derived``), with no bracket: C holds every
+    [e_i, e_k] exactly when every row has dot product 0 with each.  A C
+    that holds them all contains [L, L], which contains [L, C], so C is
+    an ideal.  A hyperplane C that misses one is not: L/C is
+    one-dimensional, so abelian, and an ideal of codimension one
+    contains [L, L].  Only a C of codimension >= 2 that misses [L, L]
+    is checked by brackets with the rows: [e_i, r] lies in C exactly
+    when every row has dot product 0 with it.
     """
     memo = l._memo
     ideals = memo.get("verified_ideals") if memo else None
@@ -149,9 +160,12 @@ def _ideal_annihilator(l: LieAlgebra, c: Subspace):
     dual = ideals.get(c)
     if dual is None:
         dual = c.annihilator_raw()
-        p = l.field.p
-        if any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
-            return None
+        if not l._holds_derived(dual):
+            if len(dual) == 1:
+                return None
+            p = l.field.p
+            if any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
+                return None
         ideals[c] = dual
     return dual
 

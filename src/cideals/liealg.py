@@ -311,6 +311,25 @@ class LieAlgebra:
                         return False
         return True
 
+    def _holds_derived(self, dual) -> bool:
+        # Whether the subspace with annihilator rows ``dual`` contains
+        # [L, L]: every nonzero [e_i, e_k], i < k, read from the table, has
+        # dot product 0 with every row.  No bracket is made and [L, L] is
+        # not read from the memo, so a line decision's own [L, L] does not
+        # vouch for its witness.
+        p = self.field.p
+        for i, row in enumerate(self._ad):
+            for k in range(i + 1, self.dim):
+                sparse = row[k]
+                if sparse:
+                    for a in dual:
+                        d = 0
+                        for j, c in sparse:
+                            d += a[j] * c
+                        if d if p is None else d % p:
+                            return False
+        return True
+
     def subalgebra_closure(self, u: Subspace) -> Subspace:
         """The smallest subalgebra containing u."""
         self._check_subspace(u)

@@ -321,9 +321,10 @@ def oracle_maximal_nilpotent_subalgebras(l, subalgebras) -> tuple:
 
 def oracle_cartan_subalgebras(l) -> tuple:
     """Self-normalizing nilpotent subalgebras, filtered from every
-    subalgebra in enumeration order."""
+    subalgebra in enumeration order.  Both tests are pure, and the
+    normalizer one, which fails for most subalgebras, runs first."""
     return tuple(
-        u for u in enum_subalgebras(l) if oracle_nilpotent_on(l, u) and normalizer(l, u) == u
+        u for u in enum_subalgebras(l) if normalizer(l, u) == u and oracle_nilpotent_on(l, u)
     )
 
 

@@ -23,6 +23,7 @@ from cideals import (
     core,
     enum_ideals,
     enum_subalgebras,
+    enum_subspaces,
     frattini,
     frattini_consequence_check,
     is_cideal,
@@ -181,9 +182,7 @@ class TestVerifiedIdealMemo:
         monkeypatch.setattr(liealg, "_canonical", {})
         l = builtin("heisenberg(3)+abelian(1)", GF(3))
         b = span(l, [1, 0, 0, 1], [0, 0, 1, 0])
-        calls = []
-        ad_raw = LieAlgebra.ad_raw
-        monkeypatch.setattr(LieAlgebra, "ad_raw", lambda l, i, v: calls.append((i, v)) or ad_raw(l, i, v))
+        calls = _count_ad_raw(monkeypatch)
         assert verify_certificate(l, b, l.full_space())
         assert "verified_ideals" not in (l._memo or {})
         checked, calls[:] = calls[:], []
@@ -213,6 +212,95 @@ def _tilted(field):
     # x acting on span{y, z} by y, z -> y + z: [L, L] = F(y + z), whose
     # row has an entry off its pivot.
     return LieAlgebra(field, 3, brackets={(0, 1): (0, 1, 1), (0, 2): (0, 1, 1)})
+
+
+def _count_ad_raw(monkeypatch) -> list:
+    """Wrap LieAlgebra.ad_raw, through which every bracket of an ideal
+    check goes; the list collects one entry per call."""
+    calls = []
+    ad_raw = LieAlgebra.ad_raw
+    monkeypatch.setattr(LieAlgebra, "ad_raw", lambda l, i, v: calls.append((i, v)) or ad_raw(l, i, v))
+    return calls
+
+
+def _proper_subspaces(l) -> list:
+    """Every proper subspace of l's space over GF(p).  Over Q, those of
+    GF(3)^n with their rows read over Q, 2 read once as -1 and once as
+    1/2, so that Fraction entries occur."""
+    if l.field.p is not None:
+        return [u for u in enum_subspaces(l) if u.dim < l.dim]
+    found = set()
+    for u in enum_subspaces(LieAlgebra(GF(3), l.dim)):
+        for two in (-1, Fraction(1, 2)):
+            rows = [[two if a == 2 else a for a in r] for r in u.rows]
+            found.add(Subspace.from_raw(Q, l.dim, rows))
+    return sorted((u for u in found if u.dim < l.dim), key=Subspace.sort_key)
+
+
+class TestIdealAnnihilator:
+    """A proper C is checked against the structure table before any
+    bracket: a C that holds every [e_i, e_k] contains [L, L] and is an
+    ideal, a hyperplane that misses one is not, and only a C of
+    codimension >= 2 that misses [L, L] takes the bracket check."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), Q], ids=str)
+    def test_matches_the_oracle_on_every_subspace(self, monkeypatch, field):
+        # Fresh memos, so every C is checked cold, at every codimension.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        calls = _count_ad_raw(monkeypatch)
+        branches = Counter()
+        for name, l in catalog_algebras(field, max_dim=4):
+            full = l.full_space()
+            derived = oracle_span_product(l, full, full)
+            for c in _proper_subspaces(l):
+                calls.clear()
+                shown = cideal._ideal_annihilator(l, c) is not None
+                assert shown == oracle_is_ideal(l, c), (name, c)
+                route = "holds" if derived <= c else "hyperplane" if c.dim == l.dim - 1 else "brackets"
+                if route != "brackets":
+                    assert not calls, (name, c)
+                branches[route, shown] += 1
+        assert branches["holds", True] and not branches["holds", False]
+        assert branches["hyperplane", False] and not branches["hyperplane", True]
+        assert branches["brackets", True] and branches["brackets", False]
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted"])
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_cold_hyperplane_witness_makes_no_bracket(self, monkeypatch, name, field):
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = _tilted(field) if name == "tilted" else builtin(name, field)
+        derived = derived_subspace(l)
+        hyperplanes = [cideal._hyperplane(l, derived, q) for q in derived._free_columns()]
+        calls = _count_ad_raw(monkeypatch)
+        assert all(cideal._ideal_annihilator(l, h) is not None for h in hyperplanes)
+        assert not calls
+        assert all(h in l._memo["verified_ideals"] for h in hyperplanes)
+
+    def test_borel_rejected_with_no_bracket(self, monkeypatch):
+        # sl2 is perfect, so its Borel hyperplane span(e, h) misses [L, L].
+        # The table is read, not the memo: an [L, L] of 0 and an empty line
+        # rule planted there change nothing.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin("sl2", Q)
+        l._memoized("derived", l.zero_space)
+        l._memoized("line_rule", lambda: ((), (), {}))
+        borel = span(l, [1, 0, 0], [0, 0, 1])
+        calls = _count_ad_raw(monkeypatch)
+        assert cideal._ideal_annihilator(l, borel) is None
+        assert not calls and borel not in l._memo["verified_ideals"]
+
+    def test_codimension_two_and_more_keeps_the_bracket_check(self, monkeypatch):
+        # In heisenberg(3)+abelian(1) = span(x, y, z, w), [L, L] = Fz.  Fw is
+        # central, so an ideal of codimension 3 that misses [L, L]; span(x, w)
+        # misses it too and is not an ideal, since [y, x] = -z.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin("heisenberg(3)+abelian(1)", GF(3))
+        calls = _count_ad_raw(monkeypatch)
+        assert cideal._ideal_annihilator(l, span(l, [0, 0, 0, 1])) is not None
+        assert calls
+        calls.clear()
+        assert cideal._ideal_annihilator(l, span(l, [1, 0, 0, 0], [0, 0, 0, 1])) is None
+        assert calls
 
 
 class TestLineRule:

@@ -130,6 +130,7 @@ _TRUSTED_CALLS = {
     "_yes": ("_checked",),
     "_checked": ("_verify_closed",),
     "_verify_closed": ("_ideal_annihilator", "_closed_is_ideal"),
+    "_ideal_annihilator": ("_holds_derived",),
     "_line_cideal": ("_yes", "_checked"),
     "_frattini_consequence": ("_closed_is_ideal", "frattini"),
     # harness: each B of T11 is closed and lies inside F(C) by construction
@@ -137,6 +138,7 @@ _TRUSTED_CALLS = {
 }
 _TRUSTED = (
     "_nilpotent_on", "_solvable_on", "_reaches_zero", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
+    "_holds_derived",
     "_core",
     "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra", "_flag_frattini",
     "_verify_closed", "_ideal_annihilator", "_yes", "_checked", "_line_cideal", "_frattini_consequence",
