@@ -13,8 +13,8 @@ ideals are enumerated at that dimension, so Yes and No are both exact.
 Over Q a Yes is still possible through ideals that can be constructed
 canonically (derived and central series terms, centralizers, and their
 sums and intersections); when none of those work the honest answer is
-Unknown.  Every Yes carries a certificate that is re-verified against
-the definition before it is returned.
+Unknown.  Every Yes carries a certificate that is verified against the
+definition before it is returned.
 
 Each public form checks its input, then calls its trusted form, which
 checks nothing and calls no form that does; a B is checked closed by
@@ -22,10 +22,11 @@ checks nothing and calls no form that does; a B is checked closed by
 NotSubalgebra:
 
 - :func:`verify_certificate` (B closed, C a subspace of L) ->
-  ``_verify_closed``, which shows a proper C an ideal one way, by its
-  annihilator (``_ideal_annihilator``: against the table's [e_i, e_k]
-  first, which settles every C that contains [L, L] and every
-  hyperplane, then by brackets), and B, B ∩ C by ``_closed_is_ideal``;
+  ``_verify_closed``, which rejects a line's C that is not a hyperplane
+  at once, shows any other proper C an ideal by
+  ``LieAlgebra._ideal_annihilator`` (the test behind ``is_ideal``), and
+  B, B ∩ C by ``_closed_is_ideal``; with C = L it decides the witness-L
+  rung of ``_is_cideal`` and ``_line_cideal``, so that yes is checked once;
 - :func:`is_cideal` -> ``_is_cideal``, which checks B on a memo miss
   only (the named exception: a repeat pays no closure test) and then
   walks one candidate loop over the rungs of the ladder;
@@ -43,7 +44,7 @@ from operator import mul
 
 from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
-from .linalg import Subspace, _unbox, raw_dots, raw_sum_and_meet, subspace_text, vector_is_zero
+from .linalg import Subspace, _unbox, raw_sum_and_meet, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, _require_closed, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line, upper_central_series
 from .structure import _frattini_of_closed, frattini
@@ -100,12 +101,11 @@ def verify_certificate(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     B ∩ C <= core(B) makes B ∩ C = core(B) ∩ C, an intersection of two
     ideals.  So no core is computed, and when dim B + dim C = dim L the
     sum condition forces B ∩ C = 0, which needs no check.  C = L is
-    answered by B's ideal test alone.  Each proper ideal C is checked
-    once per algebra (see :func:`_ideal_annihilator`), and a C that
-    fails is checked again on every call.  The check reads the structure
-    table first, with no bracket: a C that holds every [e_i, e_k]
-    contains [L, L] and so is an ideal, and a hyperplane is an ideal only
-    then.  Only a C of codimension >= 2 that misses [L, L] is bracketed.
+    answered by B's ideal test alone, and a line's C that is not a
+    hyperplane is rejected before any ideal test.  Each other proper C
+    is shown an ideal once per algebra, by the structure table before
+    any bracket (:meth:`~cideals.liealg.LieAlgebra._ideal_annihilator`),
+    and a C that fails is checked again on every call.
 
     B is checked to be a subalgebra of L first (raises NotSubalgebra);
     for a line that is only the field and ambient check, since a line is
@@ -124,50 +124,17 @@ def _verify_closed(l: LieAlgebra, b: Subspace, c: Subspace) -> bool:
     n = l.dim
     if c.dim == n:
         return l._closed_is_ideal(b)
-    dual = _ideal_annihilator(l, c)
+    if b.dim == 1 and c.dim != n - 1:
+        return False
+    dual = l._ideal_annihilator(c)
     if dual is None:
         return False
     if b.dim == 1:
-        if c.dim != n - 1:
-            return False
         p = l.field.p
         d = sum(map(mul, dual[0], b.rows[0]))
         return bool(d if p is None else d % p)
     width, meet = raw_sum_and_meet(l.field, b.rows, c.rows, n)
     return width == n and (b.dim + c.dim == n or l._closed_is_ideal(meet))
-
-
-def _ideal_annihilator(l: LieAlgebra, c: Subspace):
-    """C's annihilator rows when the proper subspace C is an ideal of l,
-    else None.
-
-    The rows are kept as the value of C's entry in the memo
-    "verified_ideals", so the memo holds exactly the proper ideals shown.
-    A C not yet shown there is checked against the structure table first
-    (``LieAlgebra._holds_derived``), with no bracket: C holds every
-    [e_i, e_k] exactly when every row has dot product 0 with each.  A C
-    that holds them all contains [L, L], which contains [L, C], so C is
-    an ideal.  A hyperplane C that misses one is not: L/C is
-    one-dimensional, so abelian, and an ideal of codimension one
-    contains [L, L].  Only a C of codimension >= 2 that misses [L, L]
-    is checked by brackets with the rows: [e_i, r] lies in C exactly
-    when every row has dot product 0 with it.
-    """
-    memo = l._memo
-    ideals = memo.get("verified_ideals") if memo else None
-    if ideals is None:
-        ideals = l._memoized("verified_ideals", dict)
-    dual = ideals.get(c)
-    if dual is None:
-        dual = c.annihilator_raw()
-        if not l._holds_derived(dual):
-            if len(dual) == 1:
-                return None
-            p = l.field.p
-            if any(any(raw_dots(p, dual, l.ad_raw(i, r))) for i in range(l.dim) for r in c.rows):
-                return None
-        ideals[c] = dual
-    return dual
 
 
 def _whole(l: LieAlgebra) -> Subspace:
@@ -234,7 +201,8 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
 
     x lies in [L, L] exactly when a_j . x = 0 for every annihilator row
     a_j of [L, L].  Then Fx is a c-ideal exactly when it is an ideal,
-    which the bracket ideal test decides, and otherwise the answer is no.
+    which the certificate check with witness L decides, and otherwise the
+    answer is no.
     For x outside [L, L], Fx is an ideal exactly when x is central:
     Fx ∩ [L, L] = 0, so [y, x] in Fx ∩ [L, L] is 0 for every y.  So
     [e_c, x] is tried for each column c but x's pivot (L is Fx plus
@@ -247,7 +215,7 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
     The annihilator and its columns are made once per algebra value, and
     each hyperplane's frozen verdict once per algebra value and column
     (memo "line_rule"), so no subspace but the line is reduced.  Every
-    yes is re-verified before it is returned, the memo's too.
+    other yes is re-verified before it is returned, the memo's too.
     """
     # Plain loops that stop at the first nonzero dot product or bracket:
     # this runs once per line decision, and a generator, zip and lambda
@@ -265,8 +233,9 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
             q = columns[k]
             break
     else:
-        if l._closed_is_ideal(line):
-            return _yes(l, line, _whole(l), ideal_method)
+        whole = _whole(l)
+        if _verify_closed(l, line, whole):
+            return CIdealVerdict(YES, whole, ideal_method, True)
         return _LINE_NO
     pivot = line.pivots[0]
     ad = l.ad_raw
@@ -330,8 +299,9 @@ def _is_cideal(l: LieAlgebra, b: Subspace, budget: int) -> CIdealVerdict:
     _require_closed(l, b, "c-ideal decisions apply to subalgebras")
     if b.dim == 1:
         return _line_cideal(l, b, METHOD_IDEAL)
-    if l._closed_is_ideal(b):
-        return _yes(l, b, _whole(l), METHOD_IDEAL)
+    whole = _whole(l)
+    if _verify_closed(l, b, whole):
+        return CIdealVerdict(YES, whole, METHOD_IDEAL, True)
 
     b_core = _core(l, b)
     reduced = algebra_modulo(l, b_core)

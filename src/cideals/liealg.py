@@ -15,6 +15,8 @@ its input, then calls its trusted form, which checks nothing and calls
 no form that does (``is_nilpotent`` and ``is_solvable`` of L itself
 check nothing):
 
+- ``is_ideal`` -> ``_ideal_annihilator``, the one ideal test of a
+  subspace not known to be closed (``_closed_is_ideal`` tests one that is);
 - ``restrict``, ``quotient`` (closed, an ideal) -> the reader, the builder;
 - ``is_nilpotent``, ``is_solvable`` of a subalgebra (closed) ->
   ``_nilpotent_on``, ``_solvable_on`` -> ``_reaches_zero``, run only for
@@ -285,23 +287,63 @@ class LieAlgebra:
         )
 
     def is_ideal(self, u: Subspace) -> bool:
-        """[L, u] <= u, stopping at the first [e_i, row] outside u."""
+        """[L, u] <= u, by :meth:`_ideal_annihilator`."""
         self._check_subspace(u)
-        if u.dim == self.dim:
-            return True
-        return all(
-            u.holds_raw(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
-        )
+        return self._ideal_annihilator(u) is not None
+
+    def _ideal_annihilator(self, u: Subspace):
+        """u's annihilator rows when the subspace u is an ideal, else None;
+        L has no row.  The one ideal test of a u not known to be closed,
+        without checks.  A proper ideal's rows are kept under u in the memo
+        "verified_ideals", so it holds exactly the proper ideals shown.
+
+        A u not shown yet is read against the structure table first, with
+        no bracket: if every row has dot product 0 with every [e_i, e_k],
+        u contains [L, L], which contains [L, u], so u is an ideal.  Else a
+        hyperplane u is not (L/u is abelian, so an ideal of codimension one
+        contains [L, L]), and only a u of codimension >= 2 is bracketed.
+        [L, L] is read from the table, not the memo, so a line decision's
+        own [L, L] does not vouch for its witness.
+        """
+        memo = self._memo
+        ideals = memo.get("verified_ideals") if memo else None
+        if ideals is None:
+            ideals = self._memoized("verified_ideals", dict)
+        dual = ideals.get(u)
+        if dual is None:
+            dual = u.annihilator_raw()
+            if not dual:
+                return dual
+            p = self.field.p
+            table = [s for i, row in enumerate(self._ad) for s in row[i + 1 :] if s]
+            for a in dual:
+                for sparse in table:
+                    d = 0
+                    for j, c in sparse:
+                        d += a[j] * c
+                    if d if p is None else d % p:
+                        break
+                else:
+                    continue
+                # u misses [L, L]: a hyperplane is no ideal, any other u is bracketed.
+                holds = u.holds_raw
+                if len(dual) == 1 or not all(
+                    holds(self.ad_raw(i, r)) for i in range(self.dim) for r in u.rows
+                ):
+                    return None
+                break
+            ideals[u] = dual
+        return dual
 
     def _closed_is_ideal(self, u: Subspace, ad=None) -> bool:
         # is_ideal for a u already known to be a subalgebra: L is u plus
         # the span of e_c over the non-pivot columns c of u, and [u, u] <= u,
         # so only those [e_c, row] are tried.  ``ad(c, row)`` gives
         # [e_c, row] (default ad_raw); the result is only read.  A nested
-        # loop that returns at the first image outside u: it runs for a
-        # line in [L, L], in the re-check of each yes with witness L and
-        # once per listed subalgebra in the ideal filter, and a generator
-        # chain per call cost about a third of a warm line decision.
+        # loop that returns at the first image outside u: it decides each
+        # yes with witness L, re-checks a central line's, and runs once per
+        # listed subalgebra in the ideal filter, and a generator chain per
+        # call cost about a third of a warm line decision.
         ad = self.ad_raw if ad is None else ad
         pivots, rows, holds = u.pivots, u.rows, u.holds_raw
         for c in range(self.dim):
@@ -309,25 +351,6 @@ class LieAlgebra:
                 for r in rows:
                     if not holds(ad(c, r)):
                         return False
-        return True
-
-    def _holds_derived(self, dual) -> bool:
-        # Whether the subspace with annihilator rows ``dual`` contains
-        # [L, L]: every nonzero [e_i, e_k], i < k, read from the table, has
-        # dot product 0 with every row.  No bracket is made and [L, L] is
-        # not read from the memo, so a line decision's own [L, L] does not
-        # vouch for its witness.
-        p = self.field.p
-        for i, row in enumerate(self._ad):
-            for k in range(i + 1, self.dim):
-                sparse = row[k]
-                if sparse:
-                    for a in dual:
-                        d = 0
-                        for j, c in sparse:
-                            d += a[j] * c
-                        if d if p is None else d % p:
-                            return False
         return True
 
     def subalgebra_closure(self, u: Subspace) -> Subspace:
@@ -436,7 +459,6 @@ class LieAlgebra:
         ``project`` is linear with kernel exactly ``ideal`` and
         ``project(lift(w)) == w``.
         """
-        self._check_subspace(ideal)
         if not self.is_ideal(ideal):
             raise NotAnIdeal("quotient by a subspace that is not an ideal")
         comp = ideal.complement()

@@ -16,10 +16,11 @@ Q they are not computed; the rest is linear algebra over either field.
 Public and trusted forms, as in :mod:`cideals.liealg`:
 
 - :func:`frattini_of_subalgebra` (u closed) -> ``_frattini_of_closed``;
-- :func:`frattini` -> ``_flag_frattini`` or ``_frattini_subalgebra``,
-  then ``_core`` of F(L), an intersection of subalgebras, so closed;
-- :func:`radicals` -> ``_nilpotent_on``, ``_solvable_on`` of ideals,
-  all closed.
+- :func:`frattini` -> ``_frattini_subalgebra``, by the flag's weights
+  (``_flag_frattini``) or the listing, then ``_core`` of F(L), an
+  intersection of subalgebras, so closed;
+- :func:`radicals` -> ``_ideal_annihilator``, ``_nilpotent_on``,
+  ``_solvable_on`` of ideals, all closed.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     weights = _flag_weights(l)
     if weights is not None:
         nilrad = raw_kernel(l.field, weights[3], l.dim)
-        ideal = all(nilrad.holds_raw(l.ad_raw(c, r)) for c in range(l.dim) for r in nilrad.rows)
-        if not ideal or not _nilpotent_on(l, nilrad):
+        if l._ideal_annihilator(nilrad) is None or not _nilpotent_on(l, nilrad):
             raise AssertionError("nilradical failed its own verification")
         return nilrad, l.full_space()
     ideals = enum_ideals(l, budget)
@@ -115,7 +115,11 @@ def radicals(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
 
 
 def _frattini_subalgebra(l: LieAlgebra, budget: int) -> Subspace:
-    # F(L), the intersection of the listed maximal subalgebras.
+    # F(L): from the flag's weights when L has a flag of ideals, with no
+    # budget charged; else the intersection of the listed maximal subalgebras.
+    weights = _flag_weights(l)
+    if weights is not None:
+        return l._memoized("frattini_subalgebra", lambda: _flag_frattini(l, *weights))
     maxes = maximal_subalgebras(l, budget)
     return l._memoized("frattini_subalgebra", lambda: _intersection(l, maxes))
 
@@ -158,19 +162,16 @@ def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
     Otherwise it is the intersection of the listed maximal subalgebras.
     For a zero- or one-dimensional algebra F(L) is 0.
     """
-    weights = _flag_weights(l)
-    if weights is None:
-        f = _frattini_subalgebra(l, budget)
-    else:
-        f = l._memoized("frattini_subalgebra", lambda: _flag_frattini(l, *weights))
+    f = _frattini_subalgebra(l, budget)
     return f, _core(l, f)
 
 
 def frattini_of_subalgebra(l: LieAlgebra, u: Subspace, budget: int = DEFAULT_BUDGET) -> Subspace:
     """F(u) for a subalgebra u, expressed in the coordinates of L.
 
-    The budget is checked against the subspaces of u, not of L.  A
-    subspace that is not closed raises NotSubalgebra.
+    F(u) is found as :func:`frattini` finds F(L): with a flag of ideals
+    no budget is charged, else it is checked against the subspaces of u,
+    not of L.  A subspace that is not closed raises NotSubalgebra.
     """
     _require_closed(l, u)
     return _frattini_of_closed(l, u, budget)

@@ -238,14 +238,18 @@ def _proper_subspaces(l) -> list:
 
 
 class TestIdealAnnihilator:
-    """A proper C is checked against the structure table before any
+    """LieAlgebra._ideal_annihilator, the one ideal test behind is_ideal
+    and the certificate check, reads the structure table before any
     bracket: a C that holds every [e_i, e_k] contains [L, L] and is an
     ideal, a hyperplane that misses one is not, and only a C of
     codimension >= 2 that misses [L, L] takes the bracket check."""
 
     @pytest.mark.parametrize("field", [GF(2), GF(3), Q], ids=str)
     def test_matches_the_oracle_on_every_subspace(self, monkeypatch, field):
-        # Fresh memos, so every C is checked cold, at every codimension.
+        # Fresh memos, so every C is checked cold, at every codimension,
+        # once through the public is_ideal and once through the trusted
+        # test; the memo keeps exactly the proper ideals, and L answers
+        # yes with no row and stays out of it.
         monkeypatch.setattr(liealg, "_canonical", {})
         calls = _count_ad_raw(monkeypatch)
         branches = Counter()
@@ -253,13 +257,20 @@ class TestIdealAnnihilator:
             full = l.full_space()
             derived = oracle_span_product(l, full, full)
             for c in _proper_subspaces(l):
-                calls.clear()
-                shown = cideal._ideal_annihilator(l, c) is not None
-                assert shown == oracle_is_ideal(l, c), (name, c)
                 route = "holds" if derived <= c else "hyperplane" if c.dim == l.dim - 1 else "brackets"
+                calls.clear()
+                public = l.is_ideal(c)
                 if route != "brackets":
                     assert not calls, (name, c)
+                calls.clear()
+                shown = l._ideal_annihilator(c) is not None
+                if route != "brackets":
+                    assert not calls, (name, c)
+                assert public == shown == oracle_is_ideal(l, c), (name, c)
+                assert (c in l._memo["verified_ideals"]) == shown, (name, c)
                 branches[route, shown] += 1
+            assert l.is_ideal(full) and l._ideal_annihilator(full) == ()
+            assert full not in l._memo["verified_ideals"]
         assert branches["holds", True] and not branches["holds", False]
         assert branches["hyperplane", False] and not branches["hyperplane", True]
         assert branches["brackets", True] and branches["brackets", False]
@@ -272,21 +283,21 @@ class TestIdealAnnihilator:
         derived = derived_subspace(l)
         hyperplanes = [cideal._hyperplane(l, derived, q) for q in derived._free_columns()]
         calls = _count_ad_raw(monkeypatch)
-        assert all(cideal._ideal_annihilator(l, h) is not None for h in hyperplanes)
+        assert all(l._ideal_annihilator(h) is not None for h in hyperplanes)
         assert not calls
         assert all(h in l._memo["verified_ideals"] for h in hyperplanes)
 
     def test_borel_rejected_with_no_bracket(self, monkeypatch):
         # sl2 is perfect, so its Borel hyperplane span(e, h) misses [L, L].
         # The table is read, not the memo: an [L, L] of 0 and an empty line
-        # rule planted there change nothing.
+        # rule planted there change nothing, for the public test either.
         monkeypatch.setattr(liealg, "_canonical", {})
         l = builtin("sl2", Q)
         l._memoized("derived", l.zero_space)
         l._memoized("line_rule", lambda: ((), (), {}))
         borel = span(l, [1, 0, 0], [0, 0, 1])
         calls = _count_ad_raw(monkeypatch)
-        assert cideal._ideal_annihilator(l, borel) is None
+        assert l._ideal_annihilator(borel) is None and not l.is_ideal(borel)
         assert not calls and borel not in l._memo["verified_ideals"]
 
     def test_codimension_two_and_more_keeps_the_bracket_check(self, monkeypatch):
@@ -296,11 +307,21 @@ class TestIdealAnnihilator:
         monkeypatch.setattr(liealg, "_canonical", {})
         l = builtin("heisenberg(3)+abelian(1)", GF(3))
         calls = _count_ad_raw(monkeypatch)
-        assert cideal._ideal_annihilator(l, span(l, [0, 0, 0, 1])) is not None
+        assert l._ideal_annihilator(span(l, [0, 0, 0, 1])) is not None
         assert calls
         calls.clear()
-        assert cideal._ideal_annihilator(l, span(l, [1, 0, 0, 0], [0, 0, 0, 1])) is None
+        assert l._ideal_annihilator(span(l, [1, 0, 0, 0], [0, 0, 0, 1])) is None
         assert calls
+
+    def test_line_certificate_of_codimension_two_makes_no_bracket(self, monkeypatch):
+        # A line B needs a hyperplane C, so span(y, w) in
+        # heisenberg(3)+abelian(1) = span(x, y, z, w) is rejected for Fx by
+        # its dimension, before any ideal test.
+        monkeypatch.setattr(liealg, "_canonical", {})
+        l = builtin("heisenberg(3)+abelian(1)", GF(3))
+        calls = _count_ad_raw(monkeypatch)
+        assert not verify_certificate(l, span(l, [1, 0, 0, 0]), span(l, [0, 1, 0, 0], [0, 0, 0, 1]))
+        assert not calls
 
 
 class TestLineRule:
@@ -571,8 +592,9 @@ class TestLineCounts:
     @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
     def test_warm_non_central_line_outside_derived_makes_no_ideal_test(self, monkeypatch, name, field):
         # Outside [L, L] the central test decides whether the line is an
-        # ideal, so the bracket ideal test runs only for a line in [L, L]
-        # and in the re-check of a yes with witness L.
+        # ideal, so the bracket ideal test runs only for a line in [L, L],
+        # once, through the witness-L certificate check that decides it,
+        # and in the re-check of a central line's yes.
         monkeypatch.setattr(liealg, "_canonical", {})
         l = _tilted(field) if name == "tilted" else builtin(name, field)
         points = _scaled_points(l) if field.p is None else list(projective_points(field, l.dim))
@@ -594,15 +616,17 @@ class TestLineCounts:
             counts[route, len(calls)] += 1
         assert counts[("outside", 0)] and all(n == 0 for route, n in counts if route == "outside")
         assert all(n == 1 for route, n in counts if route == "central")
-        assert counts[("inside", 2)] and all(n >= 1 for route, n in counts if route == "inside")
+        assert counts[("inside", 1)] and all(n == 1 for route, n in counts if route == "inside")
 
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)", "tilted", "sl2"])
     @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
     def test_one_recheck_per_yes(self, monkeypatch, name, field):
-        # Every yes is re-verified by exactly one _verify_closed call on its
-        # own certificate, cold or warm, a hyperplane verdict read from the
-        # memo included; a no is not re-checked.  sl2 is perfect, so its
-        # lines outside the ideals answer no.
+        # Every yes passes exactly one _verify_closed call on its own
+        # certificate, cold or warm, a hyperplane verdict read from the
+        # memo included; for an ideal line in [L, L] that call on L is the
+        # one that decides it.  A no lies in [L, L] and makes the one call
+        # on L that rejects it.  sl2 is perfect, so its lines outside the
+        # ideals answer no.
         monkeypatch.setattr(liealg, "_canonical", {})
         l = _tilted(field) if name == "tilted" else builtin(name, field)
         points = _scaled_points(l) if field.p is None else list(projective_points(field, l.dim))
@@ -622,7 +646,7 @@ class TestLineCounts:
                     hit = any(v is verdict for v in kept.values())
                     counts[phase, "memo" if hit else "yes"] += 1
                 else:
-                    assert verdict.answer == NO and calls == []
+                    assert verdict.answer == NO and calls == [l.full_space()]
                     counts[phase, "no"] += 1
         yes = {r: counts[r, "yes"] + counts[r, "memo"] for r in ("cold", "warm")}
         assert yes["cold"] == yes["warm"] and counts["cold", "no"] == counts["warm", "no"]
@@ -670,6 +694,32 @@ class TestClosureChecks:
 
 
 class TestIsCideal:
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_ideal_yes_is_decided_by_its_one_certificate_check(self, monkeypatch, field):
+        # An ideal B of dimension >= 2 is decided by _verify_closed(l, B, L):
+        # its one _closed_is_ideal call is the definition check, and no
+        # second check runs.  A B that is not an ideal makes the same call.
+        checks, tests = [], []
+        verify_closed, closed_is_ideal = cideal._verify_closed, LieAlgebra._closed_is_ideal
+        monkeypatch.setattr(cideal, "_verify_closed", lambda l, b, c: checks.append(c) or verify_closed(l, b, c))
+        monkeypatch.setattr(
+            LieAlgebra, "_closed_is_ideal", lambda l, u, ad=None: tests.append(u) or closed_is_ideal(l, u, ad)
+        )
+        decided = 0
+        for name, l in catalog_algebras(field, max_dim=4):
+            for b in {derived_subspace(l), l.centre(), l.full_space()}:
+                if b.dim < 2:
+                    continue
+                monkeypatch.setattr(liealg, "_canonical", {})
+                fresh = builtin(name, field)
+                checks.clear()
+                tests.clear()
+                verdict = is_cideal(fresh, b)
+                assert verdict.answer == YES and verdict.method == "ideal_is_trivially_cideal"
+                assert checks == [l.full_space()] and tests == [b]
+                decided += 1
+        assert decided
+
     def test_requires_subalgebra(self, sl2_q):
         with pytest.raises(NotSubalgebra):
             is_cideal(sl2_q, span(sl2_q, [1, 0, 0], [0, 1, 0]))

@@ -44,6 +44,7 @@ from cideals.liealg import SERIES_KINDS
 from cideals.lattice import _upper_central
 
 from oracles import (
+    oracle_frattini,
     oracle_is_ideal,
     oracle_maximal_nilpotent_subalgebras,
     oracle_subalgebras,
@@ -129,13 +130,24 @@ class TestWarmMemoKeepsTheBudget:
         assert made == [None, (1,)]
 
     def test_frattini_of_subalgebra(self, empty_table):
+        # sl2 itself has no flag of ideals, so F(u) is listed and the budget
+        # is checked against the subspaces of u, memo hit or not.
+        l = _sl2()
+        u = l.full_space()
+        limit = subspace_count(u.dim, l.field.p)
+        answer = frattini_of_subalgebra(l, u)
+        with pytest.raises(BudgetExceeded):
+            frattini_of_subalgebra(l, u, budget=limit - 1)
+        with pytest.raises(BudgetExceeded):
+            frattini_of_subalgebra(_sl2(), u, budget=limit - 1)
+        assert frattini_of_subalgebra(_sl2(), u, budget=limit) == answer
+        # Each subalgebra of t(2) has a flag: F(u) is read off its weights,
+        # cold, with no budget charged, as frattini(u) is.
         l = _t2()
         for u in maximal_subalgebras(l) + (l.full_space(),):
-            limit = subspace_count(u.dim, l.field.p)
-            answer = frattini_of_subalgebra(l, u)
-            with pytest.raises(BudgetExceeded):
-                frattini_of_subalgebra(l, u, budget=limit - 1)
-            assert frattini_of_subalgebra(_t2(), u, budget=limit) == answer
+            empty_table.clear()
+            answer = frattini_of_subalgebra(_t2(), u, budget=1)
+            assert answer == u.from_coords(oracle_frattini(l.restrict(u)[0]))
 
 
 class TestSharing:

@@ -101,6 +101,7 @@ def test_true_division_only_in_the_division_helper():
 # Library code that has checked its input calls the trusted forms too.
 _TRUSTED_CALLS = {
     # liealg
+    "is_ideal": ("_ideal_annihilator",),
     "restrict": ("_table", "_algebra"),
     "quotient": ("_table", "_algebra"),
     "is_nilpotent": ("_nilpotent_on",),
@@ -116,32 +117,32 @@ _TRUSTED_CALLS = {
     # structure: F(L) is closed, and so are the ideals of L; with a flag of
     # ideals F(L) and the nilradical are read off the flag's weights
     "frattini_of_subalgebra": ("_frattini_of_closed",),
-    "frattini": ("_flag_weights", "_flag_frattini", "_frattini_subalgebra", "_core"),
-    "radicals": ("_flag_weights", "_nilpotent_on", "_solvable_on"),
+    "frattini": ("_frattini_subalgebra", "_core"),
+    "radicals": ("_flag_weights", "_ideal_annihilator", "_nilpotent_on", "_solvable_on"),
     "_frattini_of_closed": ("algebra_on", "_frattini_subalgebra"),
+    "_frattini_subalgebra": ("_flag_weights", "_flag_frattini"),
     # cideal.  The named exception: is_cideal checks in _is_cideal, on a
     # memo miss only, so a repeat pays no closure test.
     "verify_certificate": ("_verify_closed",),
     "is_cideal": ("_is_cideal",),
-    "_is_cideal": ("_core", "_yes", "_line_cideal"),
+    "_is_cideal": ("_verify_closed", "_core", "_yes", "_line_cideal"),
     "is_cideal_by_scan": ("_core",),
     "line_cideal": ("_line_cideal",),
     "frattini_consequence_check": ("_frattini_of_closed", "_frattini_consequence"),
     "_yes": ("_checked",),
     "_checked": ("_verify_closed",),
     "_verify_closed": ("_ideal_annihilator", "_closed_is_ideal"),
-    "_ideal_annihilator": ("_holds_derived",),
-    "_line_cideal": ("_yes", "_checked"),
+    "_line_cideal": ("_verify_closed", "_yes", "_checked"),
     "_frattini_consequence": ("_closed_is_ideal", "frattini"),
     # harness: each B of T11 is closed and lies inside F(C) by construction
     "_t11": ("_frattini_of_closed", "_frattini_consequence"),
 }
 _TRUSTED = (
     "_nilpotent_on", "_solvable_on", "_reaches_zero", "algebra_on", "algebra_modulo", "_canonical_algebra", "_table", "_algebra",
-    "_holds_derived",
+    "_ideal_annihilator",
     "_core",
     "frattini", "radicals", "_frattini_of_closed", "_frattini_subalgebra", "_flag_frattini",
-    "_verify_closed", "_ideal_annihilator", "_yes", "_checked", "_line_cideal", "_frattini_consequence",
+    "_verify_closed", "_yes", "_checked", "_line_cideal", "_frattini_consequence",
     "_t11",
 )
 _MODULES = ("liealg", "lattice", "structure", "cideal", "harness")
