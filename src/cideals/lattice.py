@@ -28,8 +28,9 @@ lives here because the maximal subalgebras of such an L are its
 codimension-one subalgebras, read off the listing with no containment
 test; its basis and weights (``_flag_weights``) pick the Cartan ones of
 the maximal nilpotent subalgebras and give :mod:`cideals.structure` the
-radicals, F(L) and socle.  The pairwise filter :func:`_maximal_among`
-serves an L with no flag and the maximal nilpotent subalgebras.
+radicals, F(L) and socle; with no flag a Cartan one is its own
+:func:`normalizer`.  The pairwise filter :func:`_maximal_among` serves
+an L with no flag and the maximal nilpotent subalgebras.
 
 The budgeted listings (``enum_*``, ``maximal_*``, ``one_dim_ideals``)
 check the field and charge the budget, not an input subspace, so
@@ -46,7 +47,7 @@ import operator
 
 from .errors import BudgetExceeded, FieldNotFinite
 from .fields import Field, raw_poly_roots
-from .linalg import Subspace, _box, _units, raw_char_poly, raw_dots, raw_eigenspace, raw_kernel, raw_rref
+from .linalg import Subspace, _box, _units, raw_char_poly, raw_dots, raw_eigenspace, raw_kernel
 from .liealg import (
     LieAlgebra,
     _nilpotent_on,
@@ -367,7 +368,7 @@ def cartan_subalgebras(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     larger nilpotent K would be normalized by an element of K outside
     it), so a nilpotent L is answered as its own without the budget check.
     :func:`_self_normalizing` tests each: with a flag of ideals by counting
-    the flag's weights that vanish on it, in O(n^2 dim u), else by a solve.
+    the flag's weights that vanish on it, in O(n^2 dim u), else by N(u).
     """
     members = maximal_nilpotent_subalgebras(l, budget)
     weights = _flag_weights(l)
@@ -382,16 +383,7 @@ def _self_normalizing(l: LieAlgebra, u: Subspace, weights=None) -> bool:
     # is the number of weights vanishing on u.
     if weights is not None:
         return u.dim == sum(not any(raw_dots(l.field.p, u.rows, w)) for w in weights[3])
-    # Otherwise one solve over u's free columns c: L is u plus the span of
-    # those e_c, and u normalizes itself, so N(u) = u exactly when no
-    # nonzero x = sum_c w_c e_c has [x, r] in u for every row r of u.
-    # [x, r] lies in u when its reduction by u, which is sum_c w_c times
-    # that of [e_c, r], is zero; it is always zero at u's pivots, so one
-    # equation per row and free column.
-    free = u._free_columns()
-    reduced = [[u.reduce_raw(l.ad_raw(c, r)) for c in free] for r in u.rows]
-    equations = [[v[j] for v in images] for images in reduced for j in free]
-    return len(raw_rref(l.field.p, equations, len(free))[1]) == len(free)
+    return normalizer(l, u) == u
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ constructions: products of subspaces, closures, series, centralizers
 and transporters, quotients, restrictions and direct sums.  Quotients
 and restrictions box Scalars only in the coordinate maps they return.
 
-One reader, ``_table``, reads the structure table of a basis, and one
-builder, ``_algebra``, makes an algebra of it.  Each public form checks
-its input, then calls its trusted form, which checks nothing and calls
-no form that does (``is_nilpotent`` and ``is_solvable`` of L itself
-check nothing):
+One walk, ``_pair_brackets``, brackets a basis's row pairs a < b for
+``is_subalgebra``, ``span_product(u, u)``, the derived step and the one
+reader, ``_table``, of a basis's structure table; one builder,
+``_algebra``, makes an algebra of it.  Each public form checks its
+input, then calls its trusted form, which checks nothing and calls no
+form that does (``is_nilpotent`` and ``is_solvable`` of L itself check
+nothing):
 
 - ``is_ideal`` -> ``_ideal_annihilator``, the one ideal test of a
   subspace not known to be closed (``_closed_is_ideal`` tests one that is);
@@ -164,6 +166,8 @@ class LieAlgebra:
         return zero_vector(self.field, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
+        if not 0 <= i < self.dim:
+            raise IndexOutOfRange(f"basis index {i} outside 0..{self.dim - 1}")
         return standard_vector(self.field, self.dim, i)
 
     def basis(self) -> tuple:
@@ -182,7 +186,9 @@ class LieAlgebra:
         return out
 
     def structure_vector(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] for any i, j."""
+        """[e_i, e_j] for any i, j in 0..dim - 1."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"basis pair ({i}, {j}) outside 0..{self.dim - 1}")
         return _box(self.field, self._dense(self._ad[i][j]))
 
     def _unbox_vector(self, v: tuple) -> tuple:
@@ -264,27 +270,21 @@ class LieAlgebra:
         """The span of all [x, y] with x in u, y in v.
 
         The brackets of the canonical rows span it.  When u == v only the
-        pairs of rows a < b are bracketed, d(d - 1)/2 of them for d = dim u:
-        [x, x] = 0 and [y, x] = -[x, y] add nothing to the span.
+        pairs of rows a < b are taken, from :func:`_pair_brackets`, d(d - 1)/2
+        of them for d = dim u: [x, x] = 0 and [y, x] = -[x, y] add nothing.
         """
         self._check_subspace(u)
         self._check_subspace(v)
-        rows = u.rows
         if u == v:
-            vecs = [self.bracket_raw(x, y) for a, x in enumerate(rows) for y in rows[a + 1 :]]
+            vecs = list(_pair_brackets(self, u.rows))
         else:
-            vecs = [self.bracket_raw(x, y) for x in rows for y in v.rows]
+            vecs = [self.bracket_raw(x, y) for x in u.rows for y in v.rows]
         return Subspace.from_raw(self.field, self.dim, vecs)
 
     def is_subalgebra(self, u: Subspace) -> bool:
-        """[u, u] <= u, stopping at the first bracket of basis rows outside u."""
+        """[u, u] <= u, stopping at the first of :func:`_pair_brackets` outside u."""
         self._check_subspace(u)
-        rows = u.rows
-        return all(
-            u.holds_raw(self.bracket_raw(rows[a], rows[b]))
-            for a in range(len(rows))
-            for b in range(a + 1, len(rows))
-        )
+        return all(map(u.holds_raw, _pair_brackets(self, u.rows)))
 
     def is_ideal(self, u: Subspace) -> bool:
         """[L, u] <= u, by :meth:`_ideal_annihilator`."""
@@ -464,18 +464,15 @@ class LieAlgebra:
         comp = ideal.complement()
         field = self.field
 
-        def modulo_raw(v) -> tuple:
-            return comp.coords_raw(ideal.reduce_raw(v))
-
         def project(v: tuple) -> tuple:
-            return _box(field, modulo_raw(ideal._unbox_vector(v)))
+            return _box(field, ideal.modulo_raw(ideal._unbox_vector(v)))
 
         def lift(w: tuple) -> tuple:
             if len(w) != comp.dim:
                 raise DimensionMismatch(f"quotient vector of length {len(w)}, expected {comp.dim}")
             return _box(field, comp.from_coords_raw(_unbox(field, w)))
 
-        return _algebra(self, comp, _table(self, comp, modulo_raw)), project, lift
+        return _algebra(self, comp, _table(self, comp, ideal.modulo_raw)), project, lift
 
     def restrict(self, subalgebra: Subspace):
         """The subalgebra as an algebra on its canonical basis.
@@ -485,11 +482,10 @@ class LieAlgebra:
         (see :meth:`Subspace.coords`) and ``from_coords`` embeds back
         into L.
 
-        Each pair of canonical rows a < b is bracketed once, d(d - 1)/2
-        brackets for d = dim of the subspace: the bracket is checked to
-        lie in the subspace, in the order :meth:`is_subalgebra` checks
-        it, and its coordinates are the structure constants of S.  The
-        first bracket outside raises NotSubalgebra.
+        Each pair of canonical rows a < b is taken once from
+        :func:`_pair_brackets`, as :meth:`is_subalgebra` takes it: the
+        bracket is checked to lie in the subspace, and its coordinates are
+        the structure constants of S.  The first outside raises NotSubalgebra.
         """
         self._check_subspace(subalgebra)
         field = self.field
@@ -573,10 +569,10 @@ def canonical(l: LieAlgebra) -> LieAlgebra:
 
 
 def _pair_brackets(l: LieAlgebra, rows: tuple):
-    # [r_a, r_b] for each pair a < b of rows, in is_subalgebra's order, one
-    # at a time.  A pair that the subalgebra listing of l bracketed is read
-    # from the brackets it kept in l's memo (non-empty tuples, so ``or``
-    # brackets only a pair it does not hold).
+    # The one walk over a basis's row pairs: [r_a, r_b] for each a < b, a
+    # in the outer loop, one at a time.  A pair that the subalgebra listing
+    # of l bracketed is read from the brackets it kept in l's memo
+    # (non-empty tuples, so ``or`` brackets only a pair it does not hold).
     memo = l._memo
     kept = memo.get("brackets", {}) if memo else {}
     bracket_raw = l.bracket_raw
@@ -587,7 +583,7 @@ def _pair_brackets(l: LieAlgebra, rows: tuple):
 
 def _table(l: LieAlgebra, basis: Subspace, read) -> tuple:
     # The one table reader: read([r_a, r_b]) over basis's canonical rows,
-    # each pair a < b once, in is_subalgebra's order; a raise stops it.
+    # each pair a < b once, in _pair_brackets' order; a raise stops it.
     return tuple(map(read, _pair_brackets(l, basis.rows)))
 
 
@@ -621,11 +617,9 @@ def algebra_modulo(l: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """The canonical algebra l/ideal, kept in l's memo.  ideal must be an
     ideal, which is not checked here; the table is :meth:`quotient`'s."""
 
-    def make():
-        comp = ideal.complement()
-        return _canonical_algebra(l, comp, lambda v: comp.coords_raw(ideal.reduce_raw(v)))
-
-    return l._memoized(("modulo", ideal), make)
+    return l._memoized(
+        ("modulo", ideal), lambda: _canonical_algebra(l, ideal.complement(), ideal.modulo_raw)
+    )
 
 
 def derived_subspace(l: LieAlgebra) -> Subspace:

@@ -617,7 +617,8 @@ class Subspace:
     # -- coordinates, fixed here and nowhere else: a member of K has as
     # coordinates on K's canonical rows its entries at K's pivot columns;
     # F^n / I has the rows of I.complement() as basis, so v + I has the
-    # coordinates of I.reduce(v) there.  The raw maps do no checks.
+    # coordinates of I.reduce(v) there, which modulo_raw alone reads.  The
+    # raw maps do no checks.
 
     def coords_raw(self, v) -> tuple:
         """The coordinates of a member v on the canonical rows."""
@@ -627,21 +628,27 @@ class Subspace:
         """The member with coordinates w: the combination of the canonical rows."""
         return _combination(self.field.p, w, self.rows, self.ambient_dim)
 
+    def modulo_raw(self, v) -> tuple:
+        """The coordinates of v + I in F^n / I, with I this subspace: the
+        entries of :meth:`reduce_raw` (v) at I's non-pivot columns."""
+        r = self.reduce_raw(v)
+        return tuple([r[c] for c in self._free_columns()])
+
     def coords(self, u: "Subspace") -> "Subspace":
         """A subspace u of this one, in the coordinates of its canonical rows.
 
-        When u's pivots are among this subspace's, as they are for every
-        u inside it, u's coordinate rows are already canonical: each has
-        its 1 at its pivot's place among this subspace's pivots and 0 at
-        the other rows' places, so no elimination is run.
+        A u not inside this subspace raises AmbientMismatch.  u's pivots
+        are among this subspace's, so u's coordinate rows are already
+        canonical: each has its 1 at its pivot's place among this
+        subspace's pivots and 0 at the other rows' places, and no
+        elimination is run.
         """
         self._same_ambient(u)
-        rows = tuple(self.coords_raw(r) for r in u.rows)
+        if not u <= self:
+            raise AmbientMismatch("subspace outside the one whose coordinates it takes")
         place = {c: i for i, c in enumerate(self.pivots)}
-        pivots = tuple(place.get(c) for c in u.pivots)
-        if None in pivots:
-            return Subspace.from_raw(self.field, self.dim, rows)
-        return Subspace(self.field, self.dim, rows, pivots)
+        rows = tuple(self.coords_raw(r) for r in u.rows)
+        return Subspace(self.field, self.dim, rows, tuple(place[c] for c in u.pivots))
 
     def from_coords(self, w: "Subspace") -> "Subspace":
         """The inverse of :meth:`coords`: w in F^dim carried back into F^n.
@@ -658,11 +665,10 @@ class Subspace:
     def modulo(self, u: "Subspace") -> "Subspace":
         """The image (u + I) / I of u in the quotient by this subspace I.
 
-        The coordinates of v + I are the entries of I.reduce(v) at I's
-        non-pivot columns, read off directly.  No elimination is run for
-        I = 0 (the image is u), for u = F^n (the whole quotient) and for
-        I <= u: there the image has as canonical rows u's rows at the
-        pivots that are not I's, read off.  Such a row is 0 at I's
+        The coordinates of v + I are :meth:`modulo_raw`'s.  No elimination
+        is run for I = 0 (the image is u), for u = F^n (the whole quotient)
+        and for I <= u: there the image has as canonical rows u's rows at
+        the pivots that are not I's, read off.  Such a row is 0 at I's
         pivots, which are other pivots of u, so I does not reduce it and
         it keeps its leading 1 and its 0s at the other rows' pivots; u's
         rows at I's pivots lie in I plus their span.
@@ -678,8 +684,7 @@ class Subspace:
             kept = [(r, place[c]) for r, c in zip(u.rows, u.pivots) if c in place]
             rows = tuple(tuple(r[c] for c in free) for r, _ in kept)
             return Subspace(self.field, len(free), rows, tuple(q for _, q in kept))
-        rows = [tuple(v[c] for c in free) for v in map(self.reduce_raw, u.rows)]
-        return Subspace.from_raw(self.field, len(free), rows)
+        return Subspace.from_raw(self.field, len(free), list(map(self.modulo_raw, u.rows)))
 
     def preimage(self, w: "Subspace") -> "Subspace":
         """The preimage I + lift(w) in F^n of a subspace w of F^n / I, with

@@ -17,8 +17,9 @@ Public and trusted forms, as in :mod:`cideals.liealg`:
 
 - :func:`frattini_of_subalgebra` (u closed) -> ``_frattini_of_closed``;
 - :func:`frattini` -> ``_frattini_subalgebra``, by the flag's weights
-  (``_flag_frattini``) or the listing, then ``_core`` of F(L), an
-  intersection of subalgebras, so closed;
+  (``_flag_frattini``, the common kernel of the forms of every step) or
+  one fold of ``&`` over the listed maximal subalgebras, then ``_core``
+  of F(L), an intersection of subalgebras, so closed;
 - :func:`radicals` -> ``_ideal_annihilator``, ``_nilpotent_on``,
   ``_solvable_on`` of ideals, all closed.
 """
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .fields import _qdiv
 from .linalg import Subspace, _box, raw_dots, raw_kernel, subspace_text, vector_text
@@ -121,21 +124,17 @@ def _frattini_subalgebra(l: LieAlgebra, budget: int) -> Subspace:
     if weights is not None:
         return l._memoized("frattini_subalgebra", lambda: _flag_frattini(l, *weights))
     maxes = maximal_subalgebras(l, budget)
-    return l._memoized("frattini_subalgebra", lambda: _intersection(l, maxes))
-
-
-def _intersection(l: LieAlgebra, subspaces) -> Subspace:
-    f = l.full_space() if subspaces else l.zero_space()
-    for m in subspaces:
-        f = f & m
-    return f
+    return l._memoized("frattini_subalgebra", lambda: reduce(and_, maxes, l.full_space()))
 
 
 def _flag_frattini(l: LieAlgebra, b: list, table: dict, lam: list, _) -> Subspace:
     # F(L) on the coordinates y of x = sum_j y_j b_j: with t_jk^l those of
     # [b_j, b_k], ker(s b_i* + sum_{l>i} c_l b_l*) is closed exactly when
     # s t_jk^i + sum_{l>i} t_jk^l c_l - lam[i][j] c_k + lam[i][k] c_j = 0
-    # for every i < j < k.  Step i counts when a solution has s != 0.
+    # for every i < j < k.  Every solution counts: one with s = 0 vanishes
+    # on the ideal G = span(b_0..b_i), as lam[i] does, so f([x, y]) =
+    # lam_i(x) f(y) - lam_i(y) f(x) holds for every pair x, y, ker f is a
+    # subalgebra of codimension 1, so maximal, and it contains F(L).
     p, n = l.field.p, l.dim
     forms = []
     for i in range(n):
@@ -145,9 +144,7 @@ def _flag_frattini(l: LieAlgebra, b: list, table: dict, lam: list, _) -> Subspac
             row[k - i] -= lam[i][j]
             row[j - i] += lam[i][k]
             equations.append([x % p for x in row])
-        solutions = raw_kernel(l.field, equations, n - i)
-        if solutions.pivots[:1] == (0,):
-            forms += [(0,) * i + r for r in solutions.rows]
+        forms += [(0,) * i + r for r in raw_kernel(l.field, equations, n - i).rows]
     common = raw_kernel(l.field, forms, n).rows
     return Subspace.from_raw(l.field, n, [list(raw_dots(p, zip(*b), ys)) for ys in common])
 
@@ -157,10 +154,11 @@ def frattini(l: LieAlgebra, budget: int = DEFAULT_BUDGET) -> tuple[Subspace, Sub
 
     With a flag of ideals, in O(n^5) with no listing and no budget
     charged: each maximal subalgebra is ker f, of codimension 1, and the
-    f first nonzero at b_i solve one homogeneous system on the structure
-    constants on the flag's basis; F(L) is their common kernel.
-    Otherwise it is the intersection of the listed maximal subalgebras.
-    For a zero- or one-dimensional algebra F(L) is 0.
+    f zero on b_0..b_{i-1} solve one homogeneous system on the structure
+    constants on the flag's basis, step i, each solution such an f; F(L)
+    is their common kernel.  Otherwise it is the intersection of the
+    listed maximal subalgebras.  For a zero- or one-dimensional algebra
+    F(L) is 0.
     """
     f = _frattini_subalgebra(l, budget)
     return f, _core(l, f)

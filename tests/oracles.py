@@ -328,6 +328,20 @@ def oracle_cartan_subalgebras(l) -> tuple:
     )
 
 
+def oracle_self_normalizing(l, u: Subspace) -> bool:
+    """N(u) = u over GF(p), by brute force: no projective point x of L
+    outside u has [x, r] in u for every canonical row r of u.  The points
+    are the coordinate tuples whose first nonzero entry is 1, bracketed
+    on raw rows."""
+    p, n = l.field.p, l.dim
+    for lead in reversed(range(n)):
+        for tail in itertools.product(range(p), repeat=n - 1 - lead):
+            x = (0,) * lead + (1,) + tail
+            if not u.holds_raw(x) and all(u.holds_raw(l.bracket_raw(x, r)) for r in u.rows):
+                return False
+    return True
+
+
 def oracle_solvable(l) -> bool:
     return oracle_solvable_on(l, l.full_space())
 

@@ -67,6 +67,7 @@ from oracles import (
     oracle_maximal_nilpotent_subalgebras,
     oracle_nilpotent_on,
     oracle_radicals,
+    oracle_self_normalizing,
     oracle_solvable_on,
     oracle_subalgebras,
     oracle_subspace_points,
@@ -517,7 +518,7 @@ class TestTrustedFilters:
             nilpotent, solvable = oracle_nilpotent_on(l, u), oracle_solvable_on(l, u)
             assert _nilpotent_on(l, u) == is_nilpotent(l, u) == nilpotent
             assert _solvable_on(l, u) == is_solvable(l, u) == solvable
-            assert _self_normalizing(l, u) == (normalizer(l, u) == u)
+            assert _self_normalizing(l, u) == oracle_self_normalizing(l, u)
             assert algebra_on(l, u) == l.restrict(u)[0]
 
     def test_corpus(self):

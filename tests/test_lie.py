@@ -66,6 +66,22 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             LieAlgebra(Q, 2, brackets={(0, 5): (1, 0)})
 
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_basis_vector_index_in_range(self, i):
+        with pytest.raises(IndexOutOfRange):
+            builtin("heisenberg(3)", GF(5)).basis_vector(i)
+
+    @pytest.mark.parametrize("ij", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_structure_vector_indices_in_range(self, ij):
+        # (-1, 0) must not wrap round to [e_2, e_0], nor (3, 0) raise a bare IndexError.
+        with pytest.raises(IndexOutOfRange):
+            builtin("heisenberg(3)", GF(5)).structure_vector(*ij)
+
+    def test_indices_in_range_answer(self):
+        l = builtin("heisenberg(3)", GF(5))
+        assert l.basis() == tuple(l.basis_vector(i) for i in range(3))
+        assert l.structure_vector(0, 1) == l.bracket(l.basis_vector(0), l.basis_vector(1))
+
     def test_coord_arity_checked(self):
         with pytest.raises(DimensionMismatch):
             LieAlgebra(Q, 2, brackets={(0, 1): (1, 0, 0)})
@@ -397,15 +413,16 @@ class TestBracketCounts:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_restrict_and_square_span_product(self, monkeypatch, p):
-        # restrict on an algebra never listed brackets each pair once; on
-        # the listed one it reads every pair from the listing's brackets.
+        # restrict, span_product(u, u) and is_subalgebra on an algebra never
+        # listed bracket each pair once; on the listed one they read every
+        # pair from the listing's brackets.
         for cid, l in catalog_algebras(GF(p), max_dim=4):
             unlisted = builtin(cid, GF(p))
             for u in enum_subalgebras(l):
                 pairs = u.dim * (u.dim - 1) // 2
-                assert _brackets_made(monkeypatch, lambda: unlisted.restrict(u)) == pairs
-                assert _brackets_made(monkeypatch, lambda: l.restrict(u)) == 0
-                assert _brackets_made(monkeypatch, lambda: l.span_product(u, u)) == pairs
+                for work in (LieAlgebra.restrict, LieAlgebra.is_subalgebra, lambda a, u: a.span_product(u, u)):
+                    assert _brackets_made(monkeypatch, lambda: work(unlisted, u)) == pairs
+                    assert _brackets_made(monkeypatch, lambda: work(l, u)) == 0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_algebra_modulo_checks_nothing(self, monkeypatch, p):

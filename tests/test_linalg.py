@@ -474,10 +474,11 @@ class TestCoordinateShortcuts:
     ambient dimension.
 
     With ``inside`` the rows of U are combinations of K's rows, so U's
-    pivots are among K's.  The examples pin U outside K with pivots
-    among K's, U with pivots (0, 2) inside K with pivots (0, 2, 3), so
-    at places (0, 1), U with a pivot that is not one of K's, and for
-    ``modulo`` K = 0 and U = F^4.  ``preimage`` has examples with I = 0
+    pivots are among K's; ``coords`` of a U outside K raises
+    AmbientMismatch, whatever its pivots.  The examples pin U outside K
+    with pivots among K's, U with pivots (0, 2) inside K with pivots
+    (0, 2, 3), so at places (0, 1), U with a pivot that is not one of
+    K's, and for ``modulo`` K = 0 and U = F^4.  ``preimage`` has examples with I = 0
     and with w the whole quotient, and ``modulo`` of I + span(extra) by
     I, the case read off without elimination, over GF(3) and Q.
     """
@@ -503,9 +504,14 @@ class TestCoordinateShortcuts:
         if inside:
             assert set(u.pivots) <= set(k.pivots)
 
-        got = k.coords(u)
-        want = Subspace.from_raw(f, k.dim, [k.coords_raw(r) for r in u.rows])
-        assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+        if u <= k:
+            got = k.coords(u)
+            want = Subspace.from_raw(f, k.dim, [k.coords_raw(r) for r in u.rows])
+            assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
+        else:
+            assert not inside
+            with pytest.raises(AmbientMismatch):
+                k.coords(u)
 
         got, want = k.modulo(u), _modulo_by_rref(k, u)
         assert (got.rows, got.pivots, got.ambient_dim) == (want.rows, want.pivots, want.ambient_dim)
@@ -582,6 +588,14 @@ class TestCoordinateShortcuts:
             Subspace.full(GF(3), 2).coords(Subspace.full(GF(5), 2))
         with pytest.raises(AmbientMismatch):
             Subspace.span(GF(3), 3, [[1, 0, 0]]).coords(Subspace.span(GF(3), 2, [[0, 1]]))
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 1]], [[0, 0, 1]]])
+    def test_coords_of_a_subspace_outside_raise(self, rows):
+        # Neither has coordinates: span(e0 + e2) would read as e0 and
+        # span(e2) as 0.
+        k = Subspace.span(GF(5), 3, [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(AmbientMismatch):
+            k.coords(Subspace.span(GF(5), 3, rows))
 
 
 class TestTextForms:

@@ -199,6 +199,20 @@ def test_not_subalgebra_raised_by_the_closure_check_only():
     assert sorted(found) == ["_require_closed", "restrict"]
 
 
+def test_one_walk_over_row_pairs_in_liealg():
+    # Only _pair_brackets brackets the pairs a < b of a basis's rows, so
+    # is_subalgebra and span_product(u, u) read what the listing kept; the
+    # other brackets are bracket's own, ad_matrix's columns and the u x v
+    # product of span_product.
+    tree = ast.parse(Path(cideals.liealg.__file__).read_text(encoding="utf-8"))
+    found = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(name == "bracket_raw" for name, _ in _calls(node))
+    }
+    assert sorted(found) == ["_pair_brackets", "ad_matrix", "bracket", "span_product"]
+
+
 def test_public_forms_check_then_call_trusted_forms():
     # A checking form raises or calls one, directly or in turn; each public
     # form of the table checks and calls its trusted forms, and a trusted

@@ -43,11 +43,14 @@ from cideals import (
 from cideals import structure
 from cideals.harness import PASS
 from cideals.lattice import first_line_ideal
+from cideals.linalg import raw_kernel
+from test_lattice import _FILTER_CORPUS
 
 from oracles import (
     oracle_cartan_subalgebras,
     oracle_core,
     oracle_frattini,
+    oracle_is_subalgebra,
     oracle_radicals,
     oracle_socle,
     oracle_supersolvable,
@@ -242,6 +245,46 @@ class TestFrattini:
             f, phi = frattini(l)
             assert phi <= f
             assert l.is_ideal(phi)
+
+    _SUPERSOLVABLE = [(cid, l) for cid, l in _FILTER_CORPUS if is_supersolvable(l)]
+
+    @staticmethod
+    def _flag_kernels(monkeypatch, l) -> list:
+        # The raw_kernel calls of _flag_frattini(l), as (rows, kernel): one
+        # per step, then the common kernel of the collected forms.
+        calls = []
+
+        def recorded(field, rows, n):
+            kernel = raw_kernel(field, rows, n)
+            calls.append((rows, kernel))
+            return kernel
+
+        monkeypatch.setattr(structure, "raw_kernel", recorded)
+        structure._flag_frattini(l, *structure._flag_weights(l))
+        assert len(calls) == l.dim + 1
+        return calls
+
+    @pytest.mark.parametrize("l", [l for _, l in _SUPERSOLVABLE], ids=[cid for cid, _ in _SUPERSOLVABLE])
+    def test_every_flag_form_has_a_closed_kernel(self, monkeypatch, l):
+        # _flag_frattini keeps every solution of every step, s = 0 ones
+        # too: each form it collects, on the coordinates y of
+        # x = sum_j y_j b_j, has as kernel a subalgebra of codimension 1.
+        forms = self._flag_kernels(monkeypatch, l)[-1][0]
+        b, (p, n) = structure._flag_weights(l)[0], (l.field.p, l.dim)
+        for form in forms:
+            ys = raw_kernel(l.field, [form], n).rows
+            xs = [[sum(y * bj[k] for y, bj in zip(row, b)) % p for k in range(n)] for row in ys]
+            kernel = Subspace.from_raw(l.field, n, xs)
+            assert kernel.dim == n - 1 and oracle_is_subalgebra(l, kernel)
+
+    @pytest.mark.parametrize("name", ["heisenberg(3)", "n(3)"])
+    def test_some_step_has_only_s_zero_forms(self, monkeypatch, name):
+        # A step whose every solution is 0 at b_i still counts: the forms
+        # are every step's solutions, in step order.
+        calls = self._flag_kernels(monkeypatch, builtin(name, GF(3)))
+        steps = [k for _, k in calls[:-1]]
+        assert any(k.dim and k.pivots[0] != 0 for k in steps)
+        assert calls[-1][0] == [(0,) * i + r for i, k in enumerate(steps) for r in k.rows]
 
 
 class TestSocle:
