@@ -39,7 +39,7 @@ NotSubalgebra:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
@@ -63,8 +63,9 @@ METHOD_DERIVED = "derived_term"
 _CHARACTERISTIC_CAP = 256
 
 
-@dataclass(frozen=True)
-class CIdealVerdict:
+class CIdealVerdict(
+    namedtuple("CIdealVerdict", "answer certificate method exhaustive", defaults=(None, "", False))
+):
     """Outcome of a c-ideal decision.
 
     ``certificate`` is a witness ideal C when the answer is yes.
@@ -74,10 +75,11 @@ class CIdealVerdict:
     any field; only unknown is non-definitive.
     """
 
+    __slots__ = ()
     answer: str
-    certificate: Subspace | None = None
-    method: str = ""
-    exhaustive: bool = False
+    certificate: Subspace | None
+    method: str
+    exhaustive: bool
 
     def as_dict(self) -> dict:
         return {
@@ -389,14 +391,16 @@ def _characteristic_ideals(l: LieAlgebra) -> tuple:
     return tuple(sorted(found, key=Subspace.sort_key))
 
 
-@dataclass(frozen=True)
-class FrattiniConsequence:
+class FrattiniConsequence(
+    namedtuple("FrattiniConsequence", "passed premise_holds verdict is_ideal inside_frattini_ideal")
+):
     """Result of :func:`frattini_consequence_check`.
 
     When the premise fails (b is not a c-ideal of l) the check passes
     vacuously and the two conclusion fields are None.
     """
 
+    __slots__ = ()
     passed: bool
     premise_holds: bool
     verdict: CIdealVerdict

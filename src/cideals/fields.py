@@ -16,7 +16,6 @@ Fraction-typed ones in :func:`_monic` and :meth:`Scalar.inverse`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -45,18 +44,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
-    """The rationals (``p is None``) or the prime field GF(p)."""
+    """The rationals (``p is None``) or the prime field GF(p).
 
-    p: int | None = None
+    An immutable value: Fields are equal when their ``p`` is, and the
+    hash is that of ``(p,)``.
+    """
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
-                raise BadParams(f"modulus must be an int, got {self.p!r}")
-            if not 2 <= self.p <= _MAX_MODULUS or not _is_prime(self.p):
-                raise BadParams(f"modulus must be a prime <= 2**31, got {self.p}")
+    __slots__ = ("p",)
+    __match_args__ = ("p",)
+
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise BadParams(f"modulus must be an int, got {p!r}")
+            if not 2 <= p <= _MAX_MODULUS or not _is_prime(p):
+                raise BadParams(f"modulus must be a prime <= 2**31, got {p}")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Field")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Field")
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__, which the raising
+        # __setattr__ leaves as the one way to set p.
+        return Field, (self.p,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"Field(p={self.p!r})"
 
     @property
     def is_finite(self) -> bool:

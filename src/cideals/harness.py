@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadParams, BudgetExceeded, FieldNotFinite
 from .fields import Field
@@ -84,14 +84,16 @@ _SKIP_Q_ENUM = "exhaustive enumeration is not possible over Q"
 _OVER_Q = ("T2", "T8")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(
+    namedtuple("TheoremReport", "theorem_id algebra_id status reason witnesses seconds")
+):
     """One suite's outcome on one algebra.
 
     ``reason`` explains a skip or a failure; ``witnesses`` holds
     replayable data (subspace and vector texts, verdict dicts).
     """
 
+    __slots__ = ()
     theorem_id: str
     algebra_id: str
     status: str
@@ -100,14 +102,7 @@ class TheoremReport:
     seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "algebra_id": self.algebra_id,
-            "status": self.status,
-            "reason": self.reason,
-            "witnesses": self.witnesses,
-            "seconds": self.seconds,
-        }
+        return self._asdict()
 
 
 def _t1(l, budget, decide):
@@ -512,10 +507,10 @@ def run_suite(
     return reports
 
 
-@dataclass(frozen=True)
-class FuzzResult:
+class FuzzResult(namedtuple("FuzzResult", "count reports failures")):
     """Aggregated suite reports over generated algebras."""
 
+    __slots__ = ()
     count: int
     reports: tuple
     failures: tuple

@@ -32,7 +32,7 @@ nothing):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     AmbientMismatch,
@@ -58,14 +58,14 @@ from .linalg import (
 SERIES_KINDS = ("derived", "lower_central")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(namedtuple("SeriesResult", "kind terms")):
     """A strictly descending series that has reached its fixed point.
 
     ``terms[0]`` is the starting subalgebra and ``terms[-1]`` equals the
     next step applied to itself.
     """
 
+    __slots__ = ()
     kind: str
     terms: tuple
 
@@ -354,14 +354,22 @@ class LieAlgebra:
         return True
 
     def subalgebra_closure(self, u: Subspace) -> Subspace:
-        """The smallest subalgebra containing u."""
+        """The smallest subalgebra containing u.
+
+        One walk of :func:`_pair_brackets` over a growing basis: each
+        bracket is reduced by the span of the rows so far, and a nonzero
+        remainder joins the rows, to be paired with every row before it.
+        A closure of dimension d makes at most d(d - 1)/2 brackets.
+        """
         self._check_subspace(u)
-        cur = u
-        while True:
-            nxt = cur + self.span_product(cur, cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
+        rows = list(u.rows)
+        span = u
+        for v in _pair_brackets(self, rows):
+            r = span.reduce_raw(v)
+            if any(r):
+                rows.append(tuple(r))
+                span = Subspace.from_raw(u.field, self.dim, rows)
+        return span
 
     def series(self, kind: str, start: Subspace | None = None) -> SeriesResult:
         """Derived or lower central series from ``start`` (default: L).
@@ -568,16 +576,23 @@ def canonical(l: LieAlgebra) -> LieAlgebra:
     return first
 
 
-def _pair_brackets(l: LieAlgebra, rows: tuple):
+def _pair_brackets(l: LieAlgebra, rows):
     # The one walk over a basis's row pairs: [r_a, r_b] for each a < b, a
-    # in the outer loop, one at a time.  A pair that the subalgebra listing
-    # of l bracketed is read from the brackets it kept in l's memo
-    # (non-empty tuples, so ``or`` brackets only a pair it does not hold).
+    # in the outer loop, one at a time.  Rows that a caller appends to the
+    # list ``rows`` during the walk (tuples, as the rows are) come after
+    # the pairs of the rows it started with, each paired with every row
+    # before it.  A pair that the subalgebra listing of l bracketed is
+    # read from the brackets it kept in l's memo (non-empty tuples, so
+    # ``or`` brackets only a pair it does not hold).
     memo = l._memo
     kept = memo.get("brackets", {}) if memo else {}
     bracket_raw = l.bracket_raw
-    for a, x in enumerate(rows):
-        for y in rows[a + 1 :]:
+    n = len(rows)
+    for a, x in enumerate(rows[:n]):
+        for y in rows[a + 1 : n]:
+            yield kept.get((x, y)) or bracket_raw(x, y)
+    for b, y in enumerate(itertools.islice(rows, n, None), n):
+        for x in rows[:b]:
             yield kept.get((x, y)) or bracket_raw(x, y)
 
 

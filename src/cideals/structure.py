@@ -27,7 +27,7 @@ Public and trusted forms, as in :mod:`cideals.liealg`:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import and_
 
@@ -246,8 +246,13 @@ def is_almost_abelian(l: LieAlgebra) -> bool:
     return _almost_abelian_raw(l) is not None
 
 
-@dataclass(frozen=True)
-class LineClassification:
+class LineClassification(
+    namedtuple(
+        "LineClassification",
+        "case abelian_part almost_abelian_part scaling_vector",
+        defaults=(None, None, None),
+    )
+):
     """Which of the all-lines-are-c-ideals shapes an algebra has.
 
     ``case`` is one of CASE_CUBE_ZERO, CASE_SPLIT, CASE_NEITHER.  For
@@ -257,10 +262,11 @@ class LineClassification:
     on the almost-abelian part's derived algebra.
     """
 
+    __slots__ = ()
     case: str
-    abelian_part: Subspace | None = None
-    almost_abelian_part: Subspace | None = None
-    scaling_vector: tuple | None = None
+    abelian_part: Subspace | None
+    almost_abelian_part: Subspace | None
+    scaling_vector: tuple | None
 
     def as_dict(self) -> dict:
         return {
@@ -324,8 +330,14 @@ def _line_shape(l: LieAlgebra) -> tuple:
 # ---------------------------------------------------------------------------
 # profiles
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(
+    namedtuple(
+        "StructureProfile",
+        "field dim abelian nilpotent solvable supersolvable derived_length nilpotency_class"
+        " centre derived_dims lower_central_dims nilradical solvable_radical"
+        " frattini_subalgebra frattini_ideal socle",
+    )
+):
     """A bundle of structural facts about one algebra.
 
     The nilradical, solvable_radical, frattini pair and socle are None
@@ -333,6 +345,7 @@ class StructureProfile:
     other L from its listed lattice, within the budget.
     """
 
+    __slots__ = ()
     field: str
     dim: int
     abelian: bool

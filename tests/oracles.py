@@ -213,6 +213,16 @@ def oracle_span_product(l, u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(l.field, l.dim, vecs)
 
 
+def oracle_subalgebra_closure(l, u: Subspace) -> Subspace:
+    """The smallest subalgebra containing u, in rounds: add the full
+    span product [u, u] until it stops growing."""
+    while True:
+        nxt = u + oracle_span_product(l, u, u)
+        if nxt == u:
+            return u
+        u = nxt
+
+
 def oracle_is_subalgebra(l, u: Subspace) -> bool:
     """[u, u] <= u through the full span product."""
     return oracle_span_product(l, u, u) <= u

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from oracles import (
     oracle_quotient,
     oracle_solvable,
     oracle_span_product,
+    oracle_subalgebra_closure,
 )
 
 
@@ -406,6 +409,46 @@ def _brackets_made(monkeypatch, work) -> int:
         m.setattr(LieAlgebra, "bracket_raw", counted)
         work()
     return len(made)
+
+
+def _seeded_spans(l, count, size, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = [[rng.randrange(-2, 3) for _ in range(l.dim)] for _ in range(rng.randint(1, size))]
+        yield Subspace.span(l.field, l.dim, rows)
+
+
+class TestSubalgebraClosure:
+    """One walk over the pairs of a growing basis gives the closure that
+    rounds of [u, u] give, with at most d(d - 1)/2 brackets."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), Q], ids=str)
+    def test_matches_the_rounds_on_seeded_spans_in_t4(self, field):
+        t4 = builtin("t", field, 4)
+        for u in _seeded_spans(t4, 25, 3, f"closure/{field}"):
+            assert t4.subalgebra_closure(u) == oracle_subalgebra_closure(t4, u)
+
+    def test_matches_the_rounds_on_random_solvable_inputs(self, monkeypatch):
+        closures = []
+        closure = LieAlgebra.subalgebra_closure
+
+        def recorded(self, u):
+            closures.append((self, u, closure(self, u)))
+            return closures[-1][2]
+
+        monkeypatch.setattr(LieAlgebra, "subalgebra_closure", recorded)
+        for s in range(12):
+            random_solvable(s, GF(2 + s % 2), 3 + s % 2, 2 + s % 4, strictly_upper=s % 4 == 1)
+        assert len(closures) == 12
+        for ambient, u, closed in closures:
+            assert closed == oracle_subalgebra_closure(ambient, u)
+
+    @pytest.mark.parametrize("field", [GF(3), Q], ids=str)
+    def test_brackets_each_pair_of_the_closure_at_most_once(self, monkeypatch, field):
+        t4 = builtin("t", field, 4)
+        for u in _seeded_spans(t4, 25, 3, f"closure brackets/{field}"):
+            d = t4.subalgebra_closure(u).dim
+            assert _brackets_made(monkeypatch, lambda: t4.subalgebra_closure(u)) <= d * (d - 1) // 2
 
 
 class TestBracketCounts:

@@ -58,6 +58,24 @@ def test_oracles_import_only_the_public_namespace():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # A dataclass writes and execs the source of its methods at every
+    # import of the package; the value types are a slotted Field and
+    # named tuples, which need none.
+    found = []
+    for path in sorted(Path(cideals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 # Over Q a raw value is an int when integral, and an int over an int is
 # a float; so every true division goes through fields._qdiv, except the
 # two whose operands are Fractions by construction.
