@@ -273,6 +273,8 @@ def builtin(name: str, field: Field, param: int | None = None) -> LieAlgebra:
     for part in parts:
         inner = param
         if part.endswith(")") and "(" in part:
+            if param is not None:
+                raise BadParams(f"{name!r} has its parameter inline; pass no other")
             base, arg = part[:-1].split("(", 1)
             part = base.strip()
             try:

@@ -44,7 +44,7 @@ from operator import mul
 
 from .errors import AmbientMismatch, PreconditionUnmet, ZeroVector
 from .fields import _qdiv
-from .linalg import Subspace, _unbox, raw_sum_and_meet, subspace_text, vector_is_zero
+from .linalg import Subspace, _unbox, _units, raw_sum_and_meet, subspace_text, vector_is_zero
 from .liealg import LieAlgebra, _require_closed, algebra_modulo, derived_subspace
 from .lattice import DEFAULT_BUDGET, _core, enum_ideals, point_line, upper_central_series
 from .structure import _frattini_of_closed, frattini
@@ -216,8 +216,9 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
 
     The annihilator and its columns are made once per algebra value, and
     each hyperplane's frozen verdict once per algebra value and column
-    (memo "line_rule"), so no subspace but the line is reduced.  Every
-    other yes is re-verified before it is returned, the memo's too.
+    (memo "line_rule"), so once its column's hyperplane is made a
+    decision reduces no subspace but the line.  Every other yes is
+    re-verified before it is returned, the memo's too.
     """
     # Plain loops that stop at the first nonzero dot product or bracket:
     # this runs once per line decision, and a generator, zip and lambda
@@ -248,7 +249,7 @@ def _line_cideal(l: LieAlgebra, line: Subspace, ideal_method: str = METHOD_LINE)
         return _yes(l, line, _whole(l), ideal_method)
     verdict = verdicts.get(q)
     if verdict is None:
-        h = _hyperplane(l, derived_subspace(l), q)
+        h = _hyperplane(derived_subspace(l), q)
         verdict = verdicts[q] = CIdealVerdict(YES, h, METHOD_LINE, True)
     return _checked(l, line, verdict)
 
@@ -260,20 +261,12 @@ def _line_rule(l: LieAlgebra) -> tuple:
     return derived._free_columns(), derived.annihilator_raw(), {}
 
 
-def _hyperplane(l: LieAlgebra, derived: Subspace, q: int) -> Subspace:
+def _hyperplane(derived: Subspace, q: int) -> Subspace:
     # [L, L] + complement([L, L] + Fx), where x reduced modulo [L, L] first
-    # leads at column q: every column but q is a pivot, and the row at
-    # pivot c is e_c plus (row c of [L, L])[q] times e_q.
-    n = l.dim
-    at_q = {c: r[q] for c, r in zip(derived.pivots, derived.rows)}
-    pivots = tuple(c for c in range(n) if c != q)
-    rows = []
-    for c in pivots:
-        row = [0] * n
-        row[c] = 1
-        row[q] = at_q.get(c, 0)
-        rows.append(tuple(row))
-    return Subspace(l.field, n, tuple(rows), pivots)
+    # leads at column q: that complement is spanned by e_c over the
+    # non-pivot columns c of [L, L] but q.
+    units = _units(derived.ambient_dim, [c for c in derived._free_columns() if c != q])
+    return derived.extended_raw(units)
 
 
 def is_cideal(l: LieAlgebra, b: Subspace, budget: int = DEFAULT_BUDGET) -> CIdealVerdict:

@@ -143,7 +143,7 @@ def _t2(l, budget, decide):
     if not solvable:
         return SKIP, "no certificate-backed premise instance is constructible over Q", {}
     squared = derived_subspace(l)
-    m = Subspace.from_raw(l.field, l.dim, squared.rows + squared.complement().rows[1:])
+    m = squared.extended_raw(squared.complement().rows[1:])
     v = decide(l, m, budget)
     if v.answer == YES and v.certificate is not None:
         # Premise holds with a verified certificate; the conclusion is
@@ -353,13 +353,11 @@ def _t10(l, budget, decide):
     B/I = w.  The subspaces of every L/I are charged to the budget before
     the walk starts.
 
-    B is its canonical rows here, merged from I's rows and the lifts of
-    w's rows (see :meth:`~cideals.linalg.Subspace.preimage_raw`): each
-    row of the listing on L/I is lifted once per I.  B's verdict in L is
-    kept by B's rows for the length of the walk, so ``decide(l, B)`` is
-    asked once per distinct B, which lies over as many w as it holds
-    ideals I, and B is built as a subspace only for that question and
-    for a failure's witness.
+    B is I extended by the lifts of w's rows (see
+    :meth:`~cideals.linalg.Subspace.preimage`), and each row of the
+    listing on L/I is lifted once per I.  B's verdict in L is kept by
+    B's rows for the length of the walk, so ``decide(l, B)`` is asked
+    once per distinct B, which lies over as many w as it holds ideals I.
     """
     ideals = enum_ideals(l, budget)
     searched = sum(subspace_count(l.dim - i.dim, l.field.p) for i in ideals)
@@ -370,14 +368,14 @@ def _t10(l, budget, decide):
         reduced = algebra_modulo(l, i)
         lifts, lift = {}, i.lift_raw  # a row of L/I -> its lift in L
         for w in enum_subalgebras(reduced, budget):
-            rows, pivots = i.preimage_raw(_images(w.rows, lifts, lift), w.pivots)
-            v_outer = outer.get(rows)
+            b = i.extended_raw(_images(w.rows, lifts, lift))
+            v_outer = outer.get(b.rows)
             if v_outer is None:
-                v_outer = outer[rows] = decide(l, Subspace(l.field, l.dim, rows, pivots), budget)
+                v_outer = outer[b.rows] = decide(l, b, budget)
             v_inner = decide(reduced, w, budget)
             if (v_outer.answer == YES) != (v_inner.answer == YES):
                 witnesses = {
-                    "subalgebra": subspace_text(Subspace(l.field, l.dim, rows, pivots)),
+                    "subalgebra": subspace_text(b),
                     "ideal": subspace_text(i),
                     "verdict_in_l": v_outer.as_dict(),
                     "verdict_in_quotient": v_inner.as_dict(),

@@ -615,7 +615,7 @@ def _refine_through(lower: Subspace, upper: Subspace, flag: list):
     for r in upper.rows:
         if cur.holds_raw(r):
             continue
-        cur = Subspace.from_raw(cur.field, cur.ambient_dim, cur.rows + (r,))
+        cur = cur.extended_raw((r,))
         flag.append(cur)
 
 

@@ -358,8 +358,9 @@ class LieAlgebra:
 
         One walk of :func:`_pair_brackets` over a growing basis: each
         bracket is reduced by the span of the rows so far, and a nonzero
-        remainder joins the rows, to be paired with every row before it.
-        A closure of dimension d makes at most d(d - 1)/2 brackets.
+        remainder joins the rows, to be paired with every row before it,
+        and extends the span's canonical basis.  A closure of dimension d
+        makes at most d(d - 1)/2 brackets.
         """
         self._check_subspace(u)
         rows = list(u.rows)
@@ -368,7 +369,7 @@ class LieAlgebra:
             r = span.reduce_raw(v)
             if any(r):
                 rows.append(tuple(r))
-                span = Subspace.from_raw(u.field, self.dim, rows)
+                span = span.extended_raw((r,))
         return span
 
     def series(self, kind: str, start: Subspace | None = None) -> SeriesResult:

@@ -14,7 +14,10 @@ every subspace has one canonical representation.  A Scalar vector is
 checked against the field once on entry, any other entry is made raw by
 :meth:`~cideals.fields.Field.raw`, and Scalars are made again only where
 a public function returns them.  The ``raw_*`` functions are the
-kernel's forms of the public ones, without checks.
+kernel's forms of the public ones, without checks.  Every elimination
+is :func:`_extend`, which grows a canonical basis by reduced rows:
+:func:`raw_rref` runs it from the empty basis, and
+:meth:`Subspace.extended_raw` from a subspace's own rows.
 
 :class:`Subspace` owns the coordinates of subalgebras and quotients;
 library code maps subspaces through them on raw rows and boxes nothing.
@@ -22,6 +25,7 @@ library code maps subspaces through them on raw rows and boxes nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -215,7 +219,12 @@ class Matrix:
 
 def _units(n: int, columns) -> tuple:
     """The standard raw rows of length n with their 1 at the given columns."""
-    return tuple(tuple(1 if k == c else 0 for k in range(n)) for c in columns)
+    out = []
+    for c in columns:
+        row = [0] * n
+        row[c] = 1
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _normalized(p, values) -> tuple:
@@ -268,46 +277,71 @@ def _box(field: Field, row) -> tuple:
     return tuple(make(field, x) for x in row)
 
 
+def _reduced(p, rows, pivots, v):
+    """v less v[c] times each canonical row, c its pivot, in turn: 0 at
+    every pivot.  Without checks; over Q an entry may be an integral
+    Fraction."""
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            if p is None:
+                v = [a - f * b for a, b in zip(v, row)]
+            else:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+    return v
+
+
+def _extend(p, rows: list, pivots: list, vectors, ncols: int) -> None:
+    """Grow the canonical basis ``rows``, ``pivots`` (lists, changed in
+    place) to span it and the raw rows ``vectors`` too: the kernel's one
+    elimination.
+
+    Each vector is reduced by the rows so far; a nonzero remainder is
+    scaled to lead with 1 at its first nonzero column q, column q is
+    cleared from every row, and the remainder goes in at q's place.  The
+    rows stay the reduced row echelon form of their span, which is
+    unique, and the vectors left once the rank is ``ncols`` are not read.
+    Over Q every value written is an int when integral.
+    """
+    for v in vectors:
+        if len(rows) == ncols:
+            return
+        v = _reduced(p, rows, pivots, v)
+        for q, lead in enumerate(v):
+            if lead:
+                break
+        else:
+            continue
+        if p is None:
+            v = tuple([_qdiv(x, lead) for x in v]) if lead != 1 else tuple(map(_qraw, v))
+        elif lead != 1:
+            inv = pow(lead, -1, p)
+            v = tuple([x * inv % p for x in v])
+        else:
+            v = tuple(v)
+        for i, row in enumerate(rows):
+            f = row[q]
+            if f:
+                if p is None:
+                    rows[i] = tuple([_qraw(a - f * b) for a, b in zip(row, v)])
+                else:
+                    rows[i] = tuple([(a - f * b) % p for a, b in zip(row, v)])
+        k = bisect_left(pivots, q)
+        rows.insert(k, v)
+        pivots.insert(k, q)
+
+
 def raw_rref(p, rows, ncols: int) -> tuple[tuple, tuple]:
     """Reduced row echelon form of raw rows over GF(p) (Q when p is None).
 
     Returns ``(rows, pivots)`` with zero rows dropped; the rows are
     tuples of raw values and ``pivots`` their pivot columns, increasing.
-    Over Q, eliminating against a row with a Fraction can leave an
-    integral Fraction; the returned values are ints when integral.
+    It is :func:`_extend` from the empty basis, so over Q the values are
+    ints when integral.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        lead = row[c]
-        if lead != 1:
-            if p is None:
-                row = [_qdiv(x, lead) for x in row]
-            else:
-                inv = pow(lead, -1, p)
-                row = [x * inv % p for x in row]
-            rows[r] = row
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], row)]
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
-        pivots.append(c)
-        r += 1
-    if p is None:
-        return tuple(tuple(map(_qraw, row)) for row in rows[:r]), tuple(pivots)
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    red, pivots = [], []
+    _extend(p, red, pivots, rows, ncols)
+    return tuple(red), tuple(pivots)
 
 
 def raw_kernel(field: Field, rows, ncols: int) -> "Subspace":
@@ -515,15 +549,16 @@ class Subspace:
 
     def reduce_raw(self, v) -> list:
         """:meth:`reduce` on a raw row, without checks."""
-        p = self.field.p
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                if p is None:
-                    v = [a - f * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
+        return _reduced(self.field.p, self.rows, self.pivots, v)
+
+    def extended_raw(self, vectors) -> "Subspace":
+        """The span of this subspace and the raw rows ``vectors``, grown
+        from the canonical rows by :func:`_extend`.  Without checks."""
+        rows, pivots = list(self.rows), list(self.pivots)
+        _extend(self.field.p, rows, pivots, vectors, self.ambient_dim)
+        if len(rows) == self.dim:
+            return self
+        return Subspace(self.field, self.ambient_dim, tuple(rows), tuple(pivots))
 
     def holds_raw(self, v) -> bool:
         """Membership of a raw row, without checks."""
@@ -577,7 +612,8 @@ class Subspace:
         return all(other.holds_raw(r) for r in self.rows)
 
     def __lt__(self, other: "Subspace") -> bool:
-        return self.dim < other.dim and self.__le__(other)
+        self._same_ambient(other)
+        return self.dim < other.dim and self <= other
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -585,7 +621,7 @@ class Subspace:
             return other
         if other.dim == 0 or self.dim == self.ambient_dim:
             return self
-        return Subspace.from_raw(self.field, self.ambient_dim, self.rows + other.rows)
+        return self.extended_raw(other.rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -688,18 +724,13 @@ class Subspace:
 
     def preimage(self, w: "Subspace") -> "Subspace":
         """The preimage I + lift(w) in F^n of a subspace w of F^n / I, with
-        I this subspace.
+        I this subspace: I extended by the lifts of w's canonical rows.
 
-        For w the whole quotient that is F^n.  Otherwise each canonical
-        row of w is lifted by :meth:`lift_raw` and the lifts merged with
-        I's rows by :meth:`preimage_raw`; no elimination is run.  For
-        I = 0 the lifts are w's rows and the merge keeps them.
+        A lift is 0 at I's pivots and leads with 1, so :func:`_extend`
+        only clears its lead column from I's rows and inserts it.
         """
         self._same_ambient(w, self.ambient_dim - self.dim)
-        if w.dim == w.ambient_dim:
-            return Subspace.full(self.field, self.ambient_dim)
-        rows, pivots = self.preimage_raw([self.lift_raw(r) for r in w.rows], w.pivots)
-        return Subspace(self.field, self.ambient_dim, rows, pivots)
+        return self.extended_raw([self.lift_raw(r) for r in w.rows])
 
     def lift_raw(self, r) -> tuple:
         """The lift to F^n of a raw row r of F^n / I, with I this subspace:
@@ -709,36 +740,6 @@ class Subspace:
         for c, x in zip(self._free_columns(), r):
             lift[c] = x
         return tuple(lift)
-
-    def preimage_raw(self, lifts, pivots) -> tuple[tuple, tuple]:
-        """The canonical rows and pivots of the preimage of w, from the
-        lifts of w's canonical rows and w's pivots.  Without checks.
-
-        The lift of the row with pivot q leads with 1 at free[q], free
-        being I's non-pivot columns, is 0 at the other lifts' pivots
-        because w is reduced, and is 0 at I's pivots.  Each row of I is
-        cleared at the lifts' pivots.  It keeps its 1 at its own pivot
-        and its 0s at I's other pivots: a lift is subtracted only where
-        the row is nonzero, at a pivot after the row's own, and the lift
-        is 0 before that pivot and at I's pivots.  Every pivot column
-        now has a single nonzero entry, so the two row sets, merged by
-        pivot, are already canonical.
-        """
-        free = self._free_columns()
-        at = [free[q] for q in pivots]
-        if not self.rows:
-            return tuple(lifts), tuple(at)
-        p = self.field.p
-        merged = dict(zip(at, lifts))
-        for row, c in zip(self.rows, self.pivots):
-            cleared = row
-            for q, lift in zip(at, lifts):
-                f = row[q]
-                if f:
-                    cleared = [a - f * b for a, b in zip(cleared, lift)]
-            merged[c] = row if cleared is row else _normalized(p, cleared)
-        order = sorted(merged)
-        return tuple([merged[c] for c in order]), tuple(order)
 
     def sort_key(self):
         return (

@@ -313,7 +313,7 @@ def _line_shape(l: LieAlgebra) -> tuple:
     if x is None:
         return CASE_NEITHER, None
     a_part = centre
-    b_part = Subspace.from_raw(l.field, l.dim, squared.rows + (x,))
+    b_part = squared.extended_raw((x,))
     split_ok = (
         l.is_ideal(a_part)
         and l.is_ideal(b_part)

@@ -188,6 +188,13 @@ class TestBuiltins:
         with pytest.raises(BadParams):
             builtin("heisenberg+abelian", GF(2), 3)
 
+    @pytest.mark.parametrize("param", [3, 5])
+    def test_inline_param_rejects_a_second_one(self, param):
+        # As the composed form does, even when the two agree.
+        with pytest.raises(BadParams):
+            builtin("heisenberg(3)", GF(3), param)
+        assert builtin("heisenberg(3)", GF(3)) == builtin("heisenberg", GF(3), 3)
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             builtin("so8", Q)

@@ -43,6 +43,8 @@ from oracles import (
     oracle_intersection,
     oracle_is_ideal,
     oracle_line_cideal,
+    oracle_rref_p,
+    oracle_rref_q,
     oracle_span_product,
 )
 
@@ -281,7 +283,7 @@ class TestIdealAnnihilator:
         monkeypatch.setattr(liealg, "_canonical", {})
         l = _tilted(field) if name == "tilted" else builtin(name, field)
         derived = derived_subspace(l)
-        hyperplanes = [cideal._hyperplane(l, derived, q) for q in derived._free_columns()]
+        hyperplanes = [cideal._hyperplane(derived, q) for q in derived._free_columns()]
         calls = _count_ad_raw(monkeypatch)
         assert all(l._ideal_annihilator(h) is not None for h in hyperplanes)
         assert not calls
@@ -362,11 +364,11 @@ class TestLineRule:
         ],
     )
     def test_hyperplane_is_derived_plus_complement(self, name, p):
-        # The certificate built row by row is the sum the definition names:
-        # [L, L] + complement([L, L] + Fx); every point over GF(p), the
-        # basis vectors and their pairwise sums over Q.  In the catalog
-        # every row of [L, L] is a standard vector; "tilted" has one with
-        # an entry off its pivot.
+        # The certificate is the sum the definition names, [L, L] +
+        # complement([L, L] + Fx), as the independent Gauss-Jordan gives it;
+        # every point over GF(p), the basis vectors and their pairwise
+        # sums over Q.  In the catalog every row of [L, L] is a standard
+        # vector; "tilted" has one with an entry off its pivot.
         field = Q if p is None else GF(p)
         l = _tilted(field) if name == "tilted" else builtin(name, field)
         full = l.full_space()
@@ -386,7 +388,9 @@ class TestLineRule:
             if l.is_ideal(line) or line <= derived:
                 continue
             verdict = line_cideal(l, x)
-            assert verdict.certificate == derived + (derived + line).complement()
+            rows = derived.rows + (derived + line).complement().rows
+            want = oracle_rref_q(rows, l.dim) if p is None else oracle_rref_p(rows, l.dim, p)
+            assert (verdict.certificate.rows, verdict.certificate.pivots) == want
             hyperplanes += 1
         assert hyperplanes
 
@@ -501,37 +505,44 @@ class TestLineRoute:
             assert _raised(oracle_line_cideal, l, x) is error
 
 
-def _count_rref(monkeypatch) -> list:
-    """Wrap raw_rref where linalg binds it, which every elimination of
-    cideal goes through; the list collects one entry per call."""
+def _count_extend(monkeypatch) -> list:
+    """Wrap _extend where linalg binds it, the kernel's one elimination,
+    which every elimination of cideal goes through; the list collects
+    one entry per call."""
     calls = []
-    original = linalg.raw_rref
+    original = linalg._extend
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(linalg, "raw_rref", counting)
-    assert not hasattr(cideal, "raw_rref")
+    monkeypatch.setattr(linalg, "_extend", counting)
+    assert not hasattr(cideal, "_extend")
     return calls
 
 
 class TestLineCounts:
-    """A line decision runs no elimination, once warm reduces no subspace
-    but its line, and its hyperplane verdicts are made once per algebra
-    value and column (memo "line_rule": [L, L]'s non-pivot columns, its
-    annihilator rows and the verdicts by column)."""
+    """A line decision runs no elimination but the one that builds a
+    hyperplane, once warm reduces no subspace but its line, and its
+    hyperplane verdicts are made once per algebra value and column (memo
+    "line_rule": [L, L]'s non-pivot columns, its annihilator rows and the
+    verdicts by column)."""
 
     @pytest.mark.parametrize("name", ["heisenberg(3)+abelian(1)", "t(2)"])
-    def test_no_elimination(self, monkeypatch, name):
+    def test_one_elimination_per_hyperplane_column(self, monkeypatch, name):
         monkeypatch.setattr(liealg, "_canonical", {})
         l = builtin(name, GF(3))
         derived_subspace(l)
         points = list(projective_points(l.field, l.dim))
-        calls = _count_rref(monkeypatch)
+        calls = _count_extend(monkeypatch)
         for x in points:
             line_cideal(l, x)
-        assert not calls
+        kept = l._memo["line_rule"][2]
+        assert kept and len(calls) == len(kept)
+        del calls[:]
+        for x in points:
+            line_cideal(l, x)
+        assert not calls  # a warm repeat builds no hyperplane
         oracle_line_cideal(l, points[0])
         assert calls  # the wrapper sees the elimination the old route ran
 

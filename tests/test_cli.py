@@ -182,6 +182,10 @@ class TestCatalog:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dim"] == 3
 
+    def test_emit_inline_and_flag_param_exits_two(self, capsys):
+        assert main(["catalog", "emit", "heisenberg(3)", "--field", "gf3", "--param", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_emit_sl2_char_two_exits_two(self, capsys):
         assert main(["catalog", "emit", "sl2", "--field", "gf2"]) == 2
 

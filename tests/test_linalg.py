@@ -33,6 +33,8 @@ from oracles import (
     oracle_kernel_p,
     oracle_kernel_q,
     oracle_preimage,
+    oracle_rref_p,
+    oracle_rref_q,
 )
 
 
@@ -295,6 +297,23 @@ class TestSubspace:
         assert small < big
         assert not big <= small
 
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_strict_containment_checks_field_and_ambient_first(self, dim):
+        # Whatever the dimensions, as <= does: a subspace over another
+        # field, of another ambient, or no subspace at all raises.
+        u = Subspace.span(GF(3), 2, [[1, 0], [0, 1]][:dim])
+        cases = [
+            (Subspace.full(GF(5), 2), FieldMismatch),
+            (Subspace.span(GF(3), 3, [[1, 0, 0]]), AmbientMismatch),
+            (5, AmbientMismatch),
+        ]
+        for other, error in cases:
+            for a, b in ((u, other), (other, u)) if isinstance(other, Subspace) else ((u, other),):
+                with pytest.raises(error):
+                    a < b
+                with pytest.raises(error):
+                    a <= b
+
     def test_whole_space_holds_everything_with_no_reduction(self, monkeypatch):
         made = []
         reduce_raw = Subspace.reduce_raw
@@ -527,14 +546,14 @@ class TestCoordinateShortcuts:
         u = Subspace.from_vectors(f, 4, [vec(f, r) for r in rows_i + rows_extra])
         assert i <= u
         eliminations = []
-        raw_rref = linalg.raw_rref
+        extend = linalg._extend
 
         def counting(*args):
             eliminations.append(args)
-            return raw_rref(*args)
+            return extend(*args)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(linalg, "raw_rref", counting)
+            m.setattr(linalg, "_extend", counting)
             got = i.modulo(u)
         assert eliminations == []
         want = _modulo_by_rref(i, u)
@@ -596,6 +615,83 @@ class TestCoordinateShortcuts:
         k = Subspace.span(GF(5), 3, [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(AmbientMismatch):
             k.coords(Subspace.span(GF(5), 3, rows))
+
+
+EXTEND_FIELDS = [GF(2), GF(3), GF(7), GF(2**31 - 1), Q]
+
+
+def _oracle_rref(f, rows, n):
+    return oracle_rref_q(rows, n) if f.p is None else oracle_rref_p(rows, n, f.p)
+
+
+@st.composite
+def _raw_rows(draw, f, n):
+    """Raw rows of length n over f: random rows, zero rows and repeats of
+    random rows, in a drawn order, up to 2n + 4 of them, so some hold
+    more rows than columns."""
+    if f.p is None:
+        value = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    else:
+        value = st.one_of(st.integers(0, min(f.p - 1, 3)), st.integers(0, f.p - 1))
+    row = st.lists(value, min_size=n, max_size=n).map(lambda r: tuple(map(f.raw, r)))
+    rows = draw(st.lists(row, max_size=n + 1))
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=n + 1))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def _extend_case(draw):
+    f = draw(st.sampled_from(EXTEND_FIELDS))
+    n = draw(st.integers(1, 5))
+    return f, n, draw(_raw_rows(f, n))
+
+
+def _ints_when_integral(rows) -> bool:
+    return all(type(x) is int for r in rows for x in r if x.denominator == 1)
+
+
+class TestExtend:
+    """The one elimination, :func:`linalg._extend`, against the oracles'
+    own Gauss-Jordan on the concatenated rows."""
+
+    @given(_extend_case())
+    @example((GF(3), 2, [(1, 2), (2, 1), (0, 0), (1, 2)]))
+    @example((Q, 2, [(2, 1), (Fraction(1, 2), 3), (1, 1), (0, 0)]))
+    def test_raw_rref_matches_the_oracle(self, case):
+        f, n, rows = case
+        red, pivots = linalg.raw_rref(f.p, rows, n)
+        assert (red, pivots) == _oracle_rref(f, rows, n)
+        assert _ints_when_integral(red)
+
+    @given(_extend_case(), st.integers(0, 6))
+    def test_extended_raw_from_a_canonical_start(self, case, k):
+        f, n, rows = case
+        start = Subspace.from_raw(f, n, rows[:k])
+        got = start.extended_raw(rows[k:])
+        assert (got.rows, got.pivots) == _oracle_rref(f, rows, n)
+        assert _ints_when_integral(got.rows)
+        assert start <= got and (got is start) == (got.dim == start.dim)
+
+    @given(_extend_case(), st.data())
+    def test_preimage_matches_the_oracle_on_the_lifts(self, case, data):
+        f, n, rows_i = case
+        i = Subspace.from_raw(f, n, rows_i)
+        w = Subspace.from_raw(f, n - i.dim, data.draw(_raw_rows(f, n - i.dim)))
+        free = i.complement().pivots
+        lifts = [tuple(r[free.index(c)] if c in free else 0 for c in range(n)) for r in w.rows]
+        got = i.preimage(w)
+        assert (got.rows, got.pivots) == _oracle_rref(f, list(i.rows) + lifts, n)
+        assert _ints_when_integral(got.rows)
+
+    @pytest.mark.parametrize("f", EXTEND_FIELDS, ids=str)
+    def test_stops_reading_at_full_rank(self, f):
+        # A vector past full rank is not read, so a None there is never
+        # indexed.
+        rows, pivots = [], []
+        linalg._extend(f.p, rows, pivots, iter([(0, 1, 1), (1, 1, 0), (0, 0, 1), None]), 3)
+        assert (tuple(rows), tuple(pivots)) == (linalg._units(3, range(3)), (0, 1, 2))
 
 
 class TestTextForms:
